@@ -7,7 +7,7 @@ test is provably correct, not probabilistic.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import InvalidInput, NotSquarefree
 
@@ -80,7 +80,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite n (Brent's cycle variant)."""
+    """One nontrivial factor of composite n (Pollard rho, Floyd cycle finding)."""
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -154,10 +154,3 @@ def modpow(base: int, exp: int, modulus: int) -> int:
     if exp < 0:
         raise InvalidInput(f"exponent must be >= 0, got {exp}")
     return pow(base, exp, modulus)
-
-
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n

@@ -29,6 +29,7 @@ from .diophantine import solve_kaplan, solve_legendre, solve_pell_rep, williams_
 from .errors import (
     EnumerationBoundExceeded,
     HypothesisNotMet,
+    InvalidInput,
     NoRepresentationInBound,
     NoSolutionInBound,
     PrecondViolated,
@@ -228,9 +229,9 @@ _THEOREMS = {
 def predict(d, n: int, tower: str) -> Prediction:
     """Exact 2-class group of layer n >= 1 of the chosen tower."""
     if n < 1:
-        raise ZtwoError(f"layer index must be >= 1, got {n}")
+        raise InvalidInput(f"layer index must be >= 1, got {n}")
     if tower not in TOWERS:
-        raise ZtwoError(f"tower must be 'L' or 'K', got {tower!r}")
+        raise InvalidInput(f"tower must be 'L' or 'K', got {tower!r}")
     tag = classify(d)
     if tag.tag == "C7":
         if tower == "K":
@@ -257,7 +258,7 @@ def iwasawa_invariants(d, tower: str) -> IwasawaInvariants:
     if tag.tag not in EXACT_FAMILIES:
         raise UnsupportedFamily(f"no invariants for family {tag.tag}")
     if tower not in TOWERS:
-        raise ZtwoError(f"tower must be 'L' or 'K', got {tower!r}")
+        raise InvalidInput(f"tower must be 'L' or 'K', got {tower!r}")
     r = exponent_r_oracle(tag)
     if tower == "K" and tag.tag in ("A1", "A2"):
         nu = r

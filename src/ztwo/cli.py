@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 from . import classifier, diophantine, qforms, symbols
 from .arith import factor_squarefree
-from .errors import UnsupportedFamily, ZtwoError
+from .errors import InvalidInput, UnsupportedFamily, ZtwoError
 from .qforms import ClassGroupStructure, Discriminant
 
 SCHEMA = "ztwo/1"
@@ -151,11 +151,15 @@ def classgroup_from_json(rec) -> ClassGroupStructure:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _parse_d(text):
+def _parse_int(text):
     try:
-        return factor_squarefree(int(text))
+        return int(text)
     except ValueError:
-        raise ZtwoError(f"{text!r} is not an integer")
+        raise InvalidInput(f"{text!r} is not an integer")
+
+
+def _parse_d(text):
+    return factor_squarefree(_parse_int(text))
 
 
 def cmd_classify(args):
@@ -259,7 +263,7 @@ def cmd_scan(args):
 
 
 def cmd_classgroup(args):
-    s = qforms.class_group(int(args.D))
+    s = qforms.class_group(_parse_int(args.D))
     if args.json:
         print(json.dumps(classgroup_to_json(s)))
     else:

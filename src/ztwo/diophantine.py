@@ -1,18 +1,22 @@
 """Bounded solvers for the three representation problems the criteria use.
 
-Every solver is a deterministic bounded search; a witness that exists but
-lies beyond the bound surfaces as NoRepresentationInBound or
-NoSolutionInBound, never as a wrong answer.  Returned objects re-validate
-their defining identities on construction, independently of the search
-path that produced them.
+Every solver is deterministic and answers within a bound; a witness that
+exists but lies beyond the bound surfaces as NoRepresentationInBound or
+NoSolutionInBound, never as a wrong answer.  solve_pell_rep and
+solve_legendre search in increasing order.  solve_kaplan enumerates
+every solution of s**2 - p Y**2 = 2 q k**2 with |Y| <= bound exactly,
+by the continued-fraction method of Lagrange, Matthews and Mollin and
+the fundamental unit of Z[sqrt p], instead of scanning Y.  Returned
+objects re-validate their defining identities on construction,
+independently of the search path that produced them.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from math import gcd, isqrt
+from itertools import product
+from math import gcd, isqrt, prod
 
-import numpy as np
-
-from .arith import is_prime
+from .arith import factorize, is_prime
 from .errors import (
     BadPrimeClass,
     InvalidInput,
@@ -23,9 +27,6 @@ from .errors import (
 from .symbols import jacobi, quartic_residue
 
 DEFAULT_BOUND = 10 ** 6
-
-# numpy int64 stays exact below 2**62; larger operands fall back to pure int
-_VECTOR_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -137,62 +138,6 @@ def solve_pell_rep(p: int, bound: int = DEFAULT_BOUND) -> PellRepresentation:
     raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p} with v <= {bound}")
 
 
-def _norm_rep_pairs(p, target, y_bound, keep=256):
-    """Positive (Y, s) with s**2 - p Y**2 = target, Y ascending, Y <= y_bound."""
-    if p * (y_bound + 1) * (y_bound + 1) + target < _VECTOR_SAFE:
-        pairs = []
-        block = 1 << 16
-        for lo in range(1, y_bound + 1, block):
-            ys = np.arange(lo, min(lo + block, y_bound + 1), dtype=np.int64)
-            s2 = p * ys * ys + target
-            s = np.rint(np.sqrt(s2.astype(np.float64))).astype(np.int64)
-            for ds in (0, -1, 1):
-                cand = s + ds
-                for i in np.nonzero(cand * cand == s2)[0]:
-                    pairs.append((int(ys[i]), int(cand[i])))
-            if len(pairs) >= keep:
-                break
-        pairs.sort()
-        return pairs[:keep]
-    pairs = []
-    for y in range(1, y_bound + 1):
-        s2 = p * y * y + target
-        s = isqrt(s2)
-        if s * s == s2:
-            pairs.append((y, s))
-            if len(pairs) >= keep:
-                break
-    return pairs
-
-
-def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND,
-                 k_max: int = 64, l_max: int = 1 << 16) -> KaplanParams:
-    """First witness in (k, then l, then |Y|) order; bound caps |Y|."""
-    if not (is_prime(p) and is_prime(q)):
-        raise InvalidInput(f"{p}, {q} must both be prime")
-    if p % 8 != 3 or q % 8 != 3:
-        raise PrecondViolated(f"need p = q = 3 (mod 8), got {p}, {q}")
-    if jacobi(p, q) != 1:
-        raise PrecondViolated(f"need (p/q) = +1; order the pair so it holds")
-    for k in range(1, k_max + 1):
-        k2 = k * k
-        pairs = _norm_rep_pairs(p, 2 * q * k2, bound)
-        if not pairs:
-            continue
-        modulus = 2 * k2
-        for l in range(0, l_max + 1):
-            if (l * l - p) % modulus:
-                continue
-            m = (l * l - p) // modulus
-            for abs_y, s in pairs:
-                for Y in (abs_y, -abs_y):
-                    for root in (s, -s):
-                        num = -l * Y + root
-                        if num % k2 == 0:
-                            return KaplanParams(p, q, k, l, m, num // k2, Y)
-    raise NoSolutionInBound(f"no Kaplan witness for ({p}, {q}) with |Y| <= {bound}, k <= {k_max}")
-
-
 def _sqrt_mod_prime(n, p):
     """A square root of n modulo an odd prime p (Tonelli-Shanks)."""
     n %= p
@@ -222,6 +167,169 @@ def _sqrt_mod_prime(n, p):
         t = t * c % p
         m = i
     return r
+
+
+def _sqrt_mod_prime_power(a, ell, e):
+    """Every z in [0, ell**e) with z**2 = a (mod ell**e), ell prime."""
+    if ell > 2 and a % ell:
+        if jacobi(a, ell) == -1:
+            return []
+        z, mod = _sqrt_mod_prime(a, ell), ell
+        for _ in range(e - 1):  # Hensel: a simple root lifts uniquely
+            mod *= ell
+            z = (z - (z * z - a) * pow(2 * z, -1, mod)) % mod
+        return [z, mod - z]
+    # ell = 2 or ell | a: lift one digit at a time, trying all ell of them
+    # (solve_kaplan only meets ell | a = p when p | k, so ell <= k_max)
+    roots, mod = [0], 1
+    for _ in range(e):
+        nxt = mod * ell
+        roots = [z for r in roots for z in range(r, nxt, mod) if (z * z - a) % nxt == 0]
+        mod = nxt
+    return roots
+
+
+def _sqrt_mod(a, factors):
+    """Every z in [0, n) with z**2 = a (mod n), ascending, for the n with
+    prime factorization {ell: e}; prime-power roots are joined by CRT."""
+    roots, mod = [0], 1
+    for ell, e in factors.items():
+        pe = ell ** e
+        inv = pow(mod, -1, pe)
+        roots = [r + mod * ((z - r) * inv % pe)
+                 for r in roots for z in _sqrt_mod_prime_power(a, ell, e)]
+        mod *= pe
+    return sorted(roots)
+
+
+def _square_divisors(factors):
+    """(f, factorization of n/f**2) for every f > 0 with f**2 | n."""
+    primes = list(factors)
+    for js in product(*(range(factors[ell] // 2 + 1) for ell in primes)):
+        f, rest = 1, {}
+        for ell, j in zip(primes, js):
+            f *= ell ** j
+            if factors[ell] > 2 * j:
+                rest[ell] = factors[ell] - 2 * j
+        yield f, rest
+
+
+def _cf_norm_hit(D, z, m):
+    """(x, y) with x**2 - D y**2 = +-m, or None.
+
+    Expands (z + sqrt D)/m, for m > 0 dividing D - z**2, as a continued
+    fraction up to its first complete quotient (P_i + sqrt D)/Q_i with
+    i >= 1 and Q_i = +-1.  From the convergents A/B it returns
+    x = m A_{i-1} - z B_{i-1} and y = B_{i-1}, which satisfy
+    x**2 - D y**2 = (-1)**i Q_i m.  None when a whole period passes
+    without such a Q_i.
+    """
+    root = isqrt(D)
+    P, Q = z, m
+    x_prev, x = -z, m
+    y_prev, y = 1, 0
+    seen = set()
+    while (P, Q) not in seen:
+        seen.add((P, Q))
+        a = (P + root + (Q < 0)) // Q  # floor((P + sqrt D)/Q): sqrt D is irrational
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        x_prev, x = x, a * x + x_prev
+        y_prev, y = y, a * y + y_prev
+        if Q in (1, -1):
+            return x, y
+    return None
+
+
+def _pell_unit(p):
+    """Fundamental unit (x, y) of Z[sqrt p], x**2 - p y**2 = 1, for a prime
+    p = 3 (mod 4): the period of sqrt p is even, so its norm is +1."""
+    return _cf_norm_hit(p, 0, 1)
+
+
+def _unit_orbit(s, Y, p, unit, y_bound):
+    """{(|Y'|, s')} over s' + Y' sqrt p = (s + Y sqrt p) * unit**n, n in Z,
+    with 1 <= |Y'| <= y_bound.
+
+    Both conjugates of s + Y sqrt p must be positive; then Y' grows
+    strictly with n, so the walk goes up until Y' > y_bound and down until
+    Y' < -y_bound.
+    """
+    ux, uy = unit
+    found = set()
+    for sign in (1, -1):
+        t, u = s, Y
+        while sign * u <= y_bound:
+            if 0 < abs(u) <= y_bound:
+                found.add((abs(u), t))
+            t, u = t * ux + sign * p * u * uy, u * ux + sign * t * uy
+    return found
+
+
+def _norm_rep_pairs(p, factors, y_bound, unit):
+    """Every (Y, s) with s**2 - p Y**2 = N, s > 0 and 1 <= Y <= y_bound,
+    Y ascending.
+
+    N > 0 is given by its prime factorization {ell: e}, p is a prime
+    = 3 (mod 4) and unit is _pell_unit(p).  Method of Lagrange, Matthews
+    and Mollin (Cohen, GTM 138, section 5.6; Matthews, Expo. Math. 18,
+    2000): a solution with gcd(s, Y) = f is f times a primitive solution
+    of x**2 - p y**2 = m = N/f**2, and those fall into classes under the
+    unit, one for each square root z of p modulo m with x = z y (mod m).
+    The first Q_i = +-1 in the continued fraction of (z + sqrt p)/m gives
+    a member of the class, or shows it empty: a hit of norm -m means no
+    solution, since Z[sqrt p] has no unit of norm -1.
+    """
+    found = set()
+    for f, rest in _square_divisors(factors):
+        m = prod(ell ** e for ell, e in rest.items())
+        for z in _sqrt_mod(p, rest):
+            hit = _cf_norm_hit(p, z, m)
+            if hit is None:
+                continue
+            x, y = hit
+            if x * x - p * y * y != m:
+                continue
+            if x < 0:
+                x, y = -x, -y
+            found |= _unit_orbit(f * x, f * y, p, unit, y_bound)
+    return sorted(found)
+
+
+def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND,
+                 k_max: int = 64) -> KaplanParams:
+    """First witness in (k, then l, then |Y|) order; bound caps |Y|.
+
+    A witness for k and l is a solution (Y, s) of s**2 - p Y**2 = 2 q k**2
+    with X = (s - l Y)/k**2 integral, where s and Y may each take either
+    sign; l only matters modulo 2 k**2, so it runs over the ascending
+    square roots of p modulo 2 k**2.  The solutions with |Y| <= bound are
+    enumerated exactly (_norm_rep_pairs), so NoSolutionInBound means that
+    no witness with |Y| <= bound and k <= k_max exists.
+    """
+    if not (is_prime(p) and is_prime(q)):
+        raise InvalidInput(f"{p}, {q} must both be prime")
+    if p % 8 != 3 or q % 8 != 3:
+        raise PrecondViolated(f"need p = q = 3 (mod 8), got {p}, {q}")
+    if jacobi(p, q) != 1:
+        raise PrecondViolated(f"need (p/q) = +1; order the pair so it holds")
+    unit = _pell_unit(p)
+    for k in range(1, k_max + 1):
+        k2 = k * k
+        two_k2 = Counter({ell: 2 * e for ell, e in factorize(k).items()}) + Counter({2: 1})
+        ls = _sqrt_mod(p, two_k2)
+        if not ls:
+            continue
+        pairs = _norm_rep_pairs(p, two_k2 + Counter({q: 1}), bound, unit)
+        for l in ls:
+            m = (l * l - p) // (2 * k2)
+            for abs_y, s in pairs:
+                for Y in (abs_y, -abs_y):
+                    for root in (s, -s):
+                        num = -l * Y + root
+                        if num % k2 == 0:
+                            return KaplanParams(p, q, k, l, m, num // k2, Y)
+    raise NoSolutionInBound(f"no Kaplan witness for ({p}, {q}) with |Y| <= {bound}, k <= {k_max}")
 
 
 def _check_legendre_preconds(p, q):

@@ -15,7 +15,7 @@ from ztwo.classifier import (
     plus_part_odd,
     predict,
 )
-from ztwo.errors import HypothesisNotMet, NotSquarefree, UnsupportedFamily
+from ztwo.errors import HypothesisNotMet, InvalidInput, NotSquarefree, UnsupportedFamily
 from ztwo.symbols import jacobi, quartic_residue
 
 
@@ -155,6 +155,12 @@ def test_predict_c7_and_unclassified():
         predict(21, 1, "L")
 
 
+@pytest.mark.parametrize("n, tower", [(0, "L"), (-1, "K"), (1, "M"), (1, "both")])
+def test_predict_bad_arguments_are_invalid_input(n, tower):
+    with pytest.raises(InvalidInput):
+        predict(89, n, tower)
+
+
 # ---------------------------------------------------------------------------
 # closed formulas and predicates
 # ---------------------------------------------------------------------------
@@ -202,6 +208,8 @@ def test_iwasawa_invariants():
     assert iwasawa_invariants(247, "K").nu == 1
     with pytest.raises(UnsupportedFamily):
         iwasawa_invariants(7, "L")
+    with pytest.raises(InvalidInput):
+        iwasawa_invariants(89, "M")
 
 
 def test_iwasawa_formula_consistency():

@@ -104,6 +104,13 @@ def test_classgroup(capsys):
     assert rec["h"] == 4 and rec["divisors"] == [4]
 
 
+def test_classgroup_non_integer_exit_1(capsys):
+    code, out, err = run(capsys, "classgroup", "x")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: 'x' is not an integer"
+
+
 def test_symbol_commands(capsys):
     code, out, _ = run(capsys, "symbol", "--quartic", "11", "5")
     assert code == 0 and out.strip() == "(11/5)_4 = +1"

@@ -2,17 +2,28 @@ from math import isqrt
 
 import pytest
 
+from ztwo.arith import factorize
+from ztwo.classifier import classify
 from ztwo.diophantine import (
     KaplanParams,
     LegendreSolution,
     PellRepresentation,
+    _norm_rep_pairs,
+    _pell_unit,
+    _sqrt_mod,
     enumerate_legendre_solutions,
     solve_kaplan,
     solve_legendre,
     solve_pell_rep,
     williams_criterion,
 )
-from ztwo.errors import BadPrimeClass, InvalidInput, PrecondViolated
+from ztwo.errors import (
+    BadPrimeClass,
+    InvalidInput,
+    NoSolutionInBound,
+    NotSquarefree,
+    PrecondViolated,
+)
 
 
 def pell_oracle(p):
@@ -118,6 +129,101 @@ def test_kaplan_norm_value_invariant():
 def test_kaplan_validator():
     with pytest.raises(InvalidInput):
         KaplanParams(11, 19, 1, 3, -1, 4, 2)
+
+
+def kaplan_reference(p, q, bound, k_max=64):
+    """Brute-force witness search in (k, l, |Y|) order, or None.
+
+    Scans every Y <= bound with isqrt.  l only matters modulo 2 k**2, so
+    the first l that works is below 2 k**2.
+    """
+    for k in range(1, k_max + 1):
+        k2 = k * k
+        ls = [l for l in range(2 * k2) if (l * l - p) % (2 * k2) == 0]
+        if not ls:
+            continue
+        pairs = []
+        for y in range(1, bound + 1):
+            s2 = p * y * y + 2 * q * k2
+            s = isqrt(s2)
+            if s * s == s2:
+                pairs.append((y, s))
+        for l in ls:
+            for abs_y, s in pairs:
+                for Y in (abs_y, -abs_y):
+                    for root in (s, -s):
+                        num = -l * Y + root
+                        if num % k2 == 0:
+                            return KaplanParams(p, q, k, l, (l * l - p) // (2 * k2), num // k2, Y)
+    return None
+
+
+def a2_pairs(d_max):
+    for d in range(3, d_max + 1, 2):
+        try:
+            tag = classify(d)
+        except NotSquarefree:
+            continue
+        if tag.tag == "A2":
+            yield tag.primes
+
+
+@pytest.mark.parametrize("d_max, bound", [(10 ** 4, 2 * 10 ** 4), (5 * 10 ** 4, 2000)])
+def test_kaplan_matches_brute_force(d_max, bound):
+    checked = 0
+    for p, q in a2_pairs(d_max):
+        try:
+            got = solve_kaplan(p, q, bound=bound)
+        except NoSolutionInBound:
+            got = None
+        assert got == kaplan_reference(p, q, bound), (p, q)
+        checked += 1
+    assert checked > 200
+
+
+def test_sqrt_mod_matches_brute_force():
+    for n in range(1, 400):
+        for a in (3, 11, 19, 25):
+            roots = [z for z in range(n) if (z * z - a) % n == 0]
+            assert _sqrt_mod(a, factorize(n)) == roots, (a, n)
+
+
+def test_norm_rep_pairs_matches_brute_force():
+    bound = 3000
+    for p in (3, 11, 19, 43, 67, 227):
+        unit = _pell_unit(p)
+        for N in list(range(1, 120)) + [2 * 3 * 9, 2 * 11 * 121, 2 * 19 * 45 ** 2]:
+            pairs = []
+            for y in range(1, bound + 1):
+                s = isqrt(p * y * y + N)
+                if s * s == p * y * y + N:
+                    pairs.append((y, s))
+            assert _norm_rep_pairs(p, factorize(N), bound, unit) == pairs, (p, N)
+
+
+def test_norm_rep_pairs_matches_sympy_diop_dn():
+    pytest.importorskip("sympy")
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    bound = 10 ** 12
+    for p, N in ((11, 38), (3, 22), (7, 9), (43, 2 * 3 * 49), (19, 2 * 43 * 25),
+                 (2467, 6 * 169), (331, 2 * 3019), (6131, 2 * 163),
+                 (332947, 2 * 3 * 27 ** 2)):
+        (ux, uy), = diop_DN(p, 1)
+        assert _pell_unit(p) == (ux, uy)
+        expected = set()
+        for x0, y0 in diop_DN(p, N):
+            for x, y in ((x0, y0), (x0, -y0), (-x0, y0), (-x0, -y0)):
+                if x <= 0:
+                    continue
+                for sign in (1, -1):  # walk the unit orbit up, then down
+                    s, Y = x, y
+                    while abs(Y) <= bound or sign * Y < 0:
+                        if Y:
+                            expected.add((abs(Y), s))
+                        s, Y = s * ux + sign * p * Y * uy, Y * ux + sign * s * uy
+        expected = sorted(e for e in expected if e[0] <= bound)
+        assert _norm_rep_pairs(p, factorize(N), bound, _pell_unit(p)) == expected, (p, N)
 
 
 def test_legendre_worked_example():
