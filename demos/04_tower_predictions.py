@@ -5,19 +5,20 @@ Exact 2-class groups up the towers
 For a classified d, every layer n >= 1 of both towers has a closed-form
 2-class group.  The growth is as rigid as it can be: one new factor of 2
 per layer (lambda = 1, mu = 0), with the starting size set by the
-exponent r of the base imaginary quadratic field.
+exponent r of the base imaginary quadratic field.  analyze reads r once;
+every layer then follows without another class-group computation.
 """
 
-from ztwo import classify, iwasawa_invariants, predict
+from ztwo import analyze, classify, iwasawa_invariants, predict
 
 # ---------------------------------------------------------------------------
 # Layer-by-layer tables for the running examples.
 
 for d in (89, 209, 247, 55, 95, 407):
-    tag = classify(d)
-    print(f"\nd = {d}  [{tag.tag}]")
+    analysis = analyze(classify(d))
+    print(f"\nd = {d}  [{analysis.tag.tag}]  r = {analysis.r}")
     for tower in ("L", "K"):
-        shapes = [str(predict(d, n, tower).shape) for n in range(1, 5)]
+        shapes = [str(analysis.predict(n, tower).shape) for n in range(1, 5)]
         print(f"  tower {tower}:  " + "  ->  ".join(shapes))
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,17 @@ the towers over Q(sqrt(d), i) and Q(sqrt(-d)).
 
 from .arith import OddSquarefree, factor_squarefree, is_prime, modpow
 from .classifier import (
+    Analysis,
     FamilyTag,
     GroupShape,
     IwasawaInvariants,
     Prediction,
     RBound,
+    analyze,
     classify,
     cross_check,
     exponent_r_corollary,
     exponent_r_oracle,
-    greenberg_holds,
     is_cyclic_tower,
     iwasawa_invariants,
     lambda_minus,

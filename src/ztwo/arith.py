@@ -43,10 +43,6 @@ class OddSquarefree:
         if not all(is_prime(p) for p in self.factors):
             raise InvalidInput(f"non-prime entry in {self.factors}")
 
-    @property
-    def num_factors(self):
-        return len(self.factors)
-
     def __int__(self):
         return self.value
 

@@ -218,53 +218,92 @@ def exponent_r_corollary(tag: FamilyTag, bound: int = 10 ** 6) -> RBound:
     return RBound.at_least(5)
 
 
+# (family, tower) -> (nu - r, theorem).  With lambda = 1 and mu = 0,
+# layer n has order 2^(n + nu): [2, 2^(n+nu-1)] for A, [2^(n+nu)] for B.
 _THEOREMS = {
-    ("A", "L"): "rank-2 L-tower: Z/2 x Z/2^(n+r-2) with 2^r = h2(-2d)",
-    ("A", "K"): "rank-2 K-tower: Z/2 x Z/2^(n+r-1) with 2^r = h2(-2d)",
-    ("B", "L"): "cyclic L-tower: Z/2^(n+r-1) with 2^r = 2*h2(-pq)",
-    ("B", "K"): "cyclic K-tower: Z/2^(n+r-1) with 2^r = 2*h2(-pq)",
+    ("A", "L"): (-1, "rank-2 L-tower: Z/2 x Z/2^(n+r-2) with 2^r = h2(-2d)"),
+    ("A", "K"): (0, "rank-2 K-tower: Z/2 x Z/2^(n+r-1) with 2^r = h2(-2d)"),
+    ("B", "L"): (-1, "cyclic L-tower: Z/2^(n+r-1) with 2^r = 2*h2(-pq)"),
+    ("B", "K"): (-1, "cyclic K-tower: Z/2^(n+r-1) with 2^r = 2*h2(-pq)"),
 }
+
+
+def _check_tower(tower):
+    if tower not in TOWERS:
+        raise InvalidInput(f"tower must be 'L' or 'K', got {tower!r}")
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """A classified d with its exponent r (None for C7 and UNCLASSIFIED).
+
+    Every layer shape and Iwasawa invariant of d is a closed function of
+    this pair; build it with analyze, which checks the theorem's
+    preconditions.
+    """
+
+    tag: FamilyTag
+    r: int = None
+
+    def _theorem(self, tower):
+        if self.r is None:
+            raise UnsupportedFamily(f"no invariants for family {self.tag.tag}")
+        _check_tower(tower)
+        return _THEOREMS["B" if self.tag.tag == "B" else "A", tower]
+
+    def predict(self, n: int, tower: str) -> Prediction:
+        """Exact 2-class group of layer n >= 1 of the chosen tower."""
+        if n < 1:
+            raise InvalidInput(f"layer index must be >= 1, got {n}")
+        _check_tower(tower)
+        tag = self.tag
+        if tag.tag == "C7":
+            if tower == "K":
+                raise UnsupportedFamily("no K-tower formula for a prime d = 7 (mod 16)")
+            shape = GroupShape((), exact=False, note="cyclic non-trivial, order not determined")
+            return Prediction(tag.d, tower, n, shape, r=0, r_source="none",
+                              theorem="cyclic L-tower of undetermined order")
+        if tag.tag == "UNCLASSIFIED":
+            raise UnsupportedFamily(f"d = {tag.d} matches no family with a prediction")
+        offset, theorem = self._theorem(tower)
+        e = n + self.r + offset
+        divisors = (2 ** e,) if tag.tag == "B" else (2, 2 ** (e - 1))
+        return Prediction(tag.d, tower, n, GroupShape(divisors), r=self.r,
+                          r_source="oracle", theorem=theorem)
+
+    def invariants(self, tower: str) -> IwasawaInvariants:
+        """lambda = 1, mu = 0 and the family's nu, valid from layer 1 on."""
+        offset, _ = self._theorem(tower)
+        return IwasawaInvariants(lam=1, mu=0, nu=self.r + offset, valid_from=1)
+
+
+def analyze(tag: FamilyTag) -> Analysis:
+    """The exponent r of a classified d, read once, with its preconditions.
+
+    A-families need r >= 3 and family B a cyclic 2-part of Cl(-pq); a
+    class group that breaks them (say, one forged in a cache file) raises
+    PrecondViolated instead of yielding a shape.
+    """
+    if tag.tag not in EXACT_FAMILIES:
+        return Analysis(tag)
+    r = exponent_r_oracle(tag)
+    if tag.tag == "B":
+        structure = class_group(-tag.primes[0] * tag.primes[1])  # memo hit: the oracle built it
+        if structure.two_rank != 1:
+            raise PrecondViolated(f"Cl({structure.D.D}) 2-part not cyclic: {structure.divisors}")
+    elif r < 3:
+        raise PrecondViolated(f"oracle r = {r} < 3 for an A-family")
+    return Analysis(tag, r)
 
 
 def predict(d, n: int, tower: str) -> Prediction:
     """Exact 2-class group of layer n >= 1 of the chosen tower."""
-    if n < 1:
-        raise InvalidInput(f"layer index must be >= 1, got {n}")
-    if tower not in TOWERS:
-        raise InvalidInput(f"tower must be 'L' or 'K', got {tower!r}")
-    tag = classify(d)
-    if tag.tag == "C7":
-        if tower == "K":
-            raise UnsupportedFamily("no K-tower formula for a prime d = 7 (mod 16)")
-        shape = GroupShape((), exact=False, note="cyclic non-trivial, order not determined")
-        return Prediction(tag.d, tower, n, shape, r=0, r_source="none",
-                          theorem="cyclic L-tower of undetermined order")
-    if tag.tag == "UNCLASSIFIED":
-        raise UnsupportedFamily(f"d = {tag.d} matches no family with a prediction")
-    r = exponent_r_oracle(tag)
-    if tag.tag in ("A1", "A2"):
-        divisors = (2, 2 ** (n + r - 2)) if tower == "L" else (2, 2 ** (n + r - 1))
-        key = ("A", tower)
-    else:
-        divisors = (2 ** (n + r - 1),)
-        key = ("B", tower)
-    return Prediction(tag.d, tower, n, GroupShape(divisors), r=r,
-                      r_source="oracle", theorem=_THEOREMS[key])
+    return analyze(classify(d)).predict(n, tower)
 
 
 def iwasawa_invariants(d, tower: str) -> IwasawaInvariants:
     """lambda = 1, mu = 0 and the family's nu, valid from layer 1 on."""
-    tag = classify(d)
-    if tag.tag not in EXACT_FAMILIES:
-        raise UnsupportedFamily(f"no invariants for family {tag.tag}")
-    if tower not in TOWERS:
-        raise InvalidInput(f"tower must be 'L' or 'K', got {tower!r}")
-    r = exponent_r_oracle(tag)
-    if tower == "K" and tag.tag in ("A1", "A2"):
-        nu = r
-    else:
-        nu = r - 1
-    return IwasawaInvariants(lam=1, mu=0, nu=nu, valid_from=1)
+    return analyze(classify(d)).invariants(tower)
 
 
 def lambda_minus(d) -> int:
@@ -308,11 +347,6 @@ def is_cyclic_tower(d) -> bool:
     return False
 
 
-def greenberg_holds(d) -> bool:
-    """Bounded growth of the real layers; asserted exactly for cyclic towers."""
-    return is_cyclic_tower(d)
-
-
 # ---------------------------------------------------------------------------
 # corollary <-> oracle cross-validation
 # ---------------------------------------------------------------------------
@@ -351,8 +385,8 @@ def cross_check(d_max: int, families=None, bound: int = 10 ** 6) -> CrossCheckRe
     """Confront the corollary exponent with the oracle for every classified d <= d_max.
 
     Per entry: the corollary's exact r must equal the oracle r, or its
-    lower bound must be satisfied.  Family extras: A-families must have
-    oracle r >= 3; family B must have a cyclic even 2-part for Cl(-pq).
+    lower bound must be satisfied; a theorem precondition that analyze
+    finds broken is a violation too.
     """
     report = CrossCheckReport(d_max=d_max)
     wanted = set(families) if families else set(EXACT_FAMILIES)
@@ -364,10 +398,14 @@ def cross_check(d_max: int, families=None, bound: int = 10 ** 6) -> CrossCheckRe
         if tag.tag not in wanted or tag.tag not in EXACT_FAMILIES:
             continue
         try:
-            r_oracle = exponent_r_oracle(tag)
+            r_oracle = analyze(tag).r
         except EnumerationBoundExceeded as exc:
             report.add(CrossCheckEntry(d, tag.tag, tag.primes, -1, RBound.at_least(1),
                                        "skipped", f"oracle: {exc}"))
+            continue
+        except PrecondViolated as exc:
+            report.add(CrossCheckEntry(d, tag.tag, tag.primes, -1, RBound.at_least(1),
+                                       "violation", str(exc)))
             continue
         try:
             r_cor = exponent_r_corollary(tag, bound=bound)
@@ -375,17 +413,9 @@ def cross_check(d_max: int, families=None, bound: int = 10 ** 6) -> CrossCheckRe
             report.add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, RBound.at_least(1),
                                        "skipped", f"corollary: {exc}"))
             continue
-        problems = []
-        if not r_cor.satisfied_by(r_oracle):
-            problems.append(f"corollary {r_cor} vs oracle {r_oracle}")
-        if tag.tag in ("A1", "A2"):
-            if r_oracle < 3:
-                problems.append(f"oracle r = {r_oracle} < 3 for an A-family")
+        if r_cor.satisfied_by(r_oracle):
+            report.add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, r_cor, "ok"))
         else:
-            structure = class_group(discriminant_of(-tag.primes[0] * tag.primes[1]))
-            if structure.two_rank != 1:
-                problems.append(f"Cl({structure.D.D}) 2-part not cyclic: {structure.divisors}")
-        status = "violation" if problems else "ok"
-        report.add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, r_cor,
-                                   status, "; ".join(problems)))
+            report.add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, r_cor, "violation",
+                                       f"corollary {r_cor} vs oracle {r_oracle}"))
     return report

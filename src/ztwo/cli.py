@@ -6,7 +6,9 @@ family, 3 verification found violations.
 
 A persistent class-group cache can be supplied with --cache PATH or the
 ZTWO_CACHE environment variable: an append-only JSON-lines file, one
-record per discriminant; corrupt lines are skipped with a warning.
+record per discriminant.  A line is skipped with a warning unless it
+parses, has the right schema, a divisor chain whose product is h, and the
+2-rank genus theory predicts.
 """
 
 import argparse
@@ -18,7 +20,7 @@ from datetime import datetime, timezone
 from . import classifier, diophantine, qforms, symbols
 from .arith import factor_squarefree
 from .errors import InvalidInput, UnsupportedFamily, ZtwoError
-from .qforms import ClassGroupStructure, Discriminant
+from .qforms import ClassGroupStructure
 
 SCHEMA = "ztwo/1"
 CACHE_ENV = "ZTWO_CACHE"
@@ -28,6 +30,10 @@ EXIT_INVALID = 1
 EXIT_NO_PREDICTION = 2
 EXIT_VIOLATIONS = 3
 
+# predict prints 2^(n+r-1) in full; this keeps it far below the 4,300
+# digits Python converts to text.
+MAX_LAYER = 10 ** 4
+
 SCAN_COLUMNS = ("d", "tag", "p", "q", "r_oracle", "r_corollary",
                 "shape_L_n1", "shape_K_n1", "lambda", "nu_L", "nu_K")
 
@@ -35,6 +41,15 @@ SCAN_COLUMNS = ("d", "tag", "p", "q", "r_oracle", "r_corollary",
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
+
+def _cache_record(line):
+    """The structure one cache line holds; raises if the line is inconsistent."""
+    rec = json.loads(line)
+    s = ClassGroupStructure.from_chain(int(rec["D"]), [int(x) for x in rec["divisors"]])
+    if rec["schema"] != SCHEMA or s.h != int(rec["h"]) or s.two_rank != qforms.genus_two_rank(s.D):
+        raise InvalidInput("record contradicts itself or genus theory")
+    return s
+
 
 def _load_cache(path):
     """Seed the in-memory class-group memo from a JSON-lines cache file."""
@@ -46,18 +61,11 @@ def _load_cache(path):
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                D = int(rec["D"])
-                h = int(rec["h"])
-                divisors = tuple(int(x) for x in rec["divisors"])
-                h2 = h & -h if h % 2 == 0 else 1
-                structure = ClassGroupStructure(
-                    D=Discriminant(D), h=h, divisors=divisors, h2=h2,
-                    two_rank=sum(1 for x in divisors if x % 2 == 0))
-            except (ValueError, KeyError, TypeError, ZtwoError):
+                structure = _cache_record(line)
+            except (ValueError, KeyError, TypeError, OverflowError, ZtwoError):
                 print(f"warning: skipping corrupt cache line {lineno}", file=sys.stderr)
                 continue
-            qforms.CLASS_GROUP_MEMO.setdefault(D, structure)
+            qforms.CLASS_GROUP_MEMO.setdefault(structure.D.D, structure)
 
 
 def _flush_cache(path, baseline):
@@ -116,37 +124,6 @@ def classgroup_to_json(s) -> dict:
     }
 
 
-def prediction_from_json(rec) -> classifier.Prediction:
-    return classifier.Prediction(
-        d=factor_squarefree(rec["d"]),
-        tower=rec["tower"],
-        n=rec["n"],
-        shape=classifier.GroupShape(tuple(rec["shape"]), rec["exact"], rec["note"]),
-        r=rec["r"],
-        r_source=rec["r_source"],
-        theorem=rec["theorem"],
-    )
-
-
-def tag_from_json(rec) -> classifier.FamilyTag:
-    return classifier.FamilyTag(
-        tag=rec["tag"],
-        d=factor_squarefree(rec["d"]),
-        primes=tuple(rec["primes"]),
-        symbols=tuple((name, val) for name, val in rec["symbols"]),
-    )
-
-
-def classgroup_from_json(rec) -> ClassGroupStructure:
-    return ClassGroupStructure(
-        D=Discriminant(rec["D"]),
-        h=rec["h"],
-        divisors=tuple(rec["divisors"]),
-        h2=rec["h2"],
-        two_rank=rec["two_rank"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -174,20 +151,17 @@ def cmd_classify(args):
 
 def cmd_predict(args):
     d = _parse_d(args.d)
-    tag = classifier.classify(d)
-    if tag.tag not in classifier.EXACT_FAMILIES:
+    analysis = classifier.analyze(classifier.classify(d))
+    if analysis.r is None:
+        tag = analysis.tag.tag
         detail = ("2-class groups are cyclic non-trivial but no order formula exists"
-                  if tag.tag == "C7" else "d matches no family with a prediction")
-        print(f"no exact prediction for {d} [{tag.tag}]: {detail}", file=sys.stderr)
+                  if tag == "C7" else "d matches no family with a prediction")
+        print(f"no exact prediction for {d} [{tag}]: {detail}", file=sys.stderr)
         return EXIT_NO_PREDICTION
+    if args.n > MAX_LAYER:
+        raise InvalidInput(f"layer index must be <= {MAX_LAYER}, got {args.n}")
     towers = ("L", "K") if args.tower == "both" else (args.tower,)
-    out = []
-    try:
-        for tower in towers:
-            out.append(classifier.predict(d, args.n, tower))
-    except UnsupportedFamily as exc:
-        print(f"no exact prediction: {exc}", file=sys.stderr)
-        return EXIT_NO_PREDICTION
+    out = [analysis.predict(args.n, tower) for tower in towers]
     if args.json:
         for pred in out:
             print(json.dumps(prediction_to_json(pred)))
@@ -207,10 +181,9 @@ def scan_rows(dmin, dmax, family=None, bound=10 ** 6):
     start = dmin if dmin % 2 else dmin + 1
     for d in range(max(3, start), dmax + 1, 2):
         try:
-            dd = factor_squarefree(d)
+            tag = classifier.classify(factor_squarefree(d))
         except ZtwoError:
             continue
-        tag = classifier.classify(dd)
         if family and tag.tag != family:
             continue
         row = dict.fromkeys(SCAN_COLUMNS, "")
@@ -226,29 +199,28 @@ def scan_rows(dmin, dmax, family=None, bound=10 ** 6):
             yield row
             continue
         try:
-            r = classifier.exponent_r_oracle(tag)
+            analysis = classifier.analyze(tag)
         except ZtwoError:
             row["r_oracle"] = "skipped"
             yield row
             continue
-        row["r_oracle"] = r
+        row["r_oracle"] = analysis.r
         try:
             row["r_corollary"] = str(classifier.exponent_r_corollary(tag, bound=bound))
         except ZtwoError:
             row["r_corollary"] = "skipped"
-        row["shape_L_n1"] = _shape_str(classifier.predict(dd, 1, "L").shape.divisors)
-        row["shape_K_n1"] = _shape_str(classifier.predict(dd, 1, "K").shape.divisors)
-        inv_l = classifier.iwasawa_invariants(dd, "L")
-        inv_k = classifier.iwasawa_invariants(dd, "K")
+        row["shape_L_n1"] = _shape_str(analysis.predict(1, "L").shape.divisors)
+        row["shape_K_n1"] = _shape_str(analysis.predict(1, "K").shape.divisors)
+        inv_l = analysis.invariants("L")
         row["lambda"] = inv_l.lam
         row["nu_L"] = inv_l.nu
-        row["nu_K"] = inv_k.nu
+        row["nu_K"] = analysis.invariants("K").nu
         yield row
 
 
 def cmd_scan(args):
     if args.min > args.max or args.max > 10 ** 6:
-        raise ZtwoError("need min <= max <= 10**6")
+        raise InvalidInput("need min <= max <= 10**6")
     rows = scan_rows(args.min, args.max, family=args.family, bound=args.bound)
     if args.format == "csv":
         print(",".join(SCAN_COLUMNS))
@@ -292,7 +264,7 @@ def cmd_symbol(args):
 
 
 def cmd_witness(args):
-    if args.pell:
+    if args.pell is not None:
         rep = diophantine.solve_pell_rep(args.pell, bound=args.bound)
         out = {"schema": SCHEMA, "kind": "pell", "p": rep.p, "u": rep.u, "v": rep.v}
     elif args.kaplan:

@@ -22,6 +22,7 @@ from .errors import (
     InvalidInput,
     NoRepresentationInBound,
     NoSolutionInBound,
+    NotQuadraticResidue,
     PrecondViolated,
 )
 from .symbols import jacobi, quartic_residue
@@ -143,6 +144,8 @@ def _sqrt_mod_prime(n, p):
     n %= p
     if n == 0:
         return 0
+    if pow(n, (p - 1) // 2, p) != 1:  # Euler's criterion
+        raise NotQuadraticResidue(f"{n} is not a square modulo {p}")
     if p % 4 == 3:
         return pow(n, (p + 1) // 4, p)
     q, s = p - 1, 0

@@ -67,6 +67,22 @@ class ClassGroupStructure:
     h2: int
     two_rank: int
 
+    @classmethod
+    def from_chain(cls, D: int, chain):
+        """Structure of Cl(D) with the given chain; h, h2 and two_rank follow.
+
+        Raises InvalidInput unless D is fundamental and each chain entry is
+        at least 2 and divides the next.
+        """
+        chain = tuple(chain)
+        h = 1
+        for i, d in enumerate(chain):
+            if d < 2 or (i and d % chain[i - 1]):
+                raise InvalidInput(f"{list(chain)} is not an elementary-divisor chain")
+            h *= d
+        return cls(D=Discriminant(D), h=h, divisors=chain, h2=h & -h,
+                   two_rank=sum(1 for d in chain if d % 2 == 0))
+
 
 def is_fundamental_discriminant(D: int) -> bool:
     """True iff D < 0 is the discriminant of an imaginary quadratic field."""
@@ -304,10 +320,6 @@ def _structure_from_forms(D, forms) -> tuple:
     return tuple(chain)
 
 
-def _two_part(h: int) -> int:
-    return h & -h if h & 1 == 0 else 1
-
-
 CLASS_GROUP_MEMO = {}  # D -> ClassGroupStructure; single writer at a time
 
 
@@ -321,16 +333,7 @@ def class_group(D) -> ClassGroupStructure:
         raise EnumerationBoundExceeded(f"|D| = {-Dv} exceeds 2**32")
     if not is_fundamental_discriminant(Dv):
         raise InvalidInput(f"{Dv} is not a fundamental negative discriminant")
-    forms = reduced_forms(Dv)
-    h = len(forms)
-    chain = _structure_from_forms(Dv, forms)
-    structure = ClassGroupStructure(
-        D=Discriminant(Dv),
-        h=h,
-        divisors=chain,
-        h2=_two_part(h),
-        two_rank=sum(1 for d in chain if d % 2 == 0),
-    )
+    structure = ClassGroupStructure.from_chain(Dv, _structure_from_forms(Dv, reduced_forms(Dv)))
     CLASS_GROUP_MEMO[Dv] = structure
     return structure
 
@@ -391,12 +394,4 @@ def class_group_sweep(limit: int):
                 continue
         forms = forms_by_D[D]
         forms.sort()
-        h = len(forms)
-        chain = _structure_from_forms(D, forms)
-        yield ClassGroupStructure(
-            D=Discriminant(D),
-            h=h,
-            divisors=chain,
-            h2=_two_part(h),
-            two_rank=sum(1 for d in chain if d % 2 == 0),
-        )
+        yield ClassGroupStructure.from_chain(D, _structure_from_forms(D, forms))

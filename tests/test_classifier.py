@@ -1,21 +1,29 @@
 import pytest
 
+from ztwo import qforms
 from ztwo.arith import factor_squarefree
 from ztwo.classifier import (
+    Analysis,
     IwasawaInvariants,
     RBound,
+    analyze,
     classify,
     cross_check,
     exponent_r_corollary,
     exponent_r_oracle,
-    greenberg_holds,
     is_cyclic_tower,
     iwasawa_invariants,
     lambda_minus,
     plus_part_odd,
     predict,
 )
-from ztwo.errors import HypothesisNotMet, InvalidInput, NotSquarefree, UnsupportedFamily
+from ztwo.errors import (
+    HypothesisNotMet,
+    InvalidInput,
+    NotSquarefree,
+    PrecondViolated,
+    UnsupportedFamily,
+)
 from ztwo.symbols import jacobi, quartic_residue
 
 
@@ -162,6 +170,38 @@ def test_predict_bad_arguments_are_invalid_input(n, tower):
 
 
 # ---------------------------------------------------------------------------
+# analyze
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d,r", [(89, 3), (209, 3), (247, 2), (55, 3), (95, 4), (407, 5), (7, None), (21, None)])
+def test_analyze_reads_r(d, r):
+    tag = classify(d)
+    assert analyze(tag) == Analysis(tag, r)
+
+
+def _forge(monkeypatch, D, chain):
+    monkeypatch.setitem(qforms.CLASS_GROUP_MEMO, D, qforms.ClassGroupStructure.from_chain(D, chain))
+
+
+def test_analyze_refuses_broken_a_precondition(monkeypatch):
+    _forge(monkeypatch, -712, [2])  # Cl(-2*89) really is Z/8
+    with pytest.raises(PrecondViolated, match="oracle r = 1 < 3 for an A-family"):
+        analyze(classify(89))
+    with pytest.raises(PrecondViolated):
+        predict(89, 1, "L")
+    (entry,) = cross_check(89, families=["A1"]).violations
+    assert (entry.d, entry.detail) == (89, "oracle r = 1 < 3 for an A-family")
+
+
+def test_analyze_refuses_broken_b_precondition(monkeypatch):
+    _forge(monkeypatch, -247, [2, 2])  # Cl(-13*19) really is Z/2 x Z/3
+    with pytest.raises(PrecondViolated, match=r"Cl\(-247\) 2-part not cyclic: \(2, 2\)"):
+        analyze(classify(247))
+    (entry,) = cross_check(250, families=["B"]).violations
+    assert (entry.d, entry.detail) == (247, "Cl(-247) 2-part not cyclic: (2, 2)")
+
+
+# ---------------------------------------------------------------------------
 # closed formulas and predicates
 # ---------------------------------------------------------------------------
 
@@ -197,8 +237,7 @@ def test_is_cyclic_tower():
     assert not is_cyclic_tower(31)        # 31 = 15 (mod 16)
     assert not is_cyclic_tower(35)        # 5 * 7: 7 is not 3 (mod 8)
     assert is_cyclic_tower(247)
-    assert greenberg_holds(247) and greenberg_holds(7)
-    assert not greenberg_holds(89)
+    assert not is_cyclic_tower(89)
 
 
 def test_iwasawa_invariants():

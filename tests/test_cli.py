@@ -1,8 +1,15 @@
+import argparse
+import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ztwo import cli, qforms
+from ztwo.errors import InvalidInput
 
 
 def run(capsys, *argv):
@@ -135,6 +142,13 @@ def test_witness_commands(capsys):
     assert (rec["Xp"], rec["Yp"], rec["Z"]) == (1, 2, 9) and rec["criterion"] == 1
 
 
+def test_witness_pell_zero_is_invalid_input(capsys):
+    # 0 is falsy; it must still select --pell, not fall through to --legendre
+    code, out, err = run(capsys, "witness", "--pell", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--max", "300", "--suite", "corollary")
     assert code == 0
@@ -168,11 +182,16 @@ def test_json_serialization_roundtrips():
     from ztwo import classifier
 
     pred = classifier.predict(209, 2, "K")
-    assert cli.prediction_from_json(json.loads(json.dumps(cli.prediction_to_json(pred)))) == pred
+    rec = json.loads(json.dumps(cli.prediction_to_json(pred)))
+    assert (rec["d"], rec["tower"], rec["n"], rec["r"]) == (209, "K", 2, 3)
+    assert tuple(rec["shape"]) == pred.shape.divisors and rec["theorem"] == pred.theorem
     tag = classifier.classify(89)
-    assert cli.tag_from_json(json.loads(json.dumps(cli.tag_to_json(tag)))) == tag
+    rec = json.loads(json.dumps(cli.tag_to_json(tag)))
+    assert (rec["d"], rec["tag"], rec["primes"], rec["symbols"]) == (89, "A1", [89], [["(2/p)_4", 1]])
     s = ztwo.class_group(-712)
-    assert cli.classgroup_from_json(json.loads(json.dumps(cli.classgroup_to_json(s)))) == s
+    rec = json.loads(json.dumps(cli.classgroup_to_json(s)))
+    assert (rec["D"], rec["h"], tuple(rec["divisors"]), rec["h2"], rec["two_rank"]) == \
+        (s.D.D, s.h, s.divisors, s.h2, s.two_rank)
 
 
 def test_cache_skips_corrupt_lines(tmp_path, capsys):
@@ -183,3 +202,93 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     assert code == 0
     assert "skipping corrupt cache line 1" in err
     assert json.loads(cache.read_text().splitlines()[1])["h"] == 3
+
+
+@pytest.mark.parametrize("line", [
+    '{"schema":"ztwo/1","D":-23,"h":6,"divisors":[2,3]}',    # 2 does not divide 3
+    '{"schema":"ztwo/1","D":-23,"h":5,"divisors":[3]}',      # product 3 != h
+    '{"schema":"ztwo/1","D":-23,"h":1,"divisors":[1]}',      # divisor below 2
+    '{"schema":"ztwo/0","D":-23,"h":3,"divisors":[3]}',      # wrong schema
+    '{"schema":"ztwo/1","D":-23,"h":2,"divisors":[2]}',      # 2-rank 1, genus says 0
+    '{"schema":"ztwo/1","D":-24,"h":3,"divisors":[3]}',      # not fundamental
+    '{"schema":"ztwo/1","D":1e999,"h":3,"divisors":[3]}',    # D overflows int()
+], ids=["chain-not-dividing", "product-not-h", "divisor-below-2", "wrong-schema",
+        "two-rank-not-genus", "not-fundamental", "D-overflows"])
+def test_cache_skips_inconsistent_records(tmp_path, capsys, monkeypatch, line):
+    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
+    cache = tmp_path / "cg.jsonl"
+    cache.write_text(line + "\n")
+    code, out, err = run(capsys, "--cache", str(cache), "classgroup", "-23")
+    assert code == 0
+    assert "skipping corrupt cache line 1" in err
+    assert out.startswith("D=-23 h=3 divisors=[3]")
+
+
+def test_cache_forged_consistent_record_is_refused(tmp_path, capsys, monkeypatch):
+    # passes every load check, but Cl(-712) of order 2 breaks r >= 3 for d = 89
+    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
+    cache = tmp_path / "cg.jsonl"
+    cache.write_text('{"schema":"ztwo/1","D":-712,"h":2,"divisors":[2]}\n')
+    code, out, err = run(capsys, "--cache", str(cache), "predict", "89", "--tower", "L")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "skipping" not in err
+
+
+def test_predict_layer_cap(capsys):
+    code, out, err = run(capsys, "predict", "471", "--n", "100000")
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: layer index must be <= 10000, got 100000"
+    code, out, _ = run(capsys, "predict", "471", "--n", "10000", "--json")
+    assert code == 0
+    for rec in map(json.loads, out.splitlines()):
+        assert rec["shape"] == [2 ** (10000 + rec["r"] - 1)]  # family B: Z/2^(n+r-1)
+
+
+def test_scan_min_above_max_is_invalid_input(capsys):
+    code, out, err = run(capsys, "scan", "--min", "10", "--max", "5")
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: need min <= max <= 10**6"
+    args = argparse.Namespace(min=10, max=5, family=None, bound=10 ** 6, format="csv")
+    with pytest.raises(InvalidInput):
+        cli.cmd_scan(args)
+
+
+@pytest.mark.parametrize("fmt, sha1", [
+    ("csv", "6d4394b87916d77228a157db9368e0247c0db633"),
+    ("json", "e8fd9b6851c4ddc09c27ca73c84c82368899bf95"),
+])
+def test_scan_output_pinned(capsys, fmt, sha1):
+    code, out, _ = run(capsys, "scan", "--min", "3", "--max", "3000", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+_JSON = st.sampled_from([[], ["--json"]])
+_TEXT = st.integers(-10 ** 6, 10 ** 6).map(str)
+_SMALL = st.integers(-50, 5000).map(str)
+WELL_FORMED_ARGV = st.one_of(
+    st.builds(lambda d, j: ["classify", d, *j], _TEXT, _JSON),
+    st.builds(lambda d, n, t, j: ["predict", d, "--n", n, "--tower", t, *j],
+              _TEXT, st.integers(-3, 10 ** 5).map(str), st.sampled_from(["L", "K", "both"]), _JSON),
+    st.builds(lambda D, j: ["classgroup", D, *j], _TEXT, _JSON),
+    st.builds(lambda a, n, j: ["symbol", "--jacobi", a, n, *j], _TEXT, _TEXT, _JSON),
+    st.builds(lambda a, p, j: ["symbol", "--quartic", a, p, *j], _TEXT, _SMALL, _JSON),
+    st.builds(lambda p, j: ["symbol", "--quartic2", p, *j], _SMALL, _JSON),
+    st.builds(lambda p: ["witness", "--pell", p, "--bound", "2000"], _SMALL),
+    st.builds(lambda p, q: ["witness", "--kaplan", p, q, "--bound", "2000"], _SMALL, _SMALL),
+    st.builds(lambda p, q: ["witness", "--legendre", p, q, "--bound", "2000"], _SMALL, _SMALL),
+    st.builds(lambda lo, width, fam, fmt: ["scan", "--min", str(lo), "--max", str(lo + width),
+                                           *fam, "--format", fmt],
+              st.integers(-10, 10 ** 6), st.integers(-3, 30),
+              st.sampled_from([[], ["--family", "A2"], ["--family", "B"]]),
+              st.sampled_from(["csv", "json"])),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(WELL_FORMED_ARGV)
+def test_main_never_raises_on_well_formed_argv(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)

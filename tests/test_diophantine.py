@@ -11,6 +11,7 @@ from ztwo.diophantine import (
     _norm_rep_pairs,
     _pell_unit,
     _sqrt_mod,
+    _sqrt_mod_prime,
     enumerate_legendre_solutions,
     solve_kaplan,
     solve_legendre,
@@ -21,6 +22,7 @@ from ztwo.errors import (
     BadPrimeClass,
     InvalidInput,
     NoSolutionInBound,
+    NotQuadraticResidue,
     NotSquarefree,
     PrecondViolated,
 )
@@ -186,6 +188,24 @@ def test_sqrt_mod_matches_brute_force():
         for a in (3, 11, 19, 25):
             roots = [z for z in range(n) if (z * z - a) % n == 0]
             assert _sqrt_mod(a, factorize(n)) == roots, (a, n)
+
+
+def test_sqrt_mod_prime_refuses_non_residues():
+    with pytest.raises(NotQuadraticResidue):
+        _sqrt_mod_prime(3, 7)      # p = 3 (mod 4) branch
+    with pytest.raises(NotQuadraticResidue):
+        _sqrt_mod_prime(2, 13)     # Tonelli-Shanks branch
+
+
+def test_sqrt_mod_prime_roots_every_residue_below_200():
+    for p in (n for n in range(3, 200, 2) if all(n % k for k in range(3, isqrt(n) + 1, 2))):
+        residues = {z * z % p for z in range(p)}
+        for a in range(p):
+            if a in residues:
+                assert _sqrt_mod_prime(a, p) ** 2 % p == a, (a, p)
+            else:
+                with pytest.raises(NotQuadraticResidue):
+                    _sqrt_mod_prime(a, p)
 
 
 def test_norm_rep_pairs_matches_brute_force():
