@@ -228,7 +228,9 @@ _THEOREMS = {
 }
 
 
-def _check_tower(tower):
+def _check_args(tower, n=1):
+    if n < 1:
+        raise InvalidInput(f"layer index must be >= 1, got {n}")
     if tower not in TOWERS:
         raise InvalidInput(f"tower must be 'L' or 'K', got {tower!r}")
 
@@ -243,19 +245,14 @@ class Analysis:
     """
 
     tag: FamilyTag
-    r: int = None
+    r: int | None
 
     def _theorem(self, tower):
-        if self.r is None:
-            raise UnsupportedFamily(f"no invariants for family {self.tag.tag}")
-        _check_tower(tower)
         return _THEOREMS["B" if self.tag.tag == "B" else "A", tower]
 
     def predict(self, n: int, tower: str) -> Prediction:
         """Exact 2-class group of layer n >= 1 of the chosen tower."""
-        if n < 1:
-            raise InvalidInput(f"layer index must be >= 1, got {n}")
-        _check_tower(tower)
+        _check_args(tower, n)
         tag = self.tag
         if tag.tag == "C7":
             if tower == "K":
@@ -263,7 +260,7 @@ class Analysis:
             shape = GroupShape((), exact=False, note="cyclic non-trivial, order not determined")
             return Prediction(tag.d, tower, n, shape, r=0, r_source="none",
                               theorem="cyclic L-tower of undetermined order")
-        if tag.tag == "UNCLASSIFIED":
+        if self.r is None:
             raise UnsupportedFamily(f"d = {tag.d} matches no family with a prediction")
         offset, theorem = self._theorem(tower)
         e = n + self.r + offset
@@ -273,6 +270,9 @@ class Analysis:
 
     def invariants(self, tower: str) -> IwasawaInvariants:
         """lambda = 1, mu = 0 and the family's nu, valid from layer 1 on."""
+        if self.r is None:
+            raise UnsupportedFamily(f"no invariants for family {self.tag.tag}")
+        _check_args(tower)
         offset, _ = self._theorem(tower)
         return IwasawaInvariants(lam=1, mu=0, nu=self.r + offset, valid_from=1)
 
@@ -285,7 +285,7 @@ def analyze(tag: FamilyTag) -> Analysis:
     PrecondViolated instead of yielding a shape.
     """
     if tag.tag not in EXACT_FAMILIES:
-        return Analysis(tag)
+        return Analysis(tag, None)
     r = exponent_r_oracle(tag)
     if tag.tag == "B":
         structure = class_group(-tag.primes[0] * tag.primes[1])  # memo hit: the oracle built it
@@ -298,12 +298,16 @@ def analyze(tag: FamilyTag) -> Analysis:
 
 def predict(d, n: int, tower: str) -> Prediction:
     """Exact 2-class group of layer n >= 1 of the chosen tower."""
+    _check_args(tower, n)  # before the class group is built
     return analyze(classify(d)).predict(n, tower)
 
 
 def iwasawa_invariants(d, tower: str) -> IwasawaInvariants:
     """lambda = 1, mu = 0 and the family's nu, valid from layer 1 on."""
-    return analyze(classify(d)).invariants(tower)
+    tag = classify(d)
+    if tag.tag in EXACT_FAMILIES:
+        _check_args(tower)  # before the class group is built
+    return analyze(tag).invariants(tower)
 
 
 def lambda_minus(d) -> int:

@@ -45,8 +45,8 @@ SCAN_COLUMNS = ("d", "tag", "p", "q", "r_oracle", "r_corollary",
 def _cache_record(line):
     """The structure one cache line holds; raises if the line is inconsistent."""
     rec = json.loads(line)
-    s = ClassGroupStructure.from_chain(int(rec["D"]), [int(x) for x in rec["divisors"]])
-    if rec["schema"] != SCHEMA or s.h != int(rec["h"]) or s.two_rank != qforms.genus_two_rank(s.D):
+    s = ClassGroupStructure.from_chain(int(rec["D"]), int(rec["h"]), [int(x) for x in rec["divisors"]])
+    if rec["schema"] != SCHEMA or s.two_rank != qforms.genus_two_rank(s.D):
         raise InvalidInput("record contradicts itself or genus theory")
     return s
 
@@ -151,15 +151,15 @@ def cmd_classify(args):
 
 def cmd_predict(args):
     d = _parse_d(args.d)
-    analysis = classifier.analyze(classifier.classify(d))
-    if analysis.r is None:
-        tag = analysis.tag.tag
+    tag = classifier.classify(d)
+    if tag.tag not in classifier.EXACT_FAMILIES:
         detail = ("2-class groups are cyclic non-trivial but no order formula exists"
-                  if tag == "C7" else "d matches no family with a prediction")
-        print(f"no exact prediction for {d} [{tag}]: {detail}", file=sys.stderr)
+                  if tag.tag == "C7" else "d matches no family with a prediction")
+        print(f"no exact prediction for {d} [{tag.tag}]: {detail}", file=sys.stderr)
         return EXIT_NO_PREDICTION
     if args.n > MAX_LAYER:
         raise InvalidInput(f"layer index must be <= {MAX_LAYER}, got {args.n}")
+    analysis = classifier.analyze(tag)
     towers = ("L", "K") if args.tower == "both" else (args.tower,)
     out = [analysis.predict(args.n, tower) for tower in towers]
     if args.json:

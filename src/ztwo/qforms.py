@@ -8,7 +8,7 @@ subexponential shortcuts anywhere: every class number is a form count.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .arith import factorize, is_squarefree
@@ -68,18 +68,19 @@ class ClassGroupStructure:
     two_rank: int
 
     @classmethod
-    def from_chain(cls, D: int, chain):
-        """Structure of Cl(D) with the given chain; h, h2 and two_rank follow.
+    def from_chain(cls, D: int, h: int, chain):
+        """Structure of Cl(D) of order h with the given chain; h2 and
+        two_rank follow.
 
-        Raises InvalidInput unless D is fundamental and each chain entry is
-        at least 2 and divides the next.
+        Raises InvalidInput unless D is fundamental, each chain entry is
+        at least 2 and divides the next, and the entries multiply to h.
         """
         chain = tuple(chain)
-        h = 1
         for i, d in enumerate(chain):
             if d < 2 or (i and d % chain[i - 1]):
                 raise InvalidInput(f"{list(chain)} is not an elementary-divisor chain")
-            h *= d
+        if prod(chain) != h:
+            raise InvalidInput(f"chain {list(chain)} has product {prod(chain)}, not h = {h}")
         return cls(D=Discriminant(D), h=h, divisors=chain, h2=h & -h,
                    two_rank=sum(1 for d in chain if d % 2 == 0))
 
@@ -146,24 +147,13 @@ def inverse(f) -> FormClass:
     return reduce_form((a, -b, c))
 
 
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r < 0:
-        old_r, old_s = -old_r, -old_s
-    return old_r, old_s
-
-
 def _solve_mod(a, b, m):
     # smallest x >= 0 with a*x = b (mod m), plus the solution spacing m//g
-    g, x = _ext_gcd(a, m)
+    g = gcd(a, m)
     if b % g:
         raise MismatchedDiscriminant("composition congruence unsolvable")
-    return x * (b // g) % m, m // g
+    step = m // g
+    return b // g * pow(a // g, -1, step) % step, step
 
 
 def _compose(f, g) -> FormClass:
@@ -333,7 +323,8 @@ def class_group(D) -> ClassGroupStructure:
         raise EnumerationBoundExceeded(f"|D| = {-Dv} exceeds 2**32")
     if not is_fundamental_discriminant(Dv):
         raise InvalidInput(f"{Dv} is not a fundamental negative discriminant")
-    structure = ClassGroupStructure.from_chain(Dv, _structure_from_forms(Dv, reduced_forms(Dv)))
+    forms = reduced_forms(Dv)
+    structure = ClassGroupStructure.from_chain(Dv, len(forms), _structure_from_forms(Dv, forms))
     CLASS_GROUP_MEMO[Dv] = structure
     return structure
 
@@ -394,4 +385,4 @@ def class_group_sweep(limit: int):
                 continue
         forms = forms_by_D[D]
         forms.sort()
-        yield ClassGroupStructure.from_chain(D, _structure_from_forms(D, forms))
+        yield ClassGroupStructure.from_chain(D, len(forms), _structure_from_forms(D, forms))

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from ztwo import qforms
+from ztwo import classifier, qforms
 from ztwo.arith import factor_squarefree
 from ztwo.classifier import (
     Analysis,
@@ -180,7 +182,8 @@ def test_analyze_reads_r(d, r):
 
 
 def _forge(monkeypatch, D, chain):
-    monkeypatch.setitem(qforms.CLASS_GROUP_MEMO, D, qforms.ClassGroupStructure.from_chain(D, chain))
+    structure = qforms.ClassGroupStructure.from_chain(D, math.prod(chain), chain)
+    monkeypatch.setitem(qforms.CLASS_GROUP_MEMO, D, structure)
 
 
 def test_analyze_refuses_broken_a_precondition(monkeypatch):
@@ -200,6 +203,25 @@ def test_analyze_refuses_broken_b_precondition(monkeypatch):
     (entry,) = cross_check(250, families=["B"]).violations
     assert (entry.d, entry.detail) == (247, "Cl(-247) 2-part not cyclic: (2, 2)")
 
+
+
+def test_bad_layer_or_tower_is_refused_before_any_class_group(monkeypatch):
+    def no_class_group(D):
+        raise AssertionError(f"Cl({D}) built for a refused input")
+    monkeypatch.setattr(classifier, "class_group", no_class_group)
+    with pytest.raises(InvalidInput, match="layer index must be >= 1"):
+        predict(89, 0, "L")
+    with pytest.raises(InvalidInput, match="tower must be"):
+        predict(89, 1, "X")
+    with pytest.raises(InvalidInput, match="tower must be"):
+        iwasawa_invariants(89, "X")
+    with pytest.raises(UnsupportedFamily):
+        iwasawa_invariants(21, "X")  # the family is refused before the tower
+
+
+def test_analysis_needs_r():
+    with pytest.raises(TypeError):
+        Analysis(classify(89))
 
 # ---------------------------------------------------------------------------
 # closed formulas and predicates

@@ -1,12 +1,8 @@
 import argparse
 import hashlib
-import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ztwo import cli, qforms
 from ztwo.errors import InvalidInput
@@ -235,8 +231,10 @@ def test_cache_forged_consistent_record_is_refused(tmp_path, capsys, monkeypatch
     assert err.startswith("error: ") and "skipping" not in err
 
 
-def test_predict_layer_cap(capsys):
-    code, out, err = run(capsys, "predict", "471", "--n", "100000")
+def test_predict_layer_cap(capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cli.classifier, "analyze", None)  # the cap is checked first
+        code, out, err = run(capsys, "predict", "471", "--n", "100000")
     assert (code, out) == (1, "")
     assert err.strip() == "error: layer index must be <= 10000, got 100000"
     code, out, _ = run(capsys, "predict", "471", "--n", "10000", "--json")
@@ -263,32 +261,3 @@ def test_scan_output_pinned(capsys, fmt, sha1):
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
-
-_JSON = st.sampled_from([[], ["--json"]])
-_TEXT = st.integers(-10 ** 6, 10 ** 6).map(str)
-_SMALL = st.integers(-50, 5000).map(str)
-WELL_FORMED_ARGV = st.one_of(
-    st.builds(lambda d, j: ["classify", d, *j], _TEXT, _JSON),
-    st.builds(lambda d, n, t, j: ["predict", d, "--n", n, "--tower", t, *j],
-              _TEXT, st.integers(-3, 10 ** 5).map(str), st.sampled_from(["L", "K", "both"]), _JSON),
-    st.builds(lambda D, j: ["classgroup", D, *j], _TEXT, _JSON),
-    st.builds(lambda a, n, j: ["symbol", "--jacobi", a, n, *j], _TEXT, _TEXT, _JSON),
-    st.builds(lambda a, p, j: ["symbol", "--quartic", a, p, *j], _TEXT, _SMALL, _JSON),
-    st.builds(lambda p, j: ["symbol", "--quartic2", p, *j], _SMALL, _JSON),
-    st.builds(lambda p: ["witness", "--pell", p, "--bound", "2000"], _SMALL),
-    st.builds(lambda p, q: ["witness", "--kaplan", p, q, "--bound", "2000"], _SMALL, _SMALL),
-    st.builds(lambda p, q: ["witness", "--legendre", p, q, "--bound", "2000"], _SMALL, _SMALL),
-    st.builds(lambda lo, width, fam, fmt: ["scan", "--min", str(lo), "--max", str(lo + width),
-                                           *fam, "--format", fmt],
-              st.integers(-10, 10 ** 6), st.integers(-3, 30),
-              st.sampled_from([[], ["--family", "A2"], ["--family", "B"]]),
-              st.sampled_from(["csv", "json"])),
-)
-
-
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(WELL_FORMED_ARGV)
-def test_main_never_raises_on_well_formed_argv(argv):
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    assert code in (0, 1, 2, 3)

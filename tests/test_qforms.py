@@ -11,6 +11,7 @@ from ztwo.errors import (
     NotSquarefree,
 )
 from ztwo.qforms import (
+    ClassGroupStructure,
     FormClass,
     class_group,
     class_group_sweep,
@@ -172,6 +173,15 @@ def test_divisor_chain_shape():
         assert prod == s.h
         assert s.two_rank == sum(1 for d in s.divisors if d % 2 == 0)
 
+
+
+def test_from_chain_checks_the_chain():
+    s = ClassGroupStructure.from_chain(-455, 20, [2, 10])
+    assert (s.h, s.h2, s.two_rank) == (20, 4, 2)
+    assert ClassGroupStructure.from_chain(-3, 1, []).h2 == 1
+    for h, chain in ((8, [2]), (4, [8]), (24, [4, 6]), (8, [1, 8])):
+        with pytest.raises(InvalidInput):
+            ClassGroupStructure.from_chain(-712, h, chain)
 
 def test_element_orders_match_abstract_group():
     # multiset of element orders must agree with the direct product of the chain
