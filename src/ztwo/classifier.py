@@ -43,6 +43,10 @@ FAMILIES = ("A1", "A2", "B", "C7", "UNCLASSIFIED")
 EXACT_FAMILIES = ("A1", "A2", "B")
 TOWERS = ("L", "K")
 
+# a layer shape holds 2^(n+r-1) in full; this keeps it far below the
+# 4,300 digits Python converts to text.
+MAX_LAYER = 10 ** 4
+
 
 @dataclass(frozen=True)
 class FamilyTag:
@@ -169,6 +173,16 @@ def classify(d) -> FamilyTag:
     return FamilyTag("UNCLASSIFIED", d, ps)
 
 
+def classified(dmin: int, dmax: int):
+    """FamilyTag of every odd squarefree d in [max(3, dmin), dmax], ascending."""
+    for d in range(max(3, dmin) | 1, dmax + 1, 2):
+        try:
+            tag = classify(factor_squarefree(d))
+        except ZtwoError:
+            continue
+        yield tag
+
+
 def _log2(n: int) -> int:
     return n.bit_length() - 1
 
@@ -228,9 +242,12 @@ _THEOREMS = {
 }
 
 
-def _check_args(tower, n=1):
+def check_args(tower, n=1):
+    """Refuse a layer outside 1 <= n <= MAX_LAYER or an unknown tower."""
     if n < 1:
         raise InvalidInput(f"layer index must be >= 1, got {n}")
+    if n > MAX_LAYER:
+        raise InvalidInput(f"layer index must be <= {MAX_LAYER}, got {n}")
     if tower not in TOWERS:
         raise InvalidInput(f"tower must be 'L' or 'K', got {tower!r}")
 
@@ -252,7 +269,7 @@ class Analysis:
 
     def predict(self, n: int, tower: str) -> Prediction:
         """Exact 2-class group of layer n >= 1 of the chosen tower."""
-        _check_args(tower, n)
+        check_args(tower, n)
         tag = self.tag
         if tag.tag == "C7":
             if tower == "K":
@@ -272,7 +289,7 @@ class Analysis:
         """lambda = 1, mu = 0 and the family's nu, valid from layer 1 on."""
         if self.r is None:
             raise UnsupportedFamily(f"no invariants for family {self.tag.tag}")
-        _check_args(tower)
+        check_args(tower)
         offset, _ = self._theorem(tower)
         return IwasawaInvariants(lam=1, mu=0, nu=self.r + offset, valid_from=1)
 
@@ -298,7 +315,7 @@ def analyze(tag: FamilyTag) -> Analysis:
 
 def predict(d, n: int, tower: str) -> Prediction:
     """Exact 2-class group of layer n >= 1 of the chosen tower."""
-    _check_args(tower, n)  # before the class group is built
+    check_args(tower, n)  # before the class group is built
     return analyze(classify(d)).predict(n, tower)
 
 
@@ -306,7 +323,7 @@ def iwasawa_invariants(d, tower: str) -> IwasawaInvariants:
     """lambda = 1, mu = 0 and the family's nu, valid from layer 1 on."""
     tag = classify(d)
     if tag.tag in EXACT_FAMILIES:
-        _check_args(tower)  # before the class group is built
+        check_args(tower)  # before the class group is built
     return analyze(tag).invariants(tower)
 
 
@@ -385,7 +402,7 @@ class CrossCheckReport:
             self.skipped.append(entry)
 
 
-def cross_check(d_max: int, families=None, bound: int = 10 ** 6) -> CrossCheckReport:
+def cross_check(d_max: int, bound: int = 10 ** 6) -> CrossCheckReport:
     """Confront the corollary exponent with the oracle for every classified d <= d_max.
 
     Per entry: the corollary's exact r must equal the oracle r, or its
@@ -393,14 +410,10 @@ def cross_check(d_max: int, families=None, bound: int = 10 ** 6) -> CrossCheckRe
     finds broken is a violation too.
     """
     report = CrossCheckReport(d_max=d_max)
-    wanted = set(families) if families else set(EXACT_FAMILIES)
-    for d in range(3, d_max + 1, 2):
-        try:
-            tag = classify(d)
-        except ZtwoError:
+    for tag in classified(3, d_max):
+        if tag.tag not in EXACT_FAMILIES:
             continue
-        if tag.tag not in wanted or tag.tag not in EXACT_FAMILIES:
-            continue
+        d = tag.d.value
         try:
             r_oracle = analyze(tag).r
         except EnumerationBoundExceeded as exc:

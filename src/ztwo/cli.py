@@ -30,10 +30,6 @@ EXIT_INVALID = 1
 EXIT_NO_PREDICTION = 2
 EXIT_VIOLATIONS = 3
 
-# predict prints 2^(n+r-1) in full; this keeps it far below the 4,300
-# digits Python converts to text.
-MAX_LAYER = 10 ** 4
-
 SCAN_COLUMNS = ("d", "tag", "p", "q", "r_oracle", "r_corollary",
                 "shape_L_n1", "shape_K_n1", "lambda", "nu_L", "nu_K")
 
@@ -157,10 +153,10 @@ def cmd_predict(args):
                   if tag.tag == "C7" else "d matches no family with a prediction")
         print(f"no exact prediction for {d} [{tag.tag}]: {detail}", file=sys.stderr)
         return EXIT_NO_PREDICTION
-    if args.n > MAX_LAYER:
-        raise InvalidInput(f"layer index must be <= {MAX_LAYER}, got {args.n}")
-    analysis = classifier.analyze(tag)
     towers = ("L", "K") if args.tower == "both" else (args.tower,)
+    for tower in towers:
+        classifier.check_args(tower, args.n)
+    analysis = classifier.analyze(tag)
     out = [analysis.predict(args.n, tower) for tower in towers]
     if args.json:
         for pred in out:
@@ -178,16 +174,11 @@ def _shape_str(divisors) -> str:
 
 def scan_rows(dmin, dmax, family=None, bound=10 ** 6):
     """One row dict per odd squarefree d in [dmin, dmax], ascending."""
-    start = dmin if dmin % 2 else dmin + 1
-    for d in range(max(3, start), dmax + 1, 2):
-        try:
-            tag = classifier.classify(factor_squarefree(d))
-        except ZtwoError:
-            continue
+    for tag in classifier.classified(dmin, dmax):
         if family and tag.tag != family:
             continue
         row = dict.fromkeys(SCAN_COLUMNS, "")
-        row["d"] = d
+        row["d"] = tag.d.value
         row["tag"] = tag.tag
         if tag.tag in ("A1", "C7"):
             row["p"] = tag.primes[0]
@@ -309,11 +300,7 @@ def _verify_williams(d_max, bound):
     """Criterion invariance across every admissible solution below the bound."""
     bad = 0
     pairs = 0
-    for d in range(3, d_max + 1, 2):
-        try:
-            tag = classifier.classify(d)
-        except ZtwoError:
-            continue
+    for tag in classifier.classified(3, d_max):
         if tag.tag != "B":
             continue
         p, q = tag.primes
@@ -323,7 +310,7 @@ def _verify_williams(d_max, bound):
         values = {diophantine.williams_criterion(s) for s in sols}
         if len(values) > 1:
             bad += 1
-            print(f"  VIOLATION d={d}: criterion not solution-invariant over {len(sols)} solutions")
+            print(f"  VIOLATION d={tag.d}: criterion not solution-invariant over {len(sols)} solutions")
         pairs += 1
     print(f"williams suite: {pairs} pairs, all admissible solutions with Z <= {bound}; {bad} violations")
     return bad

@@ -28,6 +28,7 @@ from .errors import (
 from .symbols import jacobi, quartic_residue
 
 DEFAULT_BOUND = 10 ** 6
+KAPLAN_K_MAX = 64  # solve_kaplan tries k = 1, ..., KAPLAN_K_MAX
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def _sqrt_mod_prime_power(a, ell, e):
             z = (z - (z * z - a) * pow(2 * z, -1, mod)) % mod
         return [z, mod - z]
     # ell = 2 or ell | a: lift one digit at a time, trying all ell of them
-    # (solve_kaplan only meets ell | a = p when p | k, so ell <= k_max)
+    # (solve_kaplan only meets ell | a = p when p | k, so ell <= KAPLAN_K_MAX)
     roots, mod = [0], 1
     for _ in range(e):
         nxt = mod * ell
@@ -299,8 +300,7 @@ def _norm_rep_pairs(p, factors, y_bound, unit):
     return sorted(found)
 
 
-def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND,
-                 k_max: int = 64) -> KaplanParams:
+def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
     """First witness in (k, then l, then |Y|) order; bound caps |Y|.
 
     A witness for k and l is a solution (Y, s) of s**2 - p Y**2 = 2 q k**2
@@ -308,7 +308,7 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND,
     sign; l only matters modulo 2 k**2, so it runs over the ascending
     square roots of p modulo 2 k**2.  The solutions with |Y| <= bound are
     enumerated exactly (_norm_rep_pairs), so NoSolutionInBound means that
-    no witness with |Y| <= bound and k <= k_max exists.
+    no witness with |Y| <= bound and k <= KAPLAN_K_MAX exists.
     """
     if not (is_prime(p) and is_prime(q)):
         raise InvalidInput(f"{p}, {q} must both be prime")
@@ -317,7 +317,7 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND,
     if jacobi(p, q) != 1:
         raise PrecondViolated(f"need (p/q) = +1; order the pair so it holds")
     unit = _pell_unit(p)
-    for k in range(1, k_max + 1):
+    for k in range(1, KAPLAN_K_MAX + 1):
         k2 = k * k
         two_k2 = Counter({ell: 2 * e for ell, e in factorize(k).items()}) + Counter({2: 1})
         ls = _sqrt_mod(p, two_k2)
@@ -332,7 +332,7 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND,
                         num = -l * Y + root
                         if num % k2 == 0:
                             return KaplanParams(p, q, k, l, m, num // k2, Y)
-    raise NoSolutionInBound(f"no Kaplan witness for ({p}, {q}) with |Y| <= {bound}, k <= {k_max}")
+    raise NoSolutionInBound(f"no Kaplan witness for ({p}, {q}) with |Y| <= {bound}, k <= {KAPLAN_K_MAX}")
 
 
 def _check_legendre_preconds(p, q):

@@ -25,16 +25,17 @@ ENUMERATION_BOUND = 1 << 32
 
 @dataclass(frozen=True)
 class Discriminant:
-    """A negative discriminant; the fundamental flag is verified, not trusted."""
+    """A fundamental negative discriminant: checked once when built, trusted after."""
 
     D: int
-    fundamental: bool = True
 
     def __post_init__(self):
-        if self.D >= 0 or self.D % 4 not in (0, 1):
-            raise InvalidInput(f"{self.D} is not a negative discriminant")
-        if self.fundamental != is_fundamental_discriminant(self.D):
-            raise InvalidInput(f"fundamental flag wrong for D = {self.D}")
+        m = _radicand(self.D)
+        if m is None:
+            raise InvalidInput(f"{self.D} is not a fundamental negative discriminant")
+        if not is_squarefree(-m):
+            raise NotSquarefree(f"{self.D} is not a fundamental negative discriminant: "
+                                f"{m} is not squarefree")
 
     def __int__(self):
         return self.D
@@ -68,12 +69,13 @@ class ClassGroupStructure:
     two_rank: int
 
     @classmethod
-    def from_chain(cls, D: int, h: int, chain):
+    def from_chain(cls, D, h: int, chain):
         """Structure of Cl(D) of order h with the given chain; h2 and
         two_rank follow.
 
-        Raises InvalidInput unless D is fundamental, each chain entry is
-        at least 2 and divides the next, and the entries multiply to h.
+        Raises InvalidInput unless D (an int or a Discriminant) is
+        fundamental, each chain entry is at least 2 and divides the next,
+        and the entries multiply to h.
         """
         chain = tuple(chain)
         for i, d in enumerate(chain):
@@ -81,34 +83,39 @@ class ClassGroupStructure:
                 raise InvalidInput(f"{list(chain)} is not an elementary-divisor chain")
         if prod(chain) != h:
             raise InvalidInput(f"chain {list(chain)} has product {prod(chain)}, not h = {h}")
-        return cls(D=Discriminant(D), h=h, divisors=chain, h2=h & -h,
+        return cls(D=_as_discriminant(D), h=h, divisors=chain, h2=h & -h,
                    two_rank=sum(1 for d in chain if d % 2 == 0))
+
+
+def _radicand(D: int):
+    """The m with D = m = 1 (mod 4) or D = 4m, m != 1 (mod 4), for D < 0,
+    else None; D is fundamental iff m is squarefree (never when 4 | m)."""
+    if D < 0 and D % 4 == 1:
+        return D
+    if D < 0 and D % 4 == 0 and D // 4 % 4 != 1:
+        return D // 4
+    return None
 
 
 def is_fundamental_discriminant(D: int) -> bool:
     """True iff D < 0 is the discriminant of an imaginary quadratic field."""
-    if D >= 0:
-        return False
-    if D % 4 == 1:
-        return is_squarefree(-D)
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and is_squarefree(-m)
-    return False
+    m = _radicand(D)
+    return m is not None and is_squarefree(-m)
 
 
 def discriminant_of(m: int) -> Discriminant:
-    """Field discriminant of Q(sqrt(m)) for negative squarefree m."""
+    """Field discriminant of Q(sqrt(m)) for m < 0; NotSquarefree unless m is squarefree."""
     if m >= 0:
         raise InvalidInput(f"need m < 0, got {m}")
-    if not is_squarefree(-m):
-        raise NotSquarefree(f"{m} is not squarefree")
-    D = m if m % 4 == 1 else 4 * m
-    return Discriminant(D)
+    return Discriminant(m if m % 4 == 1 else 4 * m)
 
 
 def _as_disc(D) -> int:
     return D.D if isinstance(D, Discriminant) else int(D)
+
+
+def _as_discriminant(D) -> Discriminant:
+    return D if isinstance(D, Discriminant) else Discriminant(int(D))
 
 
 # ---------------------------------------------------------------------------
@@ -321,35 +328,21 @@ def class_group(D) -> ClassGroupStructure:
         return hit
     if -Dv > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(f"|D| = {-Dv} exceeds 2**32")
-    if not is_fundamental_discriminant(Dv):
-        raise InvalidInput(f"{Dv} is not a fundamental negative discriminant")
+    D = _as_discriminant(D)
     forms = reduced_forms(Dv)
-    structure = ClassGroupStructure.from_chain(Dv, len(forms), _structure_from_forms(Dv, forms))
+    structure = ClassGroupStructure.from_chain(D, len(forms), _structure_from_forms(Dv, forms))
     CLASS_GROUP_MEMO[Dv] = structure
     return structure
 
 
 def genus_two_rank(D) -> int:
     """Genus-theory 2-rank of Cl(D): one less than the prime count of D."""
-    Dv = _as_disc(D)
-    if not is_fundamental_discriminant(Dv):
-        raise InvalidInput(f"{Dv} is not a fundamental negative discriminant")
-    return len(factorize(-Dv)) - 1
+    return len(factorize(-_as_discriminant(D).D)) - 1
 
 
 # ---------------------------------------------------------------------------
 # bulk sweep (shares one enumeration pass across every discriminant)
 # ---------------------------------------------------------------------------
-
-def _squarefree_table(limit: int) -> bytearray:
-    table = bytearray([1]) * (limit + 1)
-    q = 2
-    while q * q <= limit:
-        step = q * q
-        table[step::step] = bytearray(len(range(step, limit + 1, step)))
-        q += 1
-    return table
-
 
 def class_group_sweep(limit: int):
     """Yield ClassGroupStructure for every fundamental -limit <= D < 0.
@@ -360,7 +353,6 @@ def class_group_sweep(limit: int):
     """
     if limit > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(f"sweep limit {limit} exceeds 2**32")
-    sf = _squarefree_table(limit)
     forms_by_D = {}
     for a in range(1, isqrt(limit // 3) + 1):
         a4 = 4 * a
@@ -376,13 +368,10 @@ def class_group_sweep(limit: int):
                 if gcd(gcd(a, b), c) == 1:
                     forms_by_D.setdefault(D, []).append(FormClass(a, b, c))
     for D in sorted(forms_by_D, reverse=True):
-        if D % 4 == 1:
-            if not sf[-D]:
-                continue
-        else:
-            m = D // 4
-            if m % 4 not in (2, 3) or not sf[-m]:
-                continue
+        try:
+            disc = Discriminant(D)
+        except InvalidInput:
+            continue
         forms = forms_by_D[D]
         forms.sort()
-        yield ClassGroupStructure.from_chain(D, len(forms), _structure_from_forms(D, forms))
+        yield ClassGroupStructure.from_chain(disc, len(forms), _structure_from_forms(D, forms))

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ztwo import classifier, qforms
-from ztwo.arith import factor_squarefree
+from ztwo.arith import factor_squarefree, is_squarefree
 from ztwo.classifier import (
     Analysis,
     IwasawaInvariants,
@@ -107,6 +107,19 @@ def test_exponent_r_corollary(d, expected):
     assert exponent_r_corollary(classify(d)) == expected
 
 
+def test_oracle_checks_its_discriminant_once(monkeypatch):
+    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
+    tag = classify(89)
+    calls = []
+
+    def counting_is_squarefree(n):
+        calls.append(n)
+        return is_squarefree(n)
+    monkeypatch.setattr(qforms, "is_squarefree", counting_is_squarefree)
+    assert exponent_r_oracle(tag) == 3
+    assert calls == [178]  # D = -712 = 4 * -178, checked once on a memo miss
+
+
 def test_exponent_r_rejects_other_families():
     with pytest.raises(UnsupportedFamily):
         exponent_r_oracle(classify(7))
@@ -192,7 +205,7 @@ def test_analyze_refuses_broken_a_precondition(monkeypatch):
         analyze(classify(89))
     with pytest.raises(PrecondViolated):
         predict(89, 1, "L")
-    (entry,) = cross_check(89, families=["A1"]).violations
+    (entry,) = cross_check(89).violations
     assert (entry.d, entry.detail) == (89, "oracle r = 1 < 3 for an A-family")
 
 
@@ -200,7 +213,7 @@ def test_analyze_refuses_broken_b_precondition(monkeypatch):
     _forge(monkeypatch, -247, [2, 2])  # Cl(-13*19) really is Z/2 x Z/3
     with pytest.raises(PrecondViolated, match=r"Cl\(-247\) 2-part not cyclic: \(2, 2\)"):
         analyze(classify(247))
-    (entry,) = cross_check(250, families=["B"]).violations
+    (entry,) = cross_check(250).violations
     assert (entry.d, entry.detail) == (247, "Cl(-247) 2-part not cyclic: (2, 2)")
 
 
@@ -211,6 +224,8 @@ def test_bad_layer_or_tower_is_refused_before_any_class_group(monkeypatch):
     monkeypatch.setattr(classifier, "class_group", no_class_group)
     with pytest.raises(InvalidInput, match="layer index must be >= 1"):
         predict(89, 0, "L")
+    with pytest.raises(InvalidInput, match="layer index must be <= 10000"):
+        predict(89, 10 ** 4 + 1, "L")
     with pytest.raises(InvalidInput, match="tower must be"):
         predict(89, 1, "X")
     with pytest.raises(InvalidInput, match="tower must be"):
@@ -298,9 +313,9 @@ def test_cross_check_small_range():
 
 
 def test_cross_check_family_filter():
-    report = cross_check(100, families=["B"])
-    assert [e.d for e in report.entries] == [15, 39, 55, 87, 95]
-    by_d = {e.d: e.r_oracle for e in report.entries}
+    entries = [e for e in cross_check(100).entries if e.tag == "B"]
+    assert [e.d for e in entries] == [15, 39, 55, 87, 95]
+    by_d = {e.d: e.r_oracle for e in entries}
     assert by_d == {15: 2, 39: 3, 55: 3, 87: 2, 95: 4}
 
 

@@ -206,10 +206,11 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
     '{"schema":"ztwo/1","D":-23,"h":1,"divisors":[1]}',      # divisor below 2
     '{"schema":"ztwo/0","D":-23,"h":3,"divisors":[3]}',      # wrong schema
     '{"schema":"ztwo/1","D":-23,"h":2,"divisors":[2]}',      # 2-rank 1, genus says 0
-    '{"schema":"ztwo/1","D":-24,"h":3,"divisors":[3]}',      # not fundamental
+    '{"schema":"ztwo/1","D":-24,"h":3,"divisors":[3]}',      # 2-rank 0, genus says 1
+    '{"schema":"ztwo/1","D":-12,"h":1,"divisors":[]}',       # not fundamental: 4 * -3
     '{"schema":"ztwo/1","D":1e999,"h":3,"divisors":[3]}',    # D overflows int()
 ], ids=["chain-not-dividing", "product-not-h", "divisor-below-2", "wrong-schema",
-        "two-rank-not-genus", "not-fundamental", "D-overflows"])
+        "two-rank-not-genus", "two-rank-below-genus", "not-fundamental", "D-overflows"])
 def test_cache_skips_inconsistent_records(tmp_path, capsys, monkeypatch, line):
     monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
     cache = tmp_path / "cg.jsonl"

@@ -12,6 +12,7 @@ from ztwo.errors import (
 )
 from ztwo.qforms import (
     ClassGroupStructure,
+    Discriminant,
     FormClass,
     class_group,
     class_group_sweep,
@@ -49,10 +50,18 @@ def test_discriminant_of_examples():
     assert discriminant_of(-55).D == -55
     assert discriminant_of(-178).D == -712
     assert discriminant_of(-407).D == -407
-    with pytest.raises(NotSquarefree):
-        discriminant_of(-45)
+    for m in (-45, -4):
+        with pytest.raises(NotSquarefree):
+            discriminant_of(m)
     with pytest.raises(InvalidInput):
         discriminant_of(7)
+
+
+def test_discriminant_is_checked_on_construction():
+    for D in (-12, -45):                          # 4 * -3 with -3 = 1 (mod 4); 3 (mod 4)
+        with pytest.raises(InvalidInput, match="not a fundamental negative discriminant"):
+            Discriminant(D)
+    assert repr(Discriminant(-55)) == "Discriminant(D=-55)"
 
 
 def test_fundamental_predicate():
@@ -236,6 +245,11 @@ def test_genus_two_rank_examples():
 def test_genus_matches_structure_to_3000():
     for s in class_group_sweep(3000):
         assert s.two_rank == genus_two_rank(s.D), s
+
+
+def test_sweep_yields_exactly_the_fundamental_discriminants():
+    swept = [s.D.D for s in class_group_sweep(3000)]
+    assert swept == [D for D in range(-3, -3001, -1) if is_fundamental_discriminant(D)]
 
 
 def test_sweep_agrees_with_single_discriminant_path():
