@@ -1,4 +1,5 @@
-"""Exact integer kernel: primality, squarefree factorization, modular power.
+"""Exact integer kernel: primality, squarefree factorization, modular power
+and square root.
 
 All functions are pure and deterministic.  Bounds are deliberately modest
 (inputs below 2**40 for factorization, 2**64 for primality) so that every
@@ -9,7 +10,7 @@ test is provably correct, not probabilistic.
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvalidInput, NotSquarefree
+from .errors import InvalidInput, NotQuadraticResidue, NotSquarefree
 
 PRIMALITY_BOUND = 1 << 64
 FACTOR_BOUND = 1 << 40
@@ -150,3 +151,36 @@ def modpow(base: int, exp: int, modulus: int) -> int:
     if exp < 0:
         raise InvalidInput(f"exponent must be >= 0, got {exp}")
     return pow(base, exp, modulus)
+
+
+def _sqrt_mod_prime(n, p):
+    """A square root of n modulo an odd prime p (Tonelli-Shanks)."""
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:  # Euler's criterion
+        raise NotQuadraticResidue(f"{n} is not a square modulo {p}")
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:  # a non-residue, by Euler's criterion
+        z += 1
+    c = pow(z, q, p)
+    r = pow(n, (q + 1) // 2, p)
+    t = pow(n, q, p)
+    m = s
+    while t != 1:
+        i, x = 0, t
+        while x != 1:
+            x = x * x % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return r

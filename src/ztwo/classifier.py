@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedFamily,
     ZtwoError,
 )
-from .qforms import class_group, discriminant_of
+from .qforms import _field_disc, class_group
 from .symbols import jacobi, quartic_2_reciprocal, quartic_residue
 
 FAMILIES = ("A1", "A2", "B", "C7", "UNCLASSIFIED")
@@ -191,10 +191,12 @@ def exponent_r_oracle(tag: FamilyTag) -> int:
     """r from the class-group engine: 2**r = h2(-2d) (A) or 2*h2(-pq) (B)."""
     if tag.tag not in EXACT_FAMILIES:
         raise UnsupportedFamily(f"no exponent r for family {tag.tag}")
+    # -2d and -pq are squarefree, so an int D is enough: class_group looks
+    # in its memo first and builds (and checks) a Discriminant only on a miss
     if tag.tag in ("A1", "A2"):
-        return _log2(class_group(discriminant_of(-2 * tag.d.value)).h2)
+        return _log2(class_group(_field_disc(-2 * tag.d.value)).h2)
     p, q = tag.primes
-    return 1 + _log2(class_group(discriminant_of(-p * q)).h2)
+    return 1 + _log2(class_group(_field_disc(-p * q)).h2)
 
 
 def exponent_r_corollary(tag: FamilyTag, bound: int = 10 ** 6) -> RBound:

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt, prod
 
-from .arith import factorize, is_prime
+from .arith import _sqrt_mod_prime, factorize, is_prime
 from .errors import (
     BadPrimeClass,
     InvalidInput,
     NoRepresentationInBound,
     NoSolutionInBound,
-    NotQuadraticResidue,
     PrecondViolated,
 )
 from .symbols import jacobi, quartic_residue
@@ -140,39 +139,6 @@ def solve_pell_rep(p: int, bound: int = DEFAULT_BOUND) -> PellRepresentation:
     raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p} with v <= {bound}")
 
 
-def _sqrt_mod_prime(n, p):
-    """A square root of n modulo an odd prime p (Tonelli-Shanks)."""
-    n %= p
-    if n == 0:
-        return 0
-    if pow(n, (p - 1) // 2, p) != 1:  # Euler's criterion
-        raise NotQuadraticResidue(f"{n} is not a square modulo {p}")
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(n, (q + 1) // 2, p)
-    t = pow(n, q, p)
-    m = s
-    while t != 1:
-        i, x = 0, t
-        while x != 1:
-            x = x * x % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return r
-
-
 def _sqrt_mod_prime_power(a, ell, e):
     """Every z in [0, ell**e) with z**2 = a (mod ell**e), ell prime."""
     if ell > 2 and a % ell:
@@ -183,8 +149,9 @@ def _sqrt_mod_prime_power(a, ell, e):
             mod *= ell
             z = (z - (z * z - a) * pow(2 * z, -1, mod)) % mod
         return [z, mod - z]
-    # ell = 2 or ell | a: lift one digit at a time, trying all ell of them
-    # (solve_kaplan only meets ell | a = p when p | k, so ell <= KAPLAN_K_MAX)
+    # ell = 2 or ell | a: lift one digit at a time, trying all ell of them,
+    # so this branch costs about ell steps per root and digit (solve_kaplan
+    # only meets ell | a = p when p | k, so there ell <= KAPLAN_K_MAX)
     roots, mod = [0], 1
     for _ in range(e):
         nxt = mod * ell

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .arith import factorize, is_squarefree
+from .arith import _sqrt_mod_prime, factorize, is_squarefree
 from .errors import (
     EnumerationBoundExceeded,
     IndefiniteForm,
     InvalidInput,
     MismatchedDiscriminant,
+    NotQuadraticResidue,
     NotSquarefree,
 )
 
@@ -107,7 +108,12 @@ def discriminant_of(m: int) -> Discriminant:
     """Field discriminant of Q(sqrt(m)) for m < 0; NotSquarefree unless m is squarefree."""
     if m >= 0:
         raise InvalidInput(f"need m < 0, got {m}")
-    return Discriminant(m if m % 4 == 1 else 4 * m)
+    return Discriminant(_field_disc(m))
+
+
+def _field_disc(m: int) -> int:
+    # discriminant of Q(sqrt(m)) for a squarefree m, unchecked
+    return m if m % 4 == 1 else 4 * m
 
 
 def _as_disc(D) -> int:
@@ -213,22 +219,62 @@ def form_pow(f, e: int) -> FormClass:
 # ---------------------------------------------------------------------------
 
 def reduced_forms(D) -> list:
-    """All reduced primitive forms of discriminant D < 0, sorted."""
+    """All reduced primitive forms of discriminant D < 0, D = 0 or 1 (mod 4), sorted.
+
+    With delta = D mod 2 and b = 2t + delta, (b**2 - D)/4 = t**2 + delta*t + N
+    for N = (delta - D)/4, so a form with first coefficient a needs a root t
+    mod a of that quadratic, and each root gives one b in (-a, a].  Root
+    lists for a = 2 .. sqrt(|D|/3) grow over a smallest-prime-factor sieve:
+    Tonelli-Shanks at a prime p not dividing 2D, a p-digit lift from a/p at
+    p = 2, at p | D and at prime powers, and CRT at every other a.
+    """
     D = _as_disc(D)
     if D >= 0:
         raise IndefiniteForm(f"need D < 0, got {D}")
-    out = []
-    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
-        quarter = (b * b - D) // 4
-        a = max(b, 1)
-        while a * a <= quarter:
-            if quarter % a == 0:
-                c = quarter // a
-                if gcd(gcd(a, b), c) == 1:
-                    out.append(FormClass(a, b, c))
-                    if 0 < b < a < c:
-                        out.append(FormClass(a, -b, c))
-            a += 1
+    if D % 4 > 1:
+        raise InvalidInput(f"{D} = {D % 4} (mod 4) is not a discriminant")
+    delta = D % 2
+    N = (delta - D) // 4
+    top = isqrt(-D // 3)
+    spf = list(range(top + 1))
+    for p in range(2, isqrt(top) + 1):
+        if spf[p] == p:
+            for m in range(p * p, top + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    # roots[a]: every t in [0, a) with t*(t + delta) + N = 0 (mod a)
+    roots = [None, [0]] + [None] * (top - 1)
+    out = [FormClass(1, delta, N)]
+    for a in range(2, top + 1):
+        p = spf[a]
+        m, pk = a, 1
+        while m % p == 0:
+            m //= p
+            pk *= p
+        if m > 1:
+            ts = []
+            if roots[m] and roots[pk]:
+                inv = pow(m, -1, pk)
+                ts = [r + m * ((z - r) * inv % pk) for r in roots[m] for z in roots[pk]]
+        elif a == p > 2 and D % p:
+            try:
+                s = _sqrt_mod_prime(D, p)
+            except NotQuadraticResidue:
+                ts = []
+            else:
+                half = (p + 1) // 2  # 1/2 mod p
+                ts = [(s - delta) * half % p, (-s - delta) * half % p]
+        else:
+            step = a // p
+            ts = [z for r in roots[step] for z in range(r, a, step) if (z * (z + delta) + N) % a == 0]
+        roots[a] = ts
+        for t in ts:
+            b = (2 * t + delta) % (2 * a)
+            if b > a:
+                b -= 2 * a
+            c = (b * b - D) // (4 * a)
+            if (c > a or c == a and b >= 0) and gcd(gcd(a, b), c) == 1:
+                out.append(FormClass(a, b, c))
     out.sort()
     return out
 

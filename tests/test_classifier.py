@@ -120,6 +120,19 @@ def test_oracle_checks_its_discriminant_once(monkeypatch):
     assert calls == [178]  # D = -712 = 4 * -178, checked once on a memo miss
 
 
+def test_oracle_memo_hit_factors_nothing(monkeypatch):
+    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
+    tag = classify(89)
+    calls = []
+
+    def counting_is_squarefree(n):
+        calls.append(n)
+        return is_squarefree(n)
+    monkeypatch.setattr(qforms, "is_squarefree", counting_is_squarefree)
+    assert exponent_r_oracle(tag) == exponent_r_oracle(tag) == 3
+    assert calls == [178]  # the second call is a memo hit
+
+
 def test_exponent_r_rejects_other_families():
     with pytest.raises(UnsupportedFamily):
         exponent_r_oracle(classify(7))

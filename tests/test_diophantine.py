@@ -2,7 +2,7 @@ from math import isqrt
 
 import pytest
 
-from ztwo.arith import factorize
+from ztwo.arith import _sqrt_mod_prime, factorize
 from ztwo.classifier import classify
 from ztwo.diophantine import (
     KaplanParams,
@@ -11,7 +11,6 @@ from ztwo.diophantine import (
     _norm_rep_pairs,
     _pell_unit,
     _sqrt_mod,
-    _sqrt_mod_prime,
     enumerate_legendre_solutions,
     solve_kaplan,
     solve_legendre,

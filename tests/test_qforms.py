@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -26,6 +26,7 @@ from ztwo.qforms import (
     reduce_form,
     reduced_forms,
 )
+from ztwo.symbols import jacobi
 
 
 def brute_count_reduced(D):
@@ -44,6 +45,40 @@ def brute_count_reduced(D):
                 count += 1
         a += 1
     return count
+
+
+def divisor_scan_reduced_forms(D):
+    """Reduced primitive forms by the classical divisor scan (Cohen, section
+    5.3): for each b, every a dividing (b**2 - D)/4 up to its square root.
+    A reference for reduced_forms, which enumerates by a instead."""
+    out = []
+    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+        quarter = (b * b - D) // 4
+        a = max(b, 1)
+        while a * a <= quarter:
+            if quarter % a == 0:
+                c = quarter // a
+                if gcd(gcd(a, b), c) == 1:
+                    out.append(FormClass(a, b, c))
+                    if 0 < b < a < c:
+                        out.append(FormClass(a, -b, c))
+            a += 1
+    out.sort()
+    return out
+
+
+def kronecker(D, a):
+    """Kronecker symbol (D/a) for a >= 1, from the Jacobi symbol on the odd part."""
+    chi2 = 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
+    k = 1
+    while a % 2 == 0:
+        a //= 2
+        k *= chi2
+    if a == 1:
+        return k
+    if gcd(D, a) > 1:
+        return 0
+    return k * jacobi(D, a)
 
 
 def test_discriminant_of_examples():
@@ -253,9 +288,40 @@ def test_sweep_yields_exactly_the_fundamental_discriminants():
 
 
 def test_sweep_agrees_with_single_discriminant_path():
-    swept = {s.D.D: s for s in class_group_sweep(800)}
-    for D in range(-3, -801, -1):
-        if is_fundamental_discriminant(D):
-            single = class_group(D)
-            assert swept[D].h == single.h
-            assert swept[D].divisors == single.divisors
+    # the two paths enumerate forms independently: by a per D, and in one (a, b, c) sweep
+    for swept in class_group_sweep(5000):
+        single = class_group(swept.D.D)
+        assert (swept.h, swept.divisors) == (single.h, single.divisors), swept.D
+
+
+def test_reduced_forms_refuses_non_discriminants():
+    for D in (-1, -2, -5, -6):                    # D = 2, 3 (mod 4)
+        with pytest.raises(InvalidInput):
+            reduced_forms(D)
+    for D in (0, 5):
+        with pytest.raises(IndefiniteForm):
+            reduced_forms(D)
+
+
+def test_reduced_forms_matches_divisor_scan():
+    # every D = 0, 1 (mod 4) down to -6000, fundamental or not, plus larger |D|
+    small = [D for D in range(-3, -6001, -1) if D % 4 < 2]
+    for D in small + [-999999, -3995332, -3999995, -8000004, -80000003]:
+        assert reduced_forms(D) == divisor_scan_reduced_forms(D), D
+
+
+def test_class_group_of_a_large_discriminant():
+    s = class_group(-400000136)
+    assert s.h == 14788
+    assert s.divisors == (14788,)
+
+
+def test_class_number_formula():
+    # h(D) = sum_{a <= |D|/2} chi_D(a) / (2 - chi_D(2)) for D < -4, exactly
+    for D in range(-5, -4001, -1):
+        if not is_fundamental_discriminant(D):
+            continue
+        total = sum(kronecker(D, a) for a in range(1, -D // 2 + 1))
+        h, rem = divmod(total, 2 - kronecker(D, 2))
+        assert rem == 0, D
+        assert h == class_group(D).h, D
