@@ -22,6 +22,7 @@ from .errors import (
     InvalidInput,
     NoRepresentationInBound,
     NoSolutionInBound,
+    NotQuadraticResidue,
     PrecondViolated,
 )
 from .symbols import jacobi, quartic_residue
@@ -142,9 +143,11 @@ def solve_pell_rep(p: int, bound: int = DEFAULT_BOUND) -> PellRepresentation:
 def _sqrt_mod_prime_power(a, ell, e):
     """Every z in [0, ell**e) with z**2 = a (mod ell**e), ell prime."""
     if ell > 2 and a % ell:
-        if jacobi(a, ell) == -1:
+        try:
+            z = _sqrt_mod_prime(a, ell)
+        except NotQuadraticResidue:
             return []
-        z, mod = _sqrt_mod_prime(a, ell), ell
+        mod = ell
         for _ in range(e - 1):  # Hensel: a simple root lifts uniquely
             mod *= ell
             z = (z - (z * z - a) * pow(2 * z, -1, mod)) % mod

@@ -199,19 +199,20 @@ def compose(f, g) -> FormClass:
 
 
 def form_pow(f, e: int) -> FormClass:
-    """e-th power of a class (square and multiply)."""
-    f = FormClass(*f)
-    result = principal_form(f.discriminant)
-    if e < 0:
-        f, e = inverse(f), -e
-    base = f
-    while e > 0:
+    """e-th power of a class (square and multiply), reduced."""
+    a, b, c = f
+    if e == 0:
+        return principal_form(b * b - 4 * a * c)
+    base, e = (f, e) if e > 0 else (inverse(f), -e)
+    result = None
+    while True:
         if e & 1:
-            result = _compose(result, base)
+            # reducing the first factor gives what composing it with the identity would
+            result = reduce_form(base) if result is None else _compose(result, base)
         e >>= 1
-        if e:
-            base = _compose(base, base)
-    return result
+        if not e:
+            return result
+        base = _compose(base, base)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +292,9 @@ def _sylow_subgroup(forms, ident, p, size):
     for f in forms:
         if len(sylow) == size:
             break
-        y = form_pow(f, cofactor) if cofactor > 1 else f
+        if f == ident:
+            continue
+        y = form_pow(f, cofactor)
         if y in sylow:
             continue
         grown = set(sylow)
@@ -307,21 +310,18 @@ def _sylow_subgroup(forms, ident, p, size):
 
 def _sylow_partition(sylow, ident, p, e):
     """Exponent partition (descending) of an abelian p-group given as a set."""
-    if e == 1:
-        return [1]
-    # orders of all elements, by repeated p-th powers
-    order_exp = {}
-    current = {x: x for x in sylow}
-    level = 0
-    while current:
-        done = [x for x, y in current.items() if y == ident]
-        for x in done:
-            order_exp[x] = level
-            del current[x]
-        if not current:
-            break
-        level += 1
-        current = {x: form_pow(y, p) for x, y in current.items()}
+    # order_exp[x] = k with x**(p**k) == identity, read off one x -> x**p table
+    power = {x: form_pow(x, p) for x in sylow}
+    order_exp = {ident: 0}
+    for x in sylow:
+        chain = []
+        while x not in order_exp:
+            chain.append(x)
+            x = power[x]
+        level = order_exp[x]
+        for y in reversed(chain):
+            level += 1
+            order_exp[y] = level
     # counts[i] = #elements with x**(p**i) == identity
     counts = [0] * (e + 1)
     for lv in order_exp.values():
@@ -349,6 +349,13 @@ def _structure_from_forms(D, forms) -> tuple:
     ident = principal_form(D)
     partitions = {}
     for p, e in factorize(h).items():
+        if e == 1:
+            # a cyclic Sylow p-subgroup: an element of exact order p proves it
+            y = next((y for f in forms if f != ident and (y := form_pow(f, h // p)) != ident), ident)
+            if y == ident or form_pow(y, p) != ident:
+                raise AssertionError(f"no element of order {p} among {h} forms")
+            partitions[p] = [1]
+            continue
         sylow = _sylow_subgroup(forms, ident, p, p ** e)
         partitions[p] = _sylow_partition(sylow, ident, p, e)
     width = max(len(v) for v in partitions.values())
@@ -363,6 +370,12 @@ def _structure_from_forms(D, forms) -> tuple:
     return tuple(chain)
 
 
+def _structure_of(D: Discriminant) -> ClassGroupStructure:
+    # the one builder behind class_group and class_group_sweep
+    forms = reduced_forms(D.D)
+    return ClassGroupStructure.from_chain(D, len(forms), _structure_from_forms(D.D, forms))
+
+
 CLASS_GROUP_MEMO = {}  # D -> ClassGroupStructure; single writer at a time
 
 
@@ -374,10 +387,7 @@ def class_group(D) -> ClassGroupStructure:
         return hit
     if -Dv > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(f"|D| = {-Dv} exceeds 2**32")
-    D = _as_discriminant(D)
-    forms = reduced_forms(Dv)
-    structure = ClassGroupStructure.from_chain(D, len(forms), _structure_from_forms(Dv, forms))
-    CLASS_GROUP_MEMO[Dv] = structure
+    structure = CLASS_GROUP_MEMO[Dv] = _structure_of(_as_discriminant(D))
     return structure
 
 
@@ -386,38 +396,17 @@ def genus_two_rank(D) -> int:
     return len(factorize(-_as_discriminant(D).D)) - 1
 
 
-# ---------------------------------------------------------------------------
-# bulk sweep (shares one enumeration pass across every discriminant)
-# ---------------------------------------------------------------------------
-
 def class_group_sweep(limit: int):
-    """Yield ClassGroupStructure for every fundamental -limit <= D < 0.
+    """Yield ClassGroupStructure for every fundamental -limit <= D < 0, ordered by |D|.
 
-    One shared (a, b, c) sweep enumerates the reduced forms of all
-    discriminants at once, which is far cheaper than per-D enumeration.
-    Results come out ordered by |D|.
+    Each structure comes from the builder class_group uses; the sweep
+    neither reads nor writes CLASS_GROUP_MEMO.
     """
     if limit > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(f"sweep limit {limit} exceeds 2**32")
-    forms_by_D = {}
-    for a in range(1, isqrt(limit // 3) + 1):
-        a4 = 4 * a
-        for b in range(-a + 1, a + 1):
-            bb = b * b
-            neg = b < 0
-            for c in range(a, (bb + limit) // a4 + 1):
-                D = bb - a4 * c
-                if D >= 0:
-                    continue
-                if neg and a == c:
-                    continue
-                if gcd(gcd(a, b), c) == 1:
-                    forms_by_D.setdefault(D, []).append(FormClass(a, b, c))
-    for D in sorted(forms_by_D, reverse=True):
+    for D in range(-3, -limit - 1, -1):
         try:
             disc = Discriminant(D)
         except InvalidInput:
             continue
-        forms = forms_by_D[D]
-        forms.sort()
-        yield ClassGroupStructure.from_chain(disc, len(forms), _structure_from_forms(D, forms))
+        yield _structure_of(disc)

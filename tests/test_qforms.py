@@ -3,6 +3,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from ztwo import qforms
 from ztwo.errors import (
     EnumerationBoundExceeded,
     IndefiniteForm,
@@ -288,10 +289,25 @@ def test_sweep_yields_exactly_the_fundamental_discriminants():
 
 
 def test_sweep_agrees_with_single_discriminant_path():
-    # the two paths enumerate forms independently: by a per D, and in one (a, b, c) sweep
+    # the sweep and class_group share one builder, so count against the divisor scan
     for swept in class_group_sweep(5000):
-        single = class_group(swept.D.D)
-        assert (swept.h, swept.divisors) == (single.h, single.divisors), swept.D
+        assert swept.h == len(divisor_scan_reduced_forms(swept.D.D)), swept.D
+
+
+def test_sweep_neither_reads_nor_writes_the_memo(monkeypatch):
+    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
+    for _ in class_group_sweep(3000):
+        pass
+    assert qforms.CLASS_GROUP_MEMO == {}
+    forged = ClassGroupStructure.from_chain(-23, 1, [])
+    qforms.CLASS_GROUP_MEMO[-23] = forged
+    assert class_group(-23) is forged
+    assert [s.h for s in class_group_sweep(23) if s.D.D == -23] == [3]
+
+
+def test_forged_form_list_trips_the_order_check():
+    with pytest.raises(AssertionError):
+        qforms._structure_from_forms(-23, [principal_form(-23)] * 3)
 
 
 def test_reduced_forms_refuses_non_discriminants():
