@@ -199,6 +199,20 @@ def exponent_r_oracle(tag: FamilyTag) -> int:
     return 1 + _log2(class_group(_field_disc(-p * q)).h2)
 
 
+def b_symbol_r(p: int, q: int):
+    """r for the family-B pair p, q when the symbols alone decide it, else None.
+
+    (p/q) = -1 gives r = 2, then (q/p)_4 = +1 gives r = 3.  None means
+    (p/q) = +1 and (q/p)_4 != +1: r >= 4, and a solution of
+    p X^2 + q Y^2 = Z^2 is needed to say more.
+    """
+    if jacobi(p, q) == -1:
+        return 2
+    if quartic_residue(q % p, p) == 1:
+        return 3
+    return None
+
+
 def exponent_r_corollary(tag: FamilyTag, bound: int = 10 ** 6) -> RBound:
     """r (or a lower bound) from representation witnesses and symbols alone.
 
@@ -221,10 +235,9 @@ def exponent_r_corollary(tag: FamilyTag, bound: int = 10 ** 6) -> RBound:
         fires = jacobi(-2, abs(wit.norm_value)) == -1
         return RBound.exact(3) if fires else RBound.at_least(4)
     p, q = tag.primes
-    if jacobi(p, q) == -1:
-        return RBound.exact(2)
-    if quartic_residue(q % p, p) == 1:
-        return RBound.exact(3)
+    r = b_symbol_r(p, q)
+    if r is not None:
+        return RBound.exact(r)
     if quartic_residue(-q % p, p) != 1:
         # unreachable for p = 5 (mod 8), where (-1/p)_4 = -1 flips the sign
         return RBound.at_least(4)

@@ -304,7 +304,7 @@ def _verify_williams(d_max, bound):
         if tag.tag != "B":
             continue
         p, q = tag.primes
-        if symbols.jacobi(p, q) != 1 or symbols.quartic_residue(q % p, p) == 1:
+        if classifier.b_symbol_r(p, q) is not None:
             continue
         sols = diophantine.enumerate_legendre_solutions(p, q, bound)
         values = {diophantine.williams_criterion(s) for s in sols}

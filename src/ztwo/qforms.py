@@ -5,6 +5,13 @@ b**2 - 4*a*c < 0.  Reduced forms biject with ideal classes; Gauss
 composition realizes the group law; full enumeration plus order
 computation yields the exact elementary-divisor chain.  No analytic or
 subexponential shortcuts anywhere: every class number is a form count.
+
+Composition follows Cohen, A Course in Computational Algebraic Number
+Theory, Algorithm 5.4.7; on f == g it performs the steps of duplication,
+Algorithm 5.4.8, so squaring has no separate kernel.  It ends in the one
+reduction loop that reduce_form also runs.  The structure
+path composes plain (a, b, c) tuples; the public functions check their
+input and return FormClass.
 """
 
 from dataclasses import dataclass
@@ -128,13 +135,8 @@ def _as_discriminant(D) -> Discriminant:
 # form arithmetic
 # ---------------------------------------------------------------------------
 
-def reduce_form(f) -> FormClass:
-    """The unique reduced form equivalent to f; idempotent on reduced forms."""
-    a, b, c = f
-    if b * b - 4 * a * c >= 0:
-        raise IndefiniteForm(f"form {f} has non-negative discriminant")
-    if a <= 0:
-        raise InvalidInput(f"form {f} is not positive definite")
+def _reduce(a, b, c) -> tuple:
+    # the one reduction loop; (a, b, c) positive definite, unchecked
     while True:
         if not -a < b <= a:
             r = (a - b) // (2 * a)
@@ -142,8 +144,20 @@ def reduce_form(f) -> FormClass:
         if a > c or (a == c and b < 0):
             a, b, c = c, -b, a
         else:
-            break
-    return FormClass(a, b, c)
+            return a, b, c
+
+
+def reduce_form(f) -> FormClass:
+    """The unique reduced form equivalent to f; idempotent on reduced forms.
+
+    Raises IndefiniteForm unless b**2 - 4ac < 0 and InvalidInput unless a > 0.
+    """
+    a, b, c = f
+    if b * b - 4 * a * c >= 0:
+        raise IndefiniteForm(f"form {f} has non-negative discriminant")
+    if a <= 0:
+        raise InvalidInput(f"form {f} is not positive definite")
+    return FormClass(*_reduce(a, b, c))
 
 
 def principal_form(D) -> FormClass:
@@ -160,59 +174,72 @@ def inverse(f) -> FormClass:
     return reduce_form((a, -b, c))
 
 
-def _solve_mod(a, b, m):
-    # smallest x >= 0 with a*x = b (mod m), plus the solution spacing m//g
-    g = gcd(a, m)
-    if b % g:
-        raise MismatchedDiscriminant("composition congruence unsolvable")
-    step = m // g
-    return b // g * pow(a // g, -1, step) % step, step
-
-
-def _compose(f, g) -> FormClass:
-    # group law on primitive forms of equal discriminant; no validation
+def _compose(f, g) -> tuple:
+    # Cohen 5.4.7: f*g for primitive positive definite forms of one
+    # discriminant, reduced; unchecked.  The Bezout coefficients come from
+    # modular inverses: u*a2 = d (mod a1) and x2*s = d1 (mod d).  With
+    # f == g this is duplication (Alg. 5.4.8): y1 = 0, n = 0, d1 = gcd(a, b).
     a1, b1, c1 = f
     a2, b2, c2 = g
-    e = (b2 + b1) // 2
-    h = (b2 - b1) // 2
-    w = gcd(gcd(a1, a2), e)
-    s = a1 // w
-    t = a2 // w
-    u = e // w
-    k0, step = _solve_mod(t * u, h * u + s * c1, s * t)
-    n, _ = _solve_mod(t * step, h - t * k0, s)
-    k = k0 + step * n
-    l = (t * k - h) // s
-    m = (t * u * k - h * u - s * c1) // (s * t)
-    return reduce_form((s * t, w * u - (k * t + l * s), k * l - w * m))
+    if a1 > a2:
+        a1, b1, c1, a2, b2, c2 = a2, b2, c2, a1, b1, c1
+    s = (b1 + b2) // 2
+    n = b2 - s
+    if a2 % a1 == 0:
+        y1, d = 0, a1
+    else:
+        d = gcd(a1, a2)
+        y1 = pow(a2 // d, -1, a1 // d)
+    if s % d == 0:
+        x2, y2, d1 = 0, -1, d
+    else:
+        d1 = gcd(s, d)
+        x2 = pow(s // d1, -1, d // d1)
+        y2 = (x2 * s - d1) // d
+    v1 = a1 // d1
+    v2 = a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    return _reduce(v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1)
 
 
-def compose(f, g) -> FormClass:
-    """Gauss composition of two classes of the same discriminant, reduced."""
-    a1, b1, c1 = f
-    a2, b2, c2 = g
-    if b1 * b1 - 4 * a1 * c1 != b2 * b2 - 4 * a2 * c2:
-        raise MismatchedDiscriminant(f"discriminants differ: {f} vs {g}")
-    if gcd(gcd(a1, b1), c1) != 1 or gcd(gcd(a2, b2), c2) != 1:
-        raise InvalidInput("composition needs primitive forms")
-    return _compose(f, g)
-
-
-def form_pow(f, e: int) -> FormClass:
-    """e-th power of a class (square and multiply), reduced."""
-    a, b, c = f
-    if e == 0:
-        return principal_form(b * b - 4 * a * c)
-    base, e = (f, e) if e > 0 else (inverse(f), -e)
+def _pow(f, e: int) -> tuple:
+    # f**e for a reduced f and e >= 1 (square and multiply); f is used as
+    # the first factor as it stands, never reduced again
     result = None
     while True:
         if e & 1:
-            # reducing the first factor gives what composing it with the identity would
-            result = reduce_form(base) if result is None else _compose(result, base)
+            result = f if result is None else _compose(result, f)
         e >>= 1
         if not e:
             return result
-        base = _compose(base, base)
+        f = _compose(f, f)
+
+
+def compose(f, g) -> FormClass:
+    """Gauss composition of two classes of the same discriminant, reduced.
+
+    Each form passes reduce_form's checks; MismatchedDiscriminant when the
+    discriminants differ, InvalidInput unless both forms are primitive.
+    """
+    f, g = reduce_form(f), reduce_form(g)
+    if f.discriminant != g.discriminant:
+        raise MismatchedDiscriminant(f"discriminants differ: {f} vs {g}")
+    if gcd(gcd(f.a, f.b), f.c) != 1 or gcd(gcd(g.a, g.b), g.c) != 1:
+        raise InvalidInput("composition needs primitive forms")
+    return FormClass(*_compose(f, g))
+
+
+def form_pow(f, e: int) -> FormClass:
+    """e-th power of a class (square and multiply), reduced; any integer e.
+
+    f passes reduce_form's checks for every e, e = 0 included.
+    """
+    f = reduce_form(f)
+    if e == 0:
+        return principal_form(f.discriminant)
+    if e < 0:
+        f, e = inverse(f), -e
+    return FormClass(*_pow(f, e))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +321,7 @@ def _sylow_subgroup(forms, ident, p, size):
             break
         if f == ident:
             continue
-        y = form_pow(f, cofactor)
+        y = _pow(f, cofactor)
         if y in sylow:
             continue
         grown = set(sylow)
@@ -311,7 +338,7 @@ def _sylow_subgroup(forms, ident, p, size):
 def _sylow_partition(sylow, ident, p, e):
     """Exponent partition (descending) of an abelian p-group given as a set."""
     # order_exp[x] = k with x**(p**k) == identity, read off one x -> x**p table
-    power = {x: form_pow(x, p) for x in sylow}
+    power = {x: _pow(x, p) for x in sylow}
     order_exp = {ident: 0}
     for x in sylow:
         chain = []
@@ -351,8 +378,8 @@ def _structure_from_forms(D, forms) -> tuple:
     for p, e in factorize(h).items():
         if e == 1:
             # a cyclic Sylow p-subgroup: an element of exact order p proves it
-            y = next((y for f in forms if f != ident and (y := form_pow(f, h // p)) != ident), ident)
-            if y == ident or form_pow(y, p) != ident:
+            y = next((y for f in forms if f != ident and (y := _pow(f, h // p)) != ident), ident)
+            if y == ident or _pow(y, p) != ident:
                 raise AssertionError(f"no element of order {p} among {h} forms")
             partitions[p] = [1]
             continue

@@ -107,6 +107,22 @@ def test_exponent_r_corollary(d, expected):
     assert exponent_r_corollary(classify(d)) == expected
 
 
+def test_b_symbol_r_agrees_with_the_oracle():
+    # r from (p/q) and (q/p)_4 alone, else None; the class group agrees when they decide
+    decided = 0
+    for tag in classifier.classified(3, 3000):
+        if tag.tag != "B":
+            continue
+        p, q = tag.primes
+        r = classifier.b_symbol_r(p, q)
+        if jacobi(p, q) == 1 and quartic_residue(q % p, p) != 1:
+            assert r is None
+        else:
+            assert r == exponent_r_oracle(tag), tag.d
+            decided += 1
+    assert decided
+
+
 def test_oracle_checks_its_discriminant_once(monkeypatch):
     monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
     tag = classify(89)

@@ -68,6 +68,35 @@ def divisor_scan_reduced_forms(D):
     return out
 
 
+def _solve_mod(a, b, m):
+    """Smallest x >= 0 with a*x = b (mod m), and the solution spacing m // gcd(a, m)."""
+    g = gcd(a, m)
+    if b % g:
+        raise MismatchedDiscriminant("composition congruence unsolvable")
+    step = m // g
+    return b // g * pow(a // g, -1, step) % step, step
+
+
+def shanks_compose_reference(f, g):
+    """Gauss composition of primitive positive definite forms by two linear
+    congruences (Shanks, with w = gcd(a1, a2, (b1 + b2)/2)), reduced.  A
+    reference for qforms._compose, which follows Cohen 5.4.7."""
+    a1, b1, c1 = f
+    a2, b2, c2 = g
+    e = (b2 + b1) // 2
+    h = (b2 - b1) // 2
+    w = gcd(gcd(a1, a2), e)
+    s = a1 // w
+    t = a2 // w
+    u = e // w
+    k0, step = _solve_mod(t * u, h * u + s * c1, s * t)
+    n, _ = _solve_mod(t * step, h - t * k0, s)
+    k = k0 + step * n
+    l = (t * k - h) // s
+    m = (t * u * k - h * u - s * c1) // (s * t)
+    return reduce_form((s * t, w * u - (k * t + l * s), k * l - w * m))
+
+
 def kronecker(D, a):
     """Kronecker symbol (D/a) for a >= 1, from the Jacobi symbol on the odd part."""
     chi2 = 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
@@ -171,6 +200,74 @@ def test_compose_klein_group_of_84():
 def test_compose_mismatch():
     with pytest.raises(MismatchedDiscriminant):
         compose((1, 0, 21), (1, 0, 5))
+
+
+def test_kernel_matches_reference_on_every_pair():
+    # every ordered pair and every square for fundamental -1500 <= D <= -3,
+    # counting the Cohen branches taken on the way
+    divides = d_not_dividing_s = square_with_gcd = 0
+    for D in range(-3, -1501, -1):
+        if not is_fundamental_discriminant(D):
+            continue
+        forms = reduced_forms(D)
+        for f in forms:
+            for g in forms:
+                assert qforms._compose(f, g) == shanks_compose_reference(f, g), (f, g)
+                if f == g:
+                    square_with_gcd += gcd(f.a, f.b) > 1
+                    continue
+                a1, a2 = sorted((f.a, g.a))
+                d = gcd(a1, a2)
+                if a2 % a1 == 0:
+                    divides += 1
+                elif d > 1 and (f.b + g.b) // 2 % d:
+                    d_not_dividing_s += 1
+    assert divides and d_not_dividing_s and square_with_gcd
+
+
+def test_kernel_matches_reference_on_unreduced_forms():
+    # x -> x + r*y and (a, b, c) -> (c, -b, a) keep the class and unreduce the form
+    def unreduce(f, rng):
+        a, b, c = f
+        for _ in range(rng.randrange(1, 4)):
+            r = rng.randrange(-40, 41)
+            a, b, c = a, b + 2 * r * a, a * r * r + b * r + c
+            if rng.random() < 0.5:
+                a, b, c = c, -b, a
+        return a, b, c
+
+    rng = random.Random(5471)
+    for D in (-84, -455, -1155, -3315, -5460, -999999, -8000004):
+        forms = reduced_forms(D)
+        for _ in range(60):
+            f, g = rng.choice(forms), rng.choice(forms)
+            uf, ug = unreduce(f, rng), unreduce(g, rng)
+            assert qforms._compose(uf, ug) == shanks_compose_reference(uf, ug) \
+                == qforms._compose(f, g), (uf, ug)
+            assert qforms._compose(uf, uf) == shanks_compose_reference(uf, uf) \
+                == qforms._compose(f, f), uf
+
+
+def test_form_pow_refuses_a_zero_first_coefficient():
+    with pytest.raises(IndefiniteForm):
+        form_pow((0, 1, 1), 2)
+    with pytest.raises(IndefiniteForm):
+        inverse((0, 1, 1))
+
+
+def test_form_pow_refuses_a_negative_definite_form():
+    with pytest.raises(InvalidInput):
+        form_pow((-1, 0, -5), 2)
+
+
+def test_compose_refuses_a_negative_definite_form():
+    with pytest.raises(InvalidInput):
+        compose((-1, 0, -5), (-1, 0, -5))
+
+
+def test_form_pow_zero_refuses_an_indefinite_form():
+    with pytest.raises(IndefiniteForm):
+        form_pow((1, 1, -1), 0)
 
 
 def test_form_pow_orders_divide_h():

@@ -14,6 +14,7 @@ from ztwo.qforms import (  # noqa: E402
     principal_form,
     reduced_forms,
 )
+from test_qforms import shanks_compose_reference  # noqa: E402
 
 FUNDAMENTAL = st.integers(3, 2 ** 32 - 1).map(lambda n: -n).filter(is_fundamental_discriminant)
 
@@ -34,7 +35,8 @@ def test_composition_is_an_abelian_group_law(D, data):
     f, g, k = data.draw(forms), data.draw(forms), data.draw(forms)
     ident = principal_form(D)
     assert compose(ident, f) == f == compose(f, ident)
-    assert compose(f, g) == compose(g, f)
+    assert compose(f, g) == compose(g, f) == shanks_compose_reference(f, g)
+    assert compose(f, f) == shanks_compose_reference(f, f)
     assert compose(compose(f, g), k) == compose(f, compose(g, k))
     for e in range(-3, 9):
         assert form_pow(f, e) == repeated_compose(f, e, D), e
