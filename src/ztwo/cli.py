@@ -212,6 +212,8 @@ def scan_rows(dmin, dmax, family=None, bound=10 ** 6):
 def cmd_scan(args):
     if args.min > args.max or args.max > 10 ** 6:
         raise InvalidInput("need min <= max <= 10**6")
+    if args.bound < 1:  # scan_rows would write it as "skipped" on every row
+        raise InvalidInput(f"bound must be >= 1, got {args.bound}")
     rows = scan_rows(args.min, args.max, family=args.family, bound=args.bound)
     if args.format == "csv":
         print(",".join(SCAN_COLUMNS))

@@ -6,7 +6,9 @@ NoSolutionInBound, never as a wrong answer.  solve_pell_rep and
 solve_legendre search in increasing order.  solve_kaplan enumerates
 every solution of s**2 - p Y**2 = 2 q k**2 with |Y| <= bound exactly,
 by the continued-fraction method of Lagrange, Matthews and Mollin and
-the fundamental unit of Z[sqrt p], instead of scanning Y.  Returned
+the fundamental unit of Z[sqrt p], instead of scanning Y: one walk of
+the principal cycle of sqrt p per p, then an O(log p) reduction and a
+lookup in that cycle per class (Cohen, GTM 138, section 5.6).  Returned
 objects re-validate their defining identities on construction,
 independently of the search path that produced them.
 """
@@ -126,8 +128,14 @@ def check_legendre_solution(sol):
 # solvers
 # ---------------------------------------------------------------------------
 
+def _check_bound(bound):
+    if bound < 1:
+        raise InvalidInput(f"bound must be >= 1, got {bound}")
+
+
 def solve_pell_rep(p: int, bound: int = DEFAULT_BOUND) -> PellRepresentation:
     """Smallest-v representation p = u**2 - 2v**2 with u = 1 (mod 8)."""
+    _check_bound(bound)
     if not is_prime(p):
         raise InvalidInput(f"{p} is not prime")
     if p % 8 != 1:
@@ -188,37 +196,52 @@ def _square_divisors(factors):
         yield f, rest
 
 
-def _cf_norm_hit(D, z, m):
-    """(x, y) with x**2 - D y**2 = +-m, or None.
+def _principal_cycle(p):
+    """(unit, cycle) from one period of sqrt p, p a prime = 3 (mod 4).
 
-    Expands (z + sqrt D)/m, for m > 0 dividing D - z**2, as a continued
-    fraction up to its first complete quotient (P_i + sqrt D)/Q_i with
-    i >= 1 and Q_i = +-1.  From the convergents A/B it returns
-    x = m A_{i-1} - z B_{i-1} and y = B_{i-1}, which satisfy
-    x**2 - D y**2 = (-1)**i Q_i m.  None when a whole period passes
-    without such a Q_i.
+    unit is the fundamental unit (x, y) of Z[sqrt p]; the period is even,
+    so x**2 - p y**2 = 1.  cycle maps each reduced complete quotient
+    (P_k, Q_k), k >= 1, to its convergent denominators (B_{k-2}, B_{k-1}).
     """
-    root = isqrt(D)
+    root = isqrt(p)
+    P, Q = 0, 1
+    x_prev, x = 0, 1
+    y_prev, y = 1, 0
+    cycle = {}
+    while True:
+        a = (P + root) // Q
+        P = a * Q - P
+        Q = (p - P * P) // Q
+        x_prev, x = x, a * x + x_prev
+        y_prev, y = y, a * y + y_prev
+        cycle[P, Q] = (y_prev, y)
+        if Q == 1:
+            return (x, y), cycle
+
+
+def _cycle_norm_hit(p, z, m, cycle):
+    """(x, y) with x**2 - p y**2 = +-m in the class of (z + sqrt p)/m, or None.
+
+    Expands (z + sqrt p)/m, for m > 0 dividing p - z**2, until its complete
+    quotient (P + sqrt p)/Q is reduced, in O(log p) steps; it lies in the
+    principal cycle exactly when the class holds an element of norm +-m.
+    On a hit at k, U = M_pre M_k**-1 maps sqrt p to (z + sqrt p)/m, and
+    (x, y) = +-(m U11 - z U21, U21) has x**2 - p y**2 = det(U) m.
+    """
+    root = isqrt(p)
     P, Q = z, m
     x_prev, x = -z, m
     y_prev, y = 1, 0
-    seen = set()
-    while (P, Q) not in seen:
-        seen.add((P, Q))
-        a = (P + root + (Q < 0)) // Q  # floor((P + sqrt D)/Q): sqrt D is irrational
+    while not (0 < P <= root and root - P < Q <= root + P):
+        a = (P + root + (Q < 0)) // Q  # floor((P + sqrt p)/Q): sqrt p is irrational
         P = a * Q - P
-        Q = (D - P * P) // Q
+        Q = (p - P * P) // Q
         x_prev, x = x, a * x + x_prev
         y_prev, y = y, a * y + y_prev
-        if Q in (1, -1):
-            return x, y
-    return None
-
-
-def _pell_unit(p):
-    """Fundamental unit (x, y) of Z[sqrt p], x**2 - p y**2 = 1, for a prime
-    p = 3 (mod 4): the period of sqrt p is even, so its norm is +1."""
-    return _cf_norm_hit(p, 0, 1)
+    if (P, Q) not in cycle:
+        return None
+    b_prev, b = cycle[P, Q]
+    return x * b_prev - x_prev * b, y * b_prev - y_prev * b
 
 
 def _unit_orbit(s, Y, p, unit, y_bound):
@@ -240,25 +263,27 @@ def _unit_orbit(s, Y, p, unit, y_bound):
     return found
 
 
-def _norm_rep_pairs(p, factors, y_bound, unit):
+def _norm_rep_pairs(p, factors, y_bound, principal):
     """Every (Y, s) with s**2 - p Y**2 = N, s > 0 and 1 <= Y <= y_bound,
     Y ascending.
 
     N > 0 is given by its prime factorization {ell: e}, p is a prime
-    = 3 (mod 4) and unit is _pell_unit(p).  Method of Lagrange, Matthews
-    and Mollin (Cohen, GTM 138, section 5.6; Matthews, Expo. Math. 18,
-    2000): a solution with gcd(s, Y) = f is f times a primitive solution
-    of x**2 - p y**2 = m = N/f**2, and those fall into classes under the
-    unit, one for each square root z of p modulo m with x = z y (mod m).
-    The first Q_i = +-1 in the continued fraction of (z + sqrt p)/m gives
-    a member of the class, or shows it empty: a hit of norm -m means no
-    solution, since Z[sqrt p] has no unit of norm -1.
+    = 3 (mod 4) and principal is _principal_cycle(p).  Method of Lagrange,
+    Matthews and Mollin (Cohen, GTM 138, section 5.6; Matthews, Expo.
+    Math. 18, 2000): a solution with gcd(s, Y) = f is f times a primitive
+    solution of x**2 - p y**2 = m = N/f**2, and those fall into classes
+    under the unit, one for each square root z of p modulo m with
+    x = z y (mod m).  The principal cycle is walked once per p; each class
+    costs an O(log p) reduction and a lookup in it (_cycle_norm_hit),
+    which gives a member of the class or shows it empty: a hit of norm -m
+    means no solution, since Z[sqrt p] has no unit of norm -1.
     """
+    unit, cycle = principal
     found = set()
     for f, rest in _square_divisors(factors):
         m = prod(ell ** e for ell, e in rest.items())
         for z in _sqrt_mod(p, rest):
-            hit = _cf_norm_hit(p, z, m)
+            hit = _cycle_norm_hit(p, z, m, cycle)
             if hit is None:
                 continue
             x, y = hit
@@ -280,20 +305,21 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
     enumerated exactly (_norm_rep_pairs), so NoSolutionInBound means that
     no witness with |Y| <= bound and k <= KAPLAN_K_MAX exists.
     """
+    _check_bound(bound)
     if not (is_prime(p) and is_prime(q)):
         raise InvalidInput(f"{p}, {q} must both be prime")
     if p % 8 != 3 or q % 8 != 3:
         raise PrecondViolated(f"need p = q = 3 (mod 8), got {p}, {q}")
     if jacobi(p, q) != 1:
         raise PrecondViolated(f"need (p/q) = +1; order the pair so it holds")
-    unit = _pell_unit(p)
+    principal = _principal_cycle(p)
     for k in range(1, KAPLAN_K_MAX + 1):
         k2 = k * k
         two_k2 = Counter({ell: 2 * e for ell, e in factorize(k).items()}) + Counter({2: 1})
         ls = _sqrt_mod(p, two_k2)
         if not ls:
             continue
-        pairs = _norm_rep_pairs(p, two_k2 + Counter({q: 1}), bound, unit)
+        pairs = _norm_rep_pairs(p, two_k2 + Counter({q: 1}), bound, principal)
         for l in ls:
             m = (l * l - p) // (2 * k2)
             for abs_y, s in pairs:
@@ -355,6 +381,7 @@ def _legendre_candidates(p, q, z_bound):
 
 def solve_legendre(p: int, q: int, bound: int = DEFAULT_BOUND) -> LegendreSolution:
     """The admissible solution with smallest Z (then smallest X')."""
+    _check_bound(bound)
     _check_legendre_preconds(p, q)
     for sol in _legendre_candidates(p, q, bound):
         return sol
@@ -363,6 +390,7 @@ def solve_legendre(p: int, q: int, bound: int = DEFAULT_BOUND) -> LegendreSoluti
 
 def enumerate_legendre_solutions(p: int, q: int, bound: int) -> list:
     """All admissible solutions with Z <= bound, in increasing-Z order."""
+    _check_bound(bound)
     _check_legendre_preconds(p, q)
     return list(_legendre_candidates(p, q, bound))
 

@@ -253,6 +253,22 @@ def test_scan_min_above_max_is_invalid_input(capsys):
         cli.cmd_scan(args)
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("scan", "--min", "1", "--max", "300"),
+    ("verify", "--max", "100", "--suite", "corollary"),
+    ("verify", "--max", "120", "--suite", "williams"),
+    ("witness", "--kaplan", "11", "19"),
+    ("witness", "--pell", "89"),
+    ("witness", "--legendre", "5", "19"),
+])
+def test_non_positive_bound_is_invalid_input(capsys, argv, bound):
+    # refused, not reported as a search that found nothing
+    code, out, err = run(capsys, *argv, "--bound", bound)
+    assert (code, out) == (1, "")
+    assert err == f"error: bound must be >= 1, got {bound}\n"
+
+
 @pytest.mark.parametrize("fmt, sha1", [
     ("csv", "6d4394b87916d77228a157db9368e0247c0db633"),
     ("json", "e8fd9b6851c4ddc09c27ca73c84c82368899bf95"),

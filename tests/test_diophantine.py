@@ -1,16 +1,19 @@
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
-from ztwo.arith import _sqrt_mod_prime, factorize
+from ztwo.arith import _sqrt_mod_prime, factorize, is_prime
 from ztwo.classifier import classify
 from ztwo.diophantine import (
     KaplanParams,
     LegendreSolution,
     PellRepresentation,
+    _cycle_norm_hit,
     _norm_rep_pairs,
-    _pell_unit,
+    _principal_cycle,
     _sqrt_mod,
+    _square_divisors,
+    _unit_orbit,
     enumerate_legendre_solutions,
     solve_kaplan,
     solve_legendre,
@@ -132,23 +135,30 @@ def test_kaplan_validator():
         KaplanParams(11, 19, 1, 3, -1, 4, 2)
 
 
-def kaplan_reference(p, q, bound, k_max=64):
-    """Brute-force witness search in (k, l, |Y|) order, or None.
+def brute_force_pairs(p, N, bound):
+    """Every (Y, s) with s**2 - p Y**2 = N, s > 0 and 1 <= Y <= bound, by scanning Y."""
+    pairs = []
+    for y in range(1, bound + 1):
+        s2 = p * y * y + N
+        s = isqrt(s2)
+        if s * s == s2:
+            pairs.append((y, s))
+    return pairs
 
-    Scans every Y <= bound with isqrt.  l only matters modulo 2 k**2, so
-    the first l that works is below 2 k**2.
+
+def kaplan_reference(p, q, bound, k_max=64, pairs_of=brute_force_pairs):
+    """Witness search in (k, l, |Y|) order, or None.
+
+    pairs_of(p, N, bound) lists the (Y, s) with s**2 - p Y**2 = N; by
+    default every Y <= bound is scanned with isqrt.  l only matters modulo
+    2 k**2, so the first l that works is below 2 k**2.
     """
     for k in range(1, k_max + 1):
         k2 = k * k
         ls = [l for l in range(2 * k2) if (l * l - p) % (2 * k2) == 0]
         if not ls:
             continue
-        pairs = []
-        for y in range(1, bound + 1):
-            s2 = p * y * y + 2 * q * k2
-            s = isqrt(s2)
-            if s * s == s2:
-                pairs.append((y, s))
+        pairs = pairs_of(p, 2 * q * k2, bound)
         for l in ls:
             for abs_y, s in pairs:
                 for Y in (abs_y, -abs_y):
@@ -159,8 +169,8 @@ def kaplan_reference(p, q, bound, k_max=64):
     return None
 
 
-def a2_pairs(d_max):
-    for d in range(3, d_max + 1, 2):
+def a2_pairs(d_max, d_min=3):
+    for d in range(d_min | 1, d_max + 1, 2):
         try:
             tag = classify(d)
         except NotSquarefree:
@@ -210,14 +220,14 @@ def test_sqrt_mod_prime_roots_every_residue_below_200():
 def test_norm_rep_pairs_matches_brute_force():
     bound = 3000
     for p in (3, 11, 19, 43, 67, 227):
-        unit = _pell_unit(p)
+        principal = _principal_cycle(p)
         for N in list(range(1, 120)) + [2 * 3 * 9, 2 * 11 * 121, 2 * 19 * 45 ** 2]:
             pairs = []
             for y in range(1, bound + 1):
                 s = isqrt(p * y * y + N)
                 if s * s == p * y * y + N:
                     pairs.append((y, s))
-            assert _norm_rep_pairs(p, factorize(N), bound, unit) == pairs, (p, N)
+            assert _norm_rep_pairs(p, factorize(N), bound, principal) == pairs, (p, N)
 
 
 def test_norm_rep_pairs_matches_sympy_diop_dn():
@@ -229,7 +239,7 @@ def test_norm_rep_pairs_matches_sympy_diop_dn():
                  (2467, 6 * 169), (331, 2 * 3019), (6131, 2 * 163),
                  (332947, 2 * 3 * 27 ** 2)):
         (ux, uy), = diop_DN(p, 1)
-        assert _pell_unit(p) == (ux, uy)
+        assert _principal_cycle(p)[0] == (ux, uy)
         expected = set()
         for x0, y0 in diop_DN(p, N):
             for x, y in ((x0, y0), (x0, -y0), (-x0, y0), (-x0, -y0)):
@@ -242,7 +252,113 @@ def test_norm_rep_pairs_matches_sympy_diop_dn():
                             expected.add((abs(Y), s))
                         s, Y = s * ux + sign * p * Y * uy, Y * ux + sign * s * uy
         expected = sorted(e for e in expected if e[0] <= bound)
-        assert _norm_rep_pairs(p, factorize(N), bound, _pell_unit(p)) == expected, (p, N)
+        assert _norm_rep_pairs(p, factorize(N), bound, _principal_cycle(p)) == expected, (p, N)
+
+
+def cf_norm_hit_reference(D, z, m):
+    """(x, y) with x**2 - D y**2 = +-m, or None, by a whole period walk.
+
+    The per-class walk the solver made before the principal-cycle lookup,
+    kept as its oracle.  Expands (z + sqrt D)/m, for m > 0 dividing
+    D - z**2, as a continued fraction up to its first complete quotient
+    (P_i + sqrt D)/Q_i with i >= 1 and Q_i = +-1.  From the convergents
+    A/B it returns x = m A_{i-1} - z B_{i-1} and y = B_{i-1}, which
+    satisfy x**2 - D y**2 = (-1)**i Q_i m.  None when a whole period
+    passes without such a Q_i.
+    """
+    root = isqrt(D)
+    P, Q = z, m
+    x_prev, x = -z, m
+    y_prev, y = 1, 0
+    seen = set()
+    while (P, Q) not in seen:
+        seen.add((P, Q))
+        a = (P + root + (Q < 0)) // Q  # floor((P + sqrt D)/Q): sqrt D is irrational
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        x_prev, x = x, a * x + x_prev
+        y_prev, y = y, a * y + y_prev
+        if Q in (1, -1):
+            return x, y
+    return None
+
+
+def norm_classes(p, N):
+    """(f, z, m) for every class of primitive x**2 - p y**2 = m = N/f**2."""
+    for f, rest in _square_divisors(factorize(N)):
+        m = prod(ell ** e for ell, e in rest.items())
+        for z in _sqrt_mod(p, rest):
+            yield f, z, m
+
+
+def norm_rep_pairs_reference(p, N, y_bound):
+    """_norm_rep_pairs with every class decided by cf_norm_hit_reference."""
+    unit = cf_norm_hit_reference(p, 0, 1)
+    found = set()
+    for f, z, m in norm_classes(p, N):
+        hit = cf_norm_hit_reference(p, z, m)
+        if hit is None or hit[0] ** 2 - p * hit[1] ** 2 != m:
+            continue
+        x, y = hit if hit[0] > 0 else (-hit[0], -hit[1])
+        found |= _unit_orbit(f * x, f * y, p, unit, y_bound)
+    return sorted(found)
+
+
+# the composite N of the two _norm_rep_pairs oracle tests above
+COMPOSITE_N = (2 * 3 * 9, 2 * 11 * 121, 2 * 19 * 45 ** 2, 2 * 3 * 49, 2 * 43 * 25,
+               6 * 169, 2 * 3019, 2 * 163, 2 * 3 * 27 ** 2)
+
+
+def test_cycle_lookup_matches_period_walk():
+    # class by class: a miss where the period walk misses, and on a hit an
+    # element of the same norm, +m or -m
+    outcomes = {None: 0, 1: 0, -1: 0}
+    for p in range(3, 5000, 8):
+        if not is_prime(p):
+            continue
+        unit, cycle = _principal_cycle(p)
+        assert unit == cf_norm_hit_reference(p, 0, 1)
+        for N in list(range(1, 121)) + list(COMPOSITE_N):
+            for _, z, m in norm_classes(p, N):
+                want = cf_norm_hit_reference(p, z, m)
+                got = _cycle_norm_hit(p, z, m, cycle)
+                assert (got is None) == (want is None), (p, z, m)
+                if got is None:
+                    outcomes[None] += 1
+                    continue
+                norm = got[0] ** 2 - p * got[1] ** 2
+                assert norm == want[0] ** 2 - p * want[1] ** 2 and abs(norm) == m, (p, z, m)
+                outcomes[norm // m] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_kaplan_scan_high_window_matches_period_walk():
+    # every A2 d of the scan-high benchmark window: the same witness as a
+    # solve on the period walk, and the same three refusals
+    refused = {}
+    pairs = list(a2_pairs(10 ** 6, d_min=998001))
+    assert len(pairs) == 34
+    for p, q in pairs:
+        want = kaplan_reference(p, q, 10 ** 6, pairs_of=norm_rep_pairs_reference)
+        try:
+            got = solve_kaplan(p, q)
+        except NoSolutionInBound as exc:
+            refused[p * q] = str(exc)
+            got = None
+        assert got == want, (p, q)
+    assert refused == {
+        998409: "no Kaplan witness for (332803, 3) with |Y| <= 1000000, k <= 64",
+        998833: "no Kaplan witness for (90803, 11) with |Y| <= 1000000, k <= 64",
+        999849: "no Kaplan witness for (333283, 3) with |Y| <= 1000000, k <= 64",
+    }
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_solvers_refuse_non_positive_bound(bound):
+    for solve, args in ((solve_pell_rep, (89,)), (solve_kaplan, (11, 19)),
+                        (solve_legendre, (5, 19)), (enumerate_legendre_solutions, (5, 19))):
+        with pytest.raises(InvalidInput, match=f"bound must be >= 1, got {bound}"):
+            solve(*args, bound=bound)
 
 
 def test_legendre_worked_example():
