@@ -94,7 +94,11 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization {p: e} of 1 <= n < 2**40 by trial division + rho."""
+    """Prime factorization {p: e} of 1 <= n < 2**40 by trial division + rho.
+
+    Trial division runs to sqrt(n) or 2**16; only a cofactor left above
+    2**32 goes to is_prime and Pollard rho.
+    """
     if not 1 <= n < FACTOR_BOUND:
         raise InvalidInput(f"factorize defined for 1 <= n < 2**40, got {n}")
     fac = {}
@@ -115,7 +119,12 @@ def factorize(n: int) -> dict:
             fac[f] = e
         f += steps[i]
         i = (i + 1) % 8
-    stack = [n] if n > 1 else []
+    if f * f > n:
+        # no prime below sqrt(n) divides n, so n is 1 or a prime
+        if n > 1:
+            fac[n] = 1
+        return fac
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:

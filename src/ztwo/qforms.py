@@ -9,9 +9,11 @@ subexponential shortcuts anywhere: every class number is a form count.
 Composition follows Cohen, A Course in Computational Algebraic Number
 Theory, Algorithm 5.4.7; on f == g it performs the steps of duplication,
 Algorithm 5.4.8, so squaring has no separate kernel.  It ends in the one
-reduction loop that reduce_form also runs.  The structure
-path composes plain (a, b, c) tuples; the public functions check their
-input and return FormClass.
+reduction loop that reduce_form also runs.  The structure builder
+enumerates and composes plain (a, b, c) tuples (_reduced_forms, _compose,
+_pow); the public functions check their input and return FormClass.
+Enumeration lifts the roots of a quadratic congruence over a sieve and
+skips every multiple of a prime power that has none.
 """
 
 from dataclasses import dataclass
@@ -247,20 +249,27 @@ def form_pow(f, e: int) -> FormClass:
 # ---------------------------------------------------------------------------
 
 def reduced_forms(D) -> list:
-    """All reduced primitive forms of discriminant D < 0, D = 0 or 1 (mod 4), sorted.
+    """All reduced primitive forms of discriminant D < 0, D = 0 or 1 (mod 4),
+    sorted, as FormClass; the checked face of _reduced_forms.
 
     With delta = D mod 2 and b = 2t + delta, (b**2 - D)/4 = t**2 + delta*t + N
     for N = (delta - D)/4, so a form with first coefficient a needs a root t
     mod a of that quadratic, and each root gives one b in (-a, a].  Root
     lists for a = 2 .. sqrt(|D|/3) grow over a smallest-prime-factor sieve:
     Tonelli-Shanks at a prime p not dividing 2D, a p-digit lift from a/p at
-    p = 2, at p | D and at prime powers, and CRT at every other a.
+    p = 2, at p | D and at prime powers, and CRT at every other a.  A prime
+    power with no root rules out all its multiples, which are skipped.
     """
     D = _as_disc(D)
     if D >= 0:
         raise IndefiniteForm(f"need D < 0, got {D}")
     if D % 4 > 1:
         raise InvalidInput(f"{D} = {D % 4} (mod 4) is not a discriminant")
+    return [FormClass(*f) for f in _reduced_forms(D)]
+
+
+def _reduced_forms(D: int) -> list:
+    # reduced_forms as sorted plain (a, b, c) tuples, for D < 0, D = 0, 1 (mod 4); unchecked
     delta = D % 2
     N = (delta - D) // 4
     top = isqrt(-D // 3)
@@ -270,52 +279,61 @@ def reduced_forms(D) -> list:
             for m in range(p * p, top + 1, p):
                 if spf[m] == m:
                     spf[m] = p
-    # roots[a]: every t in [0, a) with t*(t + delta) + N = 0 (mod a)
+    # roots[a]: every t in [0, a) with t*(t + delta) + N = 0 (mod a), for
+    # each a still alive; alive[a] == 0 once a prime power dividing a has
+    # no root, so a composite a that is alive has roots at both CRT factors
     roots = [None, [0]] + [None] * (top - 1)
-    out = [FormClass(1, delta, N)]
+    alive = bytearray(b"\x01") * (top + 1)
+    out = [(1, delta, N)]
     for a in range(2, top + 1):
+        if not alive[a]:
+            continue
         p = spf[a]
         m, pk = a, 1
         while m % p == 0:
             m //= p
             pk *= p
         if m > 1:
-            ts = []
-            if roots[m] and roots[pk]:
-                inv = pow(m, -1, pk)
-                ts = [r + m * ((z - r) * inv % pk) for r in roots[m] for z in roots[pk]]
-        elif a == p > 2 and D % p:
-            try:
-                s = _sqrt_mod_prime(D, p)
-            except NotQuadraticResidue:
-                ts = []
-            else:
-                half = (p + 1) // 2  # 1/2 mod p
-                ts = [(s - delta) * half % p, (-s - delta) * half % p]
+            inv = pow(m, -1, pk)
+            ts = [r + m * ((z - r) * inv % pk) for r in roots[m] for z in roots[pk]]
         else:
-            step = a // p
-            ts = [z for r in roots[step] for z in range(r, a, step) if (z * (z + delta) + N) % a == 0]
+            if a == p > 2 and D % p:
+                try:
+                    s = _sqrt_mod_prime(D, p)
+                except NotQuadraticResidue:
+                    ts = []
+                else:
+                    half = (p + 1) // 2  # 1/2 mod p
+                    ts = [(s - delta) * half % p, (-s - delta) * half % p]
+            else:
+                step = a // p
+                ts = [z for r in roots[step] for z in range(r, a, step) if (z * (z + delta) + N) % a == 0]
+            if not ts:
+                alive[a::a] = bytes(top // a)
+                continue
         roots[a] = ts
         for t in ts:
             b = (2 * t + delta) % (2 * a)
             if b > a:
                 b -= 2 * a
             c = (b * b - D) // (4 * a)
-            if (c > a or c == a and b >= 0) and gcd(gcd(a, b), c) == 1:
-                out.append(FormClass(a, b, c))
+            if (c > a or c == a and b >= 0) and gcd(a, b, c) == 1:
+                out.append((a, b, c))
     out.sort()
     return out
 
 
 def _sylow_subgroup(forms, ident, p, size):
-    """The Sylow p-subgroup as a set, by powering candidate forms.
+    """The Sylow p-subgroup as a set, and the generators it took, in order.
 
     x -> x**(h / p**e) maps the group onto its Sylow p-part, so scanning
     the full form list is guaranteed to generate it; in practice the first
-    few candidates already do.
+    few candidates already do.  Each generator lies outside the subgroup
+    of the ones before it.
     """
     cofactor = len(forms) // size
     sylow = {ident}
+    gens = []
     for f in forms:
         if len(sylow) == size:
             break
@@ -324,15 +342,19 @@ def _sylow_subgroup(forms, ident, p, size):
         y = _pow(f, cofactor)
         if y in sylow:
             continue
+        gens.append(y)
+        # the cosets sylow * y**k until y**k falls back into sylow
+        rest = [s for s in sylow if s != ident]
         grown = set(sylow)
         step = y
         while step not in sylow:
-            grown.update(_compose(s, step) for s in sylow)
+            grown.add(step)
+            grown.update(_compose(s, step) for s in rest)
             step = _compose(step, y)
         sylow = grown
     if len(sylow) != size:
         raise AssertionError(f"Sylow closure reached {len(sylow)}, wanted {size}")
-    return sylow
+    return sylow, gens
 
 
 def _sylow_partition(sylow, ident, p, e):
@@ -383,8 +405,14 @@ def _structure_from_forms(D, forms) -> tuple:
                 raise AssertionError(f"no element of order {p} among {h} forms")
             partitions[p] = [1]
             continue
-        sylow = _sylow_subgroup(forms, ident, p, p ** e)
-        partitions[p] = _sylow_partition(sylow, ident, p, e)
+        sylow, gens = _sylow_subgroup(forms, ident, p, p ** e)
+        # the subgroups of a cyclic p-group form a chain, so each generator's
+        # powers hold the ones before it: the group is cyclic iff the last
+        # generator has order p**e, which a lone generator has by the count
+        if len(gens) == 1 or _pow(gens[-1], p ** (e - 1)) != ident:
+            partitions[p] = [e]
+        else:
+            partitions[p] = _sylow_partition(sylow, ident, p, e)
     width = max(len(v) for v in partitions.values())
     chain = []
     for j in range(width):
@@ -399,7 +427,7 @@ def _structure_from_forms(D, forms) -> tuple:
 
 def _structure_of(D: Discriminant) -> ClassGroupStructure:
     # the one builder behind class_group and class_group_sweep
-    forms = reduced_forms(D.D)
+    forms = _reduced_forms(D.D)
     return ClassGroupStructure.from_chain(D, len(forms), _structure_from_forms(D.D, forms))
 
 

@@ -64,6 +64,40 @@ def test_factorize_pollard_rho_path():
     assert factor_squarefree(p * q).factors == (p, q)
 
 
+def test_factorize_proves_primes_by_trial_division_or_by_is_prime(monkeypatch):
+    from ztwo import arith
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    # a cofactor below the square of the last trial divisor is prime unchecked
+    for n, fac in [(4294967291, {4294967291: 1}),            # largest prime < 2**32
+                   (4294967311, {4294967311: 1}),            # smallest prime > 2**32
+                   (3 * 5 * 65521, {3: 1, 5: 1, 65521: 1}),
+                   (7 ** 2 * 1000003, {7: 2, 1000003: 1})]:
+        assert factorize(n) == fac
+        assert calls == [], n
+    # past the trial limit with f*f <= n the cofactor goes to is_prime and rho
+    for n, fac in [(65537 * 65539, {65537: 1, 65539: 1}),
+                   (65537 ** 2, {65537: 2}),
+                   (8589934609, {8589934609: 1})]:           # smallest prime > 2**33
+        calls.clear()
+        assert factorize(n) == fac
+        assert calls and calls[0] > 1 << 32, n
+
+
+def test_factorize_agrees_with_trial_division_to_ten_thousand():
+    for n in range(1, 10001):
+        fac, m, f = {}, n, 2
+        while f * f <= m:
+            while m % f == 0:
+                fac[f] = fac.get(f, 0) + 1
+                m //= f
+            f += 1
+        if m > 1:
+            fac[m] = fac.get(m, 0) + 1
+        assert factorize(n) == fac, n
+
+
 def test_oddsquarefree_validates():
     with pytest.raises(InvalidInput):
         OddSquarefree(15, (3,))

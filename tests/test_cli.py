@@ -269,6 +269,13 @@ def test_non_positive_bound_is_invalid_input(capsys, argv, bound):
     assert err == f"error: bound must be >= 1, got {bound}\n"
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_scan_rows_refuses_a_non_positive_bound(bound):
+    # the library generator refuses too, rather than writing "skipped" rows
+    with pytest.raises(InvalidInput, match=f"bound must be >= 1, got {bound}"):
+        next(cli.scan_rows(3, 300, bound=bound))
+
+
 @pytest.mark.parametrize("fmt, sha1", [
     ("csv", "6d4394b87916d77228a157db9368e0247c0db633"),
     ("json", "e8fd9b6851c4ddc09c27ca73c84c82368899bf95"),

@@ -407,6 +407,30 @@ def test_forged_form_list_trips_the_order_check():
         qforms._structure_from_forms(-23, [principal_form(-23)] * 3)
 
 
+def test_cyclic_sylow_shortcut_matches_the_partition():
+    # the builder reads [e] off the closure's generators; the x -> x**p
+    # table of _sylow_partition must agree on every Sylow subgroup, e >= 2
+    lone = cyclic = 0
+    for D in range(-3, -5001, -1):
+        if not is_fundamental_discriminant(D):
+            continue
+        forms = qforms._reduced_forms(D)
+        ident = tuple(principal_form(D))
+        for p, e in qforms.factorize(len(forms)).items():
+            if e < 2:
+                continue
+            sylow, gens = qforms._sylow_subgroup(forms, ident, p, p ** e)
+            partition = qforms._sylow_partition(sylow, ident, p, e)
+            if len(gens) == 1:
+                lone += 1
+                assert partition == [e], (D, p)
+            # and so must the general rule: cyclic iff the last generator has order p**e
+            full_order = qforms._pow(gens[-1], p ** (e - 1)) != ident
+            cyclic += partition == [e]
+            assert (partition == [e]) == full_order, (D, p)
+    assert lone and cyclic > lone
+
+
 def test_reduced_forms_refuses_non_discriminants():
     for D in (-1, -2, -5, -6):                    # D = 2, 3 (mod 4)
         with pytest.raises(InvalidInput):
