@@ -19,6 +19,20 @@ FACTOR_BOUND = 1 << 40
 # which covers the full 2**64 input range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# (bound, k): the first k witnesses prove every n below bound (Jaeschke,
+# Math. Comp. 61, 1993); each bound is the least strong pseudoprime to
+# those k witnesses.
+_MR_PREFIXES = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+)
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _TRIAL_LIMIT = 1 << 16
@@ -52,18 +66,25 @@ class OddSquarefree:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for 1 < n < 2**64."""
+    """Deterministic primality test, exact for 1 < n < 2**64.
+
+    Trial division by the primes to 47, then Miller-Rabin with the
+    shortest witness prefix proven for n (_MR_PREFIXES).
+    """
     if not 1 < n < PRIMALITY_BOUND:
         raise InvalidInput(f"is_prime defined for 1 < n < 2**64, got {n}")
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 47 * 47:  # a composite below 47**2 has a prime factor below 47
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    witnesses = next((_MR_WITNESSES[:k] for bound, k in _MR_PREFIXES if n < bound), _MR_WITNESSES)
+    for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -163,14 +184,31 @@ def modpow(base: int, exp: int, modulus: int) -> int:
 
 
 def _sqrt_mod_prime(n, p):
-    """A square root of n modulo an odd prime p (Tonelli-Shanks)."""
+    """A square root of n modulo an odd prime p; NotQuadraticResidue if none."""
+    r = _sqrt_mod_prime_or_none(n, p)
+    if r is None:
+        raise NotQuadraticResidue(f"{n % p} is not a square modulo {p}")
+    return r
+
+
+def _sqrt_mod_prime_or_none(n, p):
+    # a square root of n modulo an odd prime p, or None when n is a
+    # non-residue; residuosity and root come from one pass: one pow and a
+    # check at p = 3 (mod 4), Atkin's formula and a check at p = 5 (mod 8),
+    # Euler's criterion then Tonelli-Shanks at p = 1 (mod 8)
     n %= p
     if n == 0:
         return 0
-    if pow(n, (p - 1) // 2, p) != 1:  # Euler's criterion
-        raise NotQuadraticResidue(f"{n} is not a square modulo {p}")
     if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
+        r = pow(n, (p + 1) // 4, p)
+        return r if r * r % p == n else None
+    if p % 8 == 5:
+        # v = (2n)**((p-5)/8) makes i = 2n v**2 a square root of -1 for a residue n
+        v = pow(2 * n, (p - 5) // 8, p)
+        r = n * v * (2 * n * v * v - 1) % p
+        return r if r * r % p == n else None
+    if pow(n, (p - 1) // 2, p) != 1:  # Euler's criterion
+        return None
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2

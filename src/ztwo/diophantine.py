@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt, prod
 
-from .arith import _sqrt_mod_prime, factorize, is_prime
+from .arith import _sqrt_mod_prime, _sqrt_mod_prime_or_none, factorize, is_prime
 from .errors import (
     BadPrimeClass,
     InvalidInput,
     NoRepresentationInBound,
     NoSolutionInBound,
-    NotQuadraticResidue,
     PrecondViolated,
 )
 from .symbols import jacobi, quartic_residue
@@ -151,9 +150,8 @@ def solve_pell_rep(p: int, bound: int = DEFAULT_BOUND) -> PellRepresentation:
 def _sqrt_mod_prime_power(a, ell, e):
     """Every z in [0, ell**e) with z**2 = a (mod ell**e), ell prime."""
     if ell > 2 and a % ell:
-        try:
-            z = _sqrt_mod_prime(a, ell)
-        except NotQuadraticResidue:
+        z = _sqrt_mod_prime_or_none(a, ell)
+        if z is None:
             return []
         mod = ell
         for _ in range(e - 1):  # Hensel: a simple root lifts uniquely
@@ -263,7 +261,7 @@ def _unit_orbit(s, Y, p, unit, y_bound):
     return found
 
 
-def _norm_rep_pairs(p, factors, y_bound, principal):
+def _norm_rep_pairs(p, factors, y_bound, principal, decided=None):
     """Every (Y, s) with s**2 - p Y**2 = N, s > 0 and 1 <= Y <= y_bound,
     Y ascending.
 
@@ -276,14 +274,20 @@ def _norm_rep_pairs(p, factors, y_bound, principal):
     x = z y (mod m).  The principal cycle is walked once per p; each class
     costs an O(log p) reduction and a lookup in it (_cycle_norm_hit),
     which gives a member of the class or shows it empty: a hit of norm -m
-    means no solution, since Z[sqrt p] has no unit of norm -1.
+    means no solution, since Z[sqrt p] has no unit of norm -1.  decided
+    maps each class (z, m) to its lookup; a caller that shares it across
+    several N for one p decides each class once.
     """
     unit, cycle = principal
+    if decided is None:
+        decided = {}
     found = set()
     for f, rest in _square_divisors(factors):
         m = prod(ell ** e for ell, e in rest.items())
         for z in _sqrt_mod(p, rest):
-            hit = _cycle_norm_hit(p, z, m, cycle)
+            if (z, m) not in decided:
+                decided[z, m] = _cycle_norm_hit(p, z, m, cycle)
+            hit = decided[z, m]
             if hit is None:
                 continue
             x, y = hit
@@ -313,13 +317,14 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
     if jacobi(p, q) != 1:
         raise PrecondViolated(f"need (p/q) = +1; order the pair so it holds")
     principal = _principal_cycle(p)
+    decided = {}  # (z, m) -> cycle lookup, shared by every k
     for k in range(1, KAPLAN_K_MAX + 1):
         k2 = k * k
         two_k2 = Counter({ell: 2 * e for ell, e in factorize(k).items()}) + Counter({2: 1})
         ls = _sqrt_mod(p, two_k2)
         if not ls:
             continue
-        pairs = _norm_rep_pairs(p, two_k2 + Counter({q: 1}), bound, principal)
+        pairs = _norm_rep_pairs(p, two_k2 + Counter({q: 1}), bound, principal, decided)
         for l in ls:
             m = (l * l - p) // (2 * k2)
             for abs_y, s in pairs:

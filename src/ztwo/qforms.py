@@ -10,23 +10,25 @@ Composition follows Cohen, A Course in Computational Algebraic Number
 Theory, Algorithm 5.4.7; on f == g it performs the steps of duplication,
 Algorithm 5.4.8, so squaring has no separate kernel.  It ends in the one
 reduction loop that reduce_form also runs.  The structure builder
-enumerates and composes plain (a, b, c) tuples (_reduced_forms, _compose,
-_pow); the public functions check their input and return FormClass.
-Enumeration lifts the roots of a quadratic congruence over a sieve and
-skips every multiple of a prime power that has none.
+composes plain (a, b, c) tuples (_compose, _pow); the public functions
+check their input and return FormClass.  Enumeration lifts the roots of a
+quadratic congruence over a sieve (_roots) and skips every multiple of a
+prime power that has none; each root yields at most one reduced form
+(_forms).  class_group counts its forms from those root lists, testing
+only the roots that can fail, and builds just the forms its generator
+scans reach (_FormList).
 """
 
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .arith import _sqrt_mod_prime, factorize, is_squarefree
+from .arith import _sqrt_mod_prime_or_none, factorize, is_squarefree
 from .errors import (
     EnumerationBoundExceeded,
     IndefiniteForm,
     InvalidInput,
     MismatchedDiscriminant,
-    NotQuadraticResidue,
     NotSquarefree,
 )
 
@@ -255,10 +257,12 @@ def reduced_forms(D) -> list:
     With delta = D mod 2 and b = 2t + delta, (b**2 - D)/4 = t**2 + delta*t + N
     for N = (delta - D)/4, so a form with first coefficient a needs a root t
     mod a of that quadratic, and each root gives one b in (-a, a].  Root
-    lists for a = 2 .. sqrt(|D|/3) grow over a smallest-prime-factor sieve:
-    Tonelli-Shanks at a prime p not dividing 2D, a p-digit lift from a/p at
-    p = 2, at p | D and at prime powers, and CRT at every other a.  A prime
-    power with no root rules out all its multiples, which are skipped.
+    lists for a = 2 .. sqrt(|D|/3) grow over a smallest-prime-factor sieve
+    (_roots): a one-pass square root at a prime p not dividing 2D, a p-digit
+    lift from a/p at p = 2, at p | D and at prime powers, and CRT at every
+    other a.  A prime power with no root rules out all its multiples, which
+    are skipped.  class_group counts its forms from the same root lists and
+    builds only the ones its generator scans reach (_FormList).
     """
     D = _as_disc(D)
     if D >= 0:
@@ -270,6 +274,14 @@ def reduced_forms(D) -> list:
 
 def _reduced_forms(D: int) -> list:
     # reduced_forms as sorted plain (a, b, c) tuples, for D < 0, D = 0, 1 (mod 4); unchecked
+    return sorted(_forms(D, _roots(D)))
+
+
+def _roots(D: int) -> list:
+    # roots[a]: every t in [0, a) with t*(t + delta) + N = 0 (mod a), for
+    # 1 <= a <= sqrt(|D|/3), D < 0, D = 0, 1 (mod 4); None for an a with no
+    # root.  alive[a] == 0 once a prime power dividing a has no root, so a
+    # composite a that is alive has roots at both CRT factors.
     delta = D % 2
     N = (delta - D) // 4
     top = isqrt(-D // 3)
@@ -279,12 +291,8 @@ def _reduced_forms(D: int) -> list:
             for m in range(p * p, top + 1, p):
                 if spf[m] == m:
                     spf[m] = p
-    # roots[a]: every t in [0, a) with t*(t + delta) + N = 0 (mod a), for
-    # each a still alive; alive[a] == 0 once a prime power dividing a has
-    # no root, so a composite a that is alive has roots at both CRT factors
     roots = [None, [0]] + [None] * (top - 1)
     alive = bytearray(b"\x01") * (top + 1)
-    out = [(1, delta, N)]
     for a in range(2, top + 1):
         if not alive[a]:
             continue
@@ -295,32 +303,58 @@ def _reduced_forms(D: int) -> list:
             pk *= p
         if m > 1:
             inv = pow(m, -1, pk)
-            ts = [r + m * ((z - r) * inv % pk) for r in roots[m] for z in roots[pk]]
+            roots[a] = [r + m * ((z - r) * inv % pk) for r in roots[m] for z in roots[pk]]
+            continue
+        if a == p > 2 and D % p:
+            s = _sqrt_mod_prime_or_none(D, p)
+            half = (p + 1) // 2  # 1/2 mod p
+            ts = [] if s is None else [(s - delta) * half % p, (-s - delta) * half % p]
         else:
-            if a == p > 2 and D % p:
-                try:
-                    s = _sqrt_mod_prime(D, p)
-                except NotQuadraticResidue:
-                    ts = []
-                else:
-                    half = (p + 1) // 2  # 1/2 mod p
-                    ts = [(s - delta) * half % p, (-s - delta) * half % p]
-            else:
-                step = a // p
-                ts = [z for r in roots[step] for z in range(r, a, step) if (z * (z + delta) + N) % a == 0]
-            if not ts:
-                alive[a::a] = bytes(top // a)
-                continue
-        roots[a] = ts
-        for t in ts:
+            step = a // p
+            ts = [z for r in roots[step] for z in range(r, a, step) if (z * (z + delta) + N) % a == 0]
+        if ts:
+            roots[a] = ts
+        else:
+            alive[a::a] = bytes(top // a)
+    return roots
+
+
+def _forms(D: int, roots: list, start: int = 1):
+    # the reduced primitive (a, b, c) with a >= start, ascending in a, one
+    # per root in roots = _roots(D) that passes the tests
+    delta = D % 2
+    for a in range(start, len(roots)):
+        for t in roots[a] or ():
             b = (2 * t + delta) % (2 * a)
             if b > a:
                 b -= 2 * a
             c = (b * b - D) // (4 * a)
             if (c > a or c == a and b >= 0) and gcd(a, b, c) == 1:
-                out.append((a, b, c))
-    out.sort()
-    return out
+                yield a, b, c
+
+
+class _FormList:
+    """The reduced forms of a fundamental discriminant, counted from their
+    root lists and built anew, ascending in a, on each scan.
+
+    Every root with 4a**2 < |D| gives a reduced form, since then
+    c = (b**2 - D)/4a > a, and a primitive one, since every form of a
+    fundamental discriminant is primitive; only the roots with
+    4a**2 >= |D| are tested one by one.
+    """
+
+    def __init__(self, D: Discriminant):
+        self.D = D.D
+        self.roots = _roots(self.D)
+        split = (isqrt(-self.D - 1) + 2) // 2  # the least a with 4a**2 >= |D|
+        self.h = sum(len(ts) for ts in self.roots[:split] if ts)
+        self.h += sum(1 for _ in _forms(self.D, self.roots, split))
+
+    def __len__(self):
+        return self.h
+
+    def __iter__(self):
+        return _forms(self.D, self.roots)
 
 
 def _sylow_subgroup(forms, ident, p, size):
@@ -391,7 +425,11 @@ def _sylow_partition(sylow, ident, p, e):
 
 
 def _structure_from_forms(D, forms) -> tuple:
-    """Ascending elementary-divisor chain of the composition group."""
+    """Ascending elementary-divisor chain of the composition group.
+
+    forms is sized and may be scanned more than once: a list, or the
+    _FormList that the builder passes.
+    """
     h = len(forms)
     if h == 1:
         return ()
@@ -427,7 +465,7 @@ def _structure_from_forms(D, forms) -> tuple:
 
 def _structure_of(D: Discriminant) -> ClassGroupStructure:
     # the one builder behind class_group and class_group_sweep
-    forms = _reduced_forms(D.D)
+    forms = _FormList(D)
     return ClassGroupStructure.from_chain(D, len(forms), _structure_from_forms(D.D, forms))
 
 

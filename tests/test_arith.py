@@ -28,6 +28,35 @@ def test_is_prime_agrees_with_sieve_to_one_million():
     assert all(is_prime(n) == bool(sieve[n]) for n in range(2, limit))
 
 
+def is_strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 1 << i, n) == n - 1 for i in range(s))
+
+
+# Jaeschke's bounds: the first k prime witnesses prove every n below bound,
+# and bound itself is a composite strong pseudoprime to those k witnesses
+WITNESS_PREFIX_BOUNDS = [
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+]
+
+
+@pytest.mark.parametrize("bound, k", WITNESS_PREFIX_BOUNDS)
+def test_is_prime_rejects_each_witness_prefix_bound(bound, k):
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23)[:k]
+    assert all(is_strong_probable_prime(bound, a) for a in witnesses)
+    assert not is_prime(bound)
+
+
 def test_factor_squarefree_examples():
     assert factor_squarefree(247).factors == (13, 19)
     assert factor_squarefree(3).factors == (3,)

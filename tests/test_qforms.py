@@ -447,6 +447,18 @@ def test_reduced_forms_matches_divisor_scan():
         assert reduced_forms(D) == divisor_scan_reduced_forms(D), D
 
 
+@pytest.mark.parametrize("top", [-10 ** 6, -8 * 10 ** 6])
+def test_counted_class_number_matches_the_form_list(top, monkeypatch):
+    # class_group counts the forms with 4a**2 < |D| from their root lists
+    # without testing them; reduced_forms tests every one.  Near these |D|
+    # most roots lie below that split.
+    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
+    window = [D for D in range(top, top - 500, -1) if is_fundamental_discriminant(D)]
+    assert len(window) > 100
+    for D in window:
+        assert class_group(D).h == len(reduced_forms(D)), D
+
+
 def test_class_group_of_a_large_discriminant():
     s = class_group(-400000136)
     assert s.h == 14788
