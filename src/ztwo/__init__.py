@@ -1,10 +1,11 @@
 """Exact 2-class groups along 2-power cyclotomic towers.
 
 Classify an odd squarefree d into one of the families with a closed
-layer-by-layer description, read the exponent r off an imaginary
-quadratic class group computed by exhaustive reduced-form enumeration,
-and emit exact group shapes and Iwasawa invariants for every layer of
-the towers over Q(sqrt(d), i) and Q(sqrt(-d)).
+layer-by-layer description, read the exponent r off a certified 2-Sylow
+basis of an imaginary quadratic class group, and emit exact group shapes
+and Iwasawa invariants for every layer of the towers over Q(sqrt(d), i)
+and Q(sqrt(-d)).  Full class groups come from exhaustive reduced-form
+enumeration.
 """
 
 from .arith import OddSquarefree, factor_squarefree, is_prime, modpow

@@ -3,27 +3,17 @@ witness, verify.
 
 Exit codes: 0 success, 1 invalid input, 2 no exact prediction for the
 family, 3 verification found violations.
-
-A persistent class-group cache can be supplied with --cache PATH or the
-ZTWO_CACHE environment variable: an append-only JSON-lines file, one
-record per discriminant.  A line is skipped with a warning unless it
-parses, has the right schema, a divisor chain whose product is h, and the
-2-rank genus theory predicts.
 """
 
 import argparse
 import json
-import os
 import sys
-from datetime import datetime, timezone
 
 from . import classifier, diophantine, qforms, symbols
 from .arith import factor_squarefree
 from .errors import InvalidInput, UnsupportedFamily, ZtwoError
-from .qforms import ClassGroupStructure
 
 SCHEMA = "ztwo/1"
-CACHE_ENV = "ZTWO_CACHE"
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -32,52 +22,6 @@ EXIT_VIOLATIONS = 3
 
 SCAN_COLUMNS = ("d", "tag", "p", "q", "r_oracle", "r_corollary",
                 "shape_L_n1", "shape_K_n1", "lambda", "nu_L", "nu_K")
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-def _cache_record(line):
-    """The structure one cache line holds; raises if the line is inconsistent."""
-    rec = json.loads(line)
-    s = ClassGroupStructure.from_chain(int(rec["D"]), int(rec["h"]), [int(x) for x in rec["divisors"]])
-    if rec["schema"] != SCHEMA or s.two_rank != qforms.genus_two_rank(s.D):
-        raise InvalidInput("record contradicts itself or genus theory")
-    return s
-
-
-def _load_cache(path):
-    """Seed the in-memory class-group memo from a JSON-lines cache file."""
-    if not path or not os.path.exists(path):
-        return
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                structure = _cache_record(line)
-            except (ValueError, KeyError, TypeError, OverflowError, ZtwoError):
-                print(f"warning: skipping corrupt cache line {lineno}", file=sys.stderr)
-                continue
-            qforms.CLASS_GROUP_MEMO.setdefault(structure.D.D, structure)
-
-
-def _flush_cache(path, baseline):
-    """Append records for discriminants computed during this command."""
-    if not path:
-        return
-    new = [D for D in qforms.CLASS_GROUP_MEMO if D not in baseline]
-    if not new:
-        return
-    stamp = datetime.now(timezone.utc).isoformat()
-    with open(path, "a", encoding="utf-8") as fh:
-        for D in sorted(new, reverse=True):
-            s = qforms.CLASS_GROUP_MEMO[D]
-            fh.write(json.dumps({"schema": SCHEMA, "D": D, "h": s.h,
-                                 "divisors": list(s.divisors),
-                                 "computed_at": stamp}) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +288,6 @@ def build_parser():
         description="Classify odd squarefree d and predict 2-class groups "
                     "along the 2-power cyclotomic towers over Q(sqrt(d), i) "
                     "and Q(sqrt(-d)).")
-    ap.add_argument("--cache", default=os.environ.get(CACHE_ENV),
-                    help="JSON-lines class-group cache file (env: ZTWO_CACHE)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="family tag of d with witnesses")
@@ -401,18 +343,14 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _load_cache(args.cache)
-    baseline = set(qforms.CLASS_GROUP_MEMO)
     try:
-        code = args.func(args)
+        return args.func(args)
     except UnsupportedFamily as exc:
         print(f"no exact prediction: {exc}", file=sys.stderr)
         return EXIT_NO_PREDICTION
     except ZtwoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _flush_cache(args.cache, baseline)
-    return code
 
 
 if __name__ == "__main__":

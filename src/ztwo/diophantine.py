@@ -149,6 +149,8 @@ def solve_pell_rep(p: int, bound: int = DEFAULT_BOUND) -> PellRepresentation:
 
 def _sqrt_mod_prime_power(a, ell, e):
     """Every z in [0, ell**e) with z**2 = a (mod ell**e), ell prime."""
+    if a % ell == 0 and e == 1:
+        return [0]
     if ell > 2 and a % ell:
         z = _sqrt_mod_prime_or_none(a, ell)
         if z is None:
@@ -158,9 +160,10 @@ def _sqrt_mod_prime_power(a, ell, e):
             mod *= ell
             z = (z - (z * z - a) * pow(2 * z, -1, mod)) % mod
         return [z, mod - z]
-    # ell = 2 or ell | a: lift one digit at a time, trying all ell of them,
-    # so this branch costs about ell steps per root and digit (solve_kaplan
-    # only meets ell | a = p when p | k, so there ell <= KAPLAN_K_MAX)
+    # ell = 2 or ell | a with e >= 2: lift one digit at a time, trying all
+    # ell of them, so this branch costs about ell steps per root and digit
+    # (solve_kaplan only meets ell | a = p when p | k, so there
+    # ell <= KAPLAN_K_MAX)
     roots, mod = [0], 1
     for _ in range(e):
         nxt = mod * ell
@@ -334,6 +337,61 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
                         if num % k2 == 0:
                             return KaplanParams(p, q, k, l, m, num // k2, Y)
     raise NoSolutionInBound(f"no Kaplan witness for ({p}, {q}) with |Y| <= {bound}, k <= {KAPLAN_K_MAX}")
+
+
+def _short_vector(n, r, k):
+    # a shortest nonzero (x, w) with x = r*w (mod n) under x**2 + k*w**2,
+    # n, k > 0: Lagrange-Gauss reduction of the basis (n, 0), (r, 1)
+    def norm(v):
+        return v[0] * v[0] + k * v[1] * v[1]
+
+    u, v = (n, 0), (r, 1)
+    if norm(u) < norm(v):
+        u, v = v, u
+    while True:
+        nv = norm(v)
+        m = (2 * (u[0] * v[0] + k * u[1] * v[1]) + nv) // (2 * nv)  # nearest integer
+        u = (u[0] - m * v[0], u[1] - m * v[1])
+        if norm(u) >= nv:
+            return v
+        u, v = v, u
+
+
+def _legendre_descent(A, fa, B, fb):
+    """A nonzero (X, Y, W) with X**2 = A*Y**2 + B*W**2, or None if none exists.
+
+    A and B are squarefree and fa, fb list the primes dividing them.
+    Lagrange's descent on a reduced lattice (Cremona and Rusin, Math.
+    Comp. 72, 2003): for |A| >= |B| and r**2 = B (mod A), a shortest
+    vector (X0, W0) of the lattice X = r W (mod A) under X**2 + |B| W**2
+    has X0**2 - B W0**2 = A Q with |Q| <= 1.16 sqrt|B| (Hermite's bound).
+    Norms from Q(sqrt B) multiply, so a solution for (Q0, B), Q0 the
+    squarefree part of Q, times X0 + W0 sqrt B solves the one for (A, B).
+    Each step shrinks |A| + |B|; the square roots modulo A come from its
+    known primes, and only the small Q is factored.
+    """
+    if A == 1:
+        return 1, 1, 0
+    if B == 1:
+        return 1, 0, 1
+    if abs(A) < abs(B):
+        sol = _legendre_descent(B, fb, A, fa)
+        return sol and (sol[0], sol[2], sol[1])
+    if A == -1:  # and B == -1: X**2 + Y**2 + W**2 = 0
+        return None
+    roots = _sqrt_mod(B, dict.fromkeys(fa, 1))
+    if not roots:
+        return None
+    X0, W0 = _short_vector(abs(A), roots[0], abs(B))
+    Q = (X0 * X0 - B * W0 * W0) // A
+    fq = factorize(abs(Q))
+    f = prod(ell ** (e // 2) for ell, e in fq.items())
+    Q0 = Q // (f * f)
+    sol = _legendre_descent(Q0, [ell for ell, e in fq.items() if e % 2], B, fb)
+    if sol is None:
+        return None
+    X1, Y1, W1 = sol
+    return X1 * X0 + B * W1 * W0, Q0 * f * Y1, X1 * W0 + W1 * X0
 
 
 def _check_legendre_preconds(p, q):

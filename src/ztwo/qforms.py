@@ -4,7 +4,8 @@ A form (a, b, c) stands for a*x**2 + b*x*y + c*y**2 of discriminant
 b**2 - 4*a*c < 0.  Reduced forms biject with ideal classes; Gauss
 composition realizes the group law; full enumeration plus order
 computation yields the exact elementary-divisor chain.  No analytic or
-subexponential shortcuts anywhere: every class number is a form count.
+subexponential shortcuts anywhere: every class number class_group
+reports is a form count.
 
 Composition follows Cohen, A Course in Computational Algebraic Number
 Theory, Algorithm 5.4.7; on f == g it performs the steps of duplication,
@@ -17,20 +18,29 @@ prime power that has none; each root yields at most one reduced form
 (_forms).  class_group counts its forms from those root lists, testing
 only the roots that can fail, and builds just the forms its generator
 scans reach (_FormList).
+
+two_sylow builds the 2-Sylow subgroup alone, counting no form: from the
+ambiguous classes of the known prime divisors of D it halves square
+classes (genus characters, then a square root from Lagrange's descent)
+until no product of its generators is a square, and check_two_sylow
+certifies the result independently of that construction.
 """
 
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .arith import _sqrt_mod_prime_or_none, factorize, is_squarefree
+from .arith import _sqrt_mod_prime_or_none, factorize, is_prime, is_squarefree
+from .diophantine import _legendre_descent
 from .errors import (
     EnumerationBoundExceeded,
     IndefiniteForm,
     InvalidInput,
     MismatchedDiscriminant,
     NotSquarefree,
+    PrecondViolated,
 )
+from .symbols import jacobi
 
 ENUMERATION_BOUND = 1 << 32
 
@@ -473,7 +483,11 @@ CLASS_GROUP_MEMO = {}  # D -> ClassGroupStructure; single writer at a time
 
 
 def class_group(D) -> ClassGroupStructure:
-    """Exact structure of Cl(D) for a fundamental discriminant, |D| <= 2**32."""
+    """Exact structure of Cl(D) for a fundamental discriminant, |D| <= 2**32.
+
+    Memoized in CLASS_GROUP_MEMO; the exponent r of the classifier reads
+    two_sylow instead and never this function.
+    """
     Dv = _as_disc(D)
     hit = CLASS_GROUP_MEMO.get(Dv)
     if hit is not None:
@@ -503,3 +517,167 @@ def class_group_sweep(limit: int):
         except InvalidInput:
             continue
         yield _structure_of(disc)
+
+
+# ---------------------------------------------------------------------------
+# the 2-Sylow subgroup by halving, and its certificate
+# ---------------------------------------------------------------------------
+
+def _check_primes(D: int, primes):
+    # PrecondViolated unless D < 0 is a fundamental discriminant and primes
+    # are exactly its prime divisors, ascending
+    m = _radicand(D)
+    n = -D
+    if m is not None and list(primes) == sorted(set(primes)):
+        for ell in primes:
+            if ell < 2 or n % ell or m % (ell * ell) == 0 or not is_prime(ell):
+                break
+            while n % ell == 0:
+                n //= ell
+        else:
+            if n == 1:
+                return
+    raise PrecondViolated(f"{list(primes)} are not the prime divisors of a fundamental discriminant {D}")
+
+
+def _subset_products(elems) -> list:
+    # (indices, product) for every nonempty subset of the reduced forms elems
+    out = []
+    for i, g in enumerate(elems):
+        out += [(S + (i,), _compose(f, g)) for S, f in out] + [((i,), g)]
+    return out
+
+
+def _is_square_class(f, odd_primes) -> bool:
+    # Gauss: a class is a square iff it lies in the principal genus, i.e.
+    # every assigned character is +1 on it.  The character of an odd prime
+    # l | D is (m/l) for any m prime to l that the form represents, a or c
+    # (l divides at most one of them, the form being primitive).  A
+    # fundamental D has at most one 2-adic character, and all characters
+    # multiply to 1 on a class, so the odd ones decide.
+    a, _, c = f
+    return all(jacobi(a if a % ell else c, ell) == 1 for ell in odd_primes)
+
+
+def _sqrt_class(D: int, primes, f) -> tuple:
+    # a reduced G with G**2 = f, for a reduced f = (a, b, c) in the principal
+    # genus.  Since 4a f(x, y) = (2ax + by)**2 - D y**2, a solution of
+    # X**2 = D Y**2 + a W**2 gives f(X - bY, 2aY) = (aW)**2; divided by
+    # their gcd g they properly represent z**2 with z = |aW|/g, and z is
+    # prime to D when D is fundamental.  Moving f to (z**2, B, C), the
+    # united form (z, B, zC) squares to it.
+    a, b, c = f
+    A = D
+    while A % 4 == 0:
+        A //= 4
+    fac = factorize(a)
+    s2 = prod(ell ** (e // 2) for ell, e in fac.items())
+    sol = _legendre_descent(A, [ell for ell in primes if A % ell == 0],
+                            a // (s2 * s2), [ell for ell, e in fac.items() if e % 2])
+    if sol is None:
+        raise PrecondViolated(f"{f} of discriminant {D} is not a square class")
+    s1 = isqrt(D // A)
+    X, Y, W = sol[0] * s1 * s2, sol[1] * s2, sol[2] * s1  # X**2 = D Y**2 + a W**2
+    x, y = X - b * Y, 2 * a * Y
+    g = gcd(x, y)
+    x, y = x // g, y // g
+    if y:
+        s = pow(x, -1, abs(y))
+        r = (x * s - 1) // y
+    else:  # Y = 0, so x = +-1
+        r, s = 0, x
+    z = abs(a * W) // g  # x*s - y*r = 1 moves f to (z**2, B, f(r, s))
+    B = 2 * a * x * r + b * (x * s + y * r) + 2 * c * y * s
+    root = _reduce(z, B, z * (a * r * r + b * r * s + c * s * s))
+    if _compose(root, root) != f:
+        raise PrecondViolated(f"no square root of {f} of discriminant {D} found")
+    return root
+
+
+def _halving_basis(D: int, primes) -> tuple:
+    """(basis, exps) of the 2-Sylow subgroup S of Cl(D), by halving.
+
+    The ambiguous classes of every prime divisor of D but the largest form
+    a basis of Cl[2] (the one relation among all of them involves every
+    odd prime).  While some nonempty product w of basis elements lies in
+    the principal genus, the factor of w of largest order gives way to a
+    square root of w, whose exponent is one higher; each step doubles the
+    subgroup H the basis spans, and none is left once H = S (Shanks, Math.
+    Comp. 25, 1971; Bosma and Stevenhagen, JTNB 8, 1996).  Unchecked:
+    two_sylow certifies the result.
+    """
+    odd = [ell for ell in primes if ell > 2]
+    basis = []
+    for ell in primes[:-1]:
+        b = 0 if D % (4 * ell) == 0 else ell
+        basis.append(_reduce(ell, b, (b * b - D) // (4 * ell)))
+    exps = [1] * len(basis)
+    while True:
+        w = next(((S, f) for S, f in _subset_products(basis) if _is_square_class(f, odd)), None)
+        if w is None:
+            return basis, exps
+        S, f = w
+        top = max(S, key=exps.__getitem__)
+        basis[top] = _sqrt_class(D, primes, f)
+        exps[top] += 1
+
+
+def check_two_sylow(D: int, primes, basis, exps):
+    """Certify that the reduced forms basis, of orders 2**exps, generate the
+    2-Sylow subgroup S of Cl(D) as a direct sum; PrecondViolated otherwise.
+
+    primes are the prime divisors of the fundamental discriminant D.  The
+    checks: the rank t is the genus 2-rank, each g_i has exact order
+    2**e_i, the socle elements g_i**(2**(e_i - 1)) are independent (so
+    H = <g_1..g_t> has order 2**sum(e_i) and H[2] = Cl[2]), and no nonempty
+    product of the g_i is in the principal genus.  Then H = S: otherwise
+    some s in S outside H has s**2 in H, and that square of Cl, not a
+    square in H as H[2] = S[2], puts such a product in the principal genus.
+    No form is counted and nothing the halving builder computed is reused.
+    """
+    _check_primes(D, primes)
+    _check_basis(D, primes, basis, exps)
+
+
+def _check_basis(D: int, primes, basis, exps):
+    # check_two_sylow for primes that _check_primes has passed
+    t = len(primes) - 1
+    if len(basis) != t or len(exps) != t:
+        raise PrecondViolated(f"Cl({D}) certificate has rank {len(basis)}, genus theory says {t}")
+    ident = tuple(principal_form(D))
+    socle = []
+    for g, e in zip(basis, exps):
+        a, b, c = g
+        # 2**e <= h < |D| bounds the squarings below
+        if not 1 <= e < (-D).bit_length() or a < 1 or b * b - 4 * a * c != D \
+                or gcd(a, b, c) != 1 or _reduce(a, b, c) != g:
+            raise PrecondViolated(f"{g} with exponent {e} is not a reduced class of Cl({D}) "
+                                  "of order 2**e")
+        u = _pow(g, 1 << (e - 1))
+        if u == ident or _compose(u, u) != ident:
+            raise PrecondViolated(f"{g} does not have order 2**{e} in Cl({D})")
+        socle.append(u)
+    if any(f == ident for _, f in _subset_products(socle)):
+        raise PrecondViolated(f"Cl({D}) certificate has a dependent socle")
+    odd = [ell for ell in primes if ell > 2]
+    for S, f in _subset_products(basis):
+        if _is_square_class(f, odd):
+            raise PrecondViolated(f"Cl({D}) certificate: the product of generators {list(S)} "
+                                  "is in the principal genus")
+
+
+def two_sylow(D: int, primes) -> tuple:
+    """(basis, exps): the 2-Sylow subgroup of Cl(D) is the direct sum of the
+    cyclic groups <g_i> of order 2**e_i, so h2(D) = 2**sum(exps).
+
+    D < 0 is a fundamental discriminant with the prime divisors primes
+    (ascending).  Built by halving (_halving_basis) in at most log2 |D|
+    steps, each a few compositions, a descent and factorizations of
+    numbers below sqrt|D|; D and primes are checked once, before the
+    build, and the basis is returned only after the remaining checks of
+    check_two_sylow pass.  A refusal raises PrecondViolated.
+    """
+    _check_primes(D, primes)
+    basis, exps = _halving_basis(D, tuple(primes))
+    _check_basis(D, primes, basis, exps)
+    return basis, exps

@@ -1,9 +1,9 @@
-import math
+import re
 
 import pytest
 
-from ztwo import classifier, qforms
-from ztwo.arith import factor_squarefree, is_squarefree
+from ztwo import classifier, diophantine, qforms
+from ztwo.arith import factor_squarefree, factorize, is_squarefree
 from ztwo.classifier import (
     Analysis,
     IwasawaInvariants,
@@ -20,8 +20,10 @@ from ztwo.classifier import (
     predict,
 )
 from ztwo.errors import (
+    EnumerationBoundExceeded,
     HypothesisNotMet,
     InvalidInput,
+    NoSolutionInBound,
     NotSquarefree,
     PrecondViolated,
     UnsupportedFamily,
@@ -124,29 +126,91 @@ def test_b_symbol_r_agrees_with_the_oracle():
 
 
 def test_oracle_checks_its_discriminant_once(monkeypatch):
-    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
     tag = classify(89)
     calls = []
+    check = qforms._check_primes
 
-    def counting_is_squarefree(n):
-        calls.append(n)
-        return is_squarefree(n)
-    monkeypatch.setattr(qforms, "is_squarefree", counting_is_squarefree)
+    def counting_check(D, primes):
+        calls.append((D, tuple(primes)))
+        return check(D, primes)
+    monkeypatch.setattr(qforms, "_check_primes", counting_check)
     assert exponent_r_oracle(tag) == 3
-    assert calls == [178]  # D = -712 = 4 * -178, checked once on a memo miss
+    assert calls == [(-712, (2, 89))]  # D = -8 * 89 and its primes, checked once
 
 
 def test_oracle_memo_hit_factors_nothing(monkeypatch):
-    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
+    # the oracle keeps no memo, and no call factors D, d or 2d: the primes
+    # come from the tag, and only the small coefficients of the descent
+    # are factored
     tag = classify(89)
-    calls = []
+    factored, squarefree = [], []
+
+    def counting_factorize(n):
+        factored.append(n)
+        return factorize(n)
 
     def counting_is_squarefree(n):
-        calls.append(n)
+        squarefree.append(n)
         return is_squarefree(n)
+    monkeypatch.setattr(qforms, "factorize", counting_factorize)
+    monkeypatch.setattr(diophantine, "factorize", counting_factorize)
     monkeypatch.setattr(qforms, "is_squarefree", counting_is_squarefree)
+    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
     assert exponent_r_oracle(tag) == exponent_r_oracle(tag) == 3
-    assert calls == [178]  # the second call is a memo hit
+    assert factored and not {712, 178, 89} & set(factored)
+    assert squarefree == [] and qforms.CLASS_GROUP_MEMO == {}
+
+
+def test_oracle_never_counts_forms(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("the oracle counted forms")
+    for name in ("class_group", "_roots", "_structure_of"):
+        monkeypatch.setattr(qforms, name, no_count)
+    rs = {tag.d.value: exponent_r_oracle(tag) for tag in classifier.classified(3, 3000)
+          if tag.tag in classifier.EXACT_FAMILIES}
+    assert (rs[89], rs[209], rs[247], rs[55], rs[95], rs[407]) == (3, 3, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("dmin, dmax", [(998001, 10 ** 6), (9999001, 10 ** 7), (99999001, 10 ** 8)])
+def test_oracle_matches_the_form_count_on_high_windows(dmin, dmax, monkeypatch):
+    # the scan-high window and the 1,000 d below 1e7 and 1e8: r from the
+    # certified 2-Sylow basis equals r from the counted class group
+    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
+    checked = 0
+    for tag in classifier.classified(dmin, dmax):
+        if tag.tag not in classifier.EXACT_FAMILIES:
+            continue
+        if tag.tag == "B":
+            h2 = qforms.class_group(-tag.d.value).h2
+            assert exponent_r_oracle(tag) == h2.bit_length(), tag.d
+        else:
+            h2 = qforms.class_group(-8 * tag.d.value).h2
+            assert exponent_r_oracle(tag) == h2.bit_length() - 1, tag.d
+        checked += 1
+    assert checked > 30
+
+
+def test_analyze_beyond_the_enumeration_bound():
+    # |D| > 2**32: the form count refuses, the certificate still gives an r
+    # that the corollary route confirms where its witness is found
+    agreed = 0
+    for tag in classifier.classified(2 ** 32 + 1, 2 ** 32 + 200):
+        if tag.tag not in classifier.EXACT_FAMILIES:
+            continue
+        D = -tag.d.value if tag.tag == "B" else -8 * tag.d.value
+        with pytest.raises(EnumerationBoundExceeded):
+            qforms.class_group(D)
+        r = analyze(tag).r
+        try:
+            assert exponent_r_corollary(tag).satisfied_by(r), tag.d
+        except NoSolutionInBound:
+            continue
+        agreed += 1
+    assert agreed >= 3
+    # near 1e11 the family-B symbols decide r whenever (p/q) = -1 or (q/p)_4 = +1
+    decided = [(t, classifier.b_symbol_r(*t.primes)) for t in classifier.classified(10 ** 11, 10 ** 11 + 200)
+               if t.tag == "B"]
+    assert [r for _, r in decided if r] and all(analyze(t).r == r for t, r in decided if r)
 
 
 def test_exponent_r_rejects_other_families():
@@ -223,34 +287,44 @@ def test_analyze_reads_r(d, r):
     assert analyze(tag) == Analysis(tag, r)
 
 
-def _forge(monkeypatch, D, chain):
-    structure = qforms.ClassGroupStructure.from_chain(D, math.prod(chain), chain)
-    monkeypatch.setitem(qforms.CLASS_GROUP_MEMO, D, structure)
+def _forge(monkeypatch, D, basis, exps):
+    # the halving builder hands a forged basis for D to the certificate check
+    build = qforms._halving_basis
+    monkeypatch.setattr(qforms, "_halving_basis",
+                        lambda D_, primes: (basis, exps) if D_ == D else build(D_, primes))
 
 
 def test_analyze_refuses_broken_a_precondition(monkeypatch):
-    _forge(monkeypatch, -712, [2])  # Cl(-2*89) really is Z/8
-    with pytest.raises(PrecondViolated, match="oracle r = 1 < 3 for an A-family"):
+    # Cl(-8*89) really is Z/8; its element of order 2 alone would give r = 1
+    _forge(monkeypatch, -712, [(2, 0, 89)], [1])
+    msg = "Cl(-712) certificate: the product of generators [0] is in the principal genus"
+    with pytest.raises(PrecondViolated, match=re.escape(msg)):
         analyze(classify(89))
     with pytest.raises(PrecondViolated):
         predict(89, 1, "L")
     (entry,) = cross_check(89).violations
-    assert (entry.d, entry.detail) == (89, "oracle r = 1 < 3 for an A-family")
+    assert (entry.d, entry.detail) == (89, msg)
+    # past the certificate, analyze still holds an A-family to r >= 3
+    monkeypatch.setattr(classifier, "two_sylow", lambda D, primes: ([(2, 0, 89)], [1]))
+    with pytest.raises(PrecondViolated, match="oracle r = 1 < 3 for an A-family"):
+        analyze(classify(89))
 
 
 def test_analyze_refuses_broken_b_precondition(monkeypatch):
-    _forge(monkeypatch, -247, [2, 2])  # Cl(-13*19) really is Z/2 x Z/3
-    with pytest.raises(PrecondViolated, match=r"Cl\(-247\) 2-part not cyclic: \(2, 2\)"):
+    # Cl(-13*19) really is Z/2 x Z/3; a certificate of a non-cyclic 2-part is refused
+    g = qforms._reduce(13, 13, 8)
+    _forge(monkeypatch, -247, [g, g], [1, 1])
+    msg = "Cl(-247) certificate has rank 2, genus theory says 1"
+    with pytest.raises(PrecondViolated, match=re.escape(msg)):
         analyze(classify(247))
     (entry,) = cross_check(250).violations
-    assert (entry.d, entry.detail) == (247, "Cl(-247) 2-part not cyclic: (2, 2)")
-
+    assert (entry.d, entry.detail) == (247, msg)
 
 
 def test_bad_layer_or_tower_is_refused_before_any_class_group(monkeypatch):
-    def no_class_group(D):
+    def no_two_sylow(D, primes):
         raise AssertionError(f"Cl({D}) built for a refused input")
-    monkeypatch.setattr(classifier, "class_group", no_class_group)
+    monkeypatch.setattr(classifier, "two_sylow", no_two_sylow)
     with pytest.raises(InvalidInput, match="layer index must be >= 1"):
         predict(89, 0, "L")
     with pytest.raises(InvalidInput, match="layer index must be <= 10000"):

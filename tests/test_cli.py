@@ -157,22 +157,6 @@ def test_verify_williams_suite(capsys):
     assert code == 0
 
 
-def test_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "cg.jsonl"
-    qforms.CLASS_GROUP_MEMO.pop(-71, None)
-    code, out1, _ = run(capsys, "--cache", str(cache), "classgroup", "-71")
-    assert code == 0
-    lines = cache.read_text().strip().splitlines()
-    recs = {json.loads(line)["D"]: json.loads(line) for line in lines}
-    assert -71 in recs and recs[-71]["h"] == 7
-    # second run must hit the cache and produce identical output
-    qforms.CLASS_GROUP_MEMO.pop(-71, None)
-    size_before = len(lines)
-    code, out2, _ = run(capsys, "--cache", str(cache), "classgroup", "-71")
-    assert out1 == out2
-    assert len(cache.read_text().strip().splitlines()) == size_before
-
-
 def test_json_serialization_roundtrips():
     import ztwo
     from ztwo import classifier
@@ -190,46 +174,24 @@ def test_json_serialization_roundtrips():
         (s.D.D, s.h, s.divisors, s.h2, s.two_rank)
 
 
-def test_cache_skips_corrupt_lines(tmp_path, capsys):
-    cache = tmp_path / "cg.jsonl"
-    cache.write_text('not json at all\n{"schema":"ztwo/1","D":-23,"h":3,"divisors":[3],"computed_at":"x"}\n')
-    qforms.CLASS_GROUP_MEMO.pop(-23, None)
-    code, out, err = run(capsys, "--cache", str(cache), "classgroup", "-23")
-    assert code == 0
-    assert "skipping corrupt cache line 1" in err
-    assert json.loads(cache.read_text().splitlines()[1])["h"] == 3
-
-
-@pytest.mark.parametrize("line", [
-    '{"schema":"ztwo/1","D":-23,"h":6,"divisors":[2,3]}',    # 2 does not divide 3
-    '{"schema":"ztwo/1","D":-23,"h":5,"divisors":[3]}',      # product 3 != h
-    '{"schema":"ztwo/1","D":-23,"h":1,"divisors":[1]}',      # divisor below 2
-    '{"schema":"ztwo/0","D":-23,"h":3,"divisors":[3]}',      # wrong schema
-    '{"schema":"ztwo/1","D":-23,"h":2,"divisors":[2]}',      # 2-rank 1, genus says 0
-    '{"schema":"ztwo/1","D":-24,"h":3,"divisors":[3]}',      # 2-rank 0, genus says 1
-    '{"schema":"ztwo/1","D":-12,"h":1,"divisors":[]}',       # not fundamental: 4 * -3
-    '{"schema":"ztwo/1","D":1e999,"h":3,"divisors":[3]}',    # D overflows int()
-], ids=["chain-not-dividing", "product-not-h", "divisor-below-2", "wrong-schema",
-        "two-rank-not-genus", "two-rank-below-genus", "not-fundamental", "D-overflows"])
-def test_cache_skips_inconsistent_records(tmp_path, capsys, monkeypatch, line):
-    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
-    cache = tmp_path / "cg.jsonl"
-    cache.write_text(line + "\n")
-    code, out, err = run(capsys, "--cache", str(cache), "classgroup", "-23")
-    assert code == 0
-    assert "skipping corrupt cache line 1" in err
-    assert out.startswith("D=-23 h=3 divisors=[3]")
-
-
-def test_cache_forged_consistent_record_is_refused(tmp_path, capsys, monkeypatch):
-    # passes every load check, but Cl(-712) of order 2 breaks r >= 3 for d = 89
-    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
-    cache = tmp_path / "cg.jsonl"
-    cache.write_text('{"schema":"ztwo/1","D":-712,"h":2,"divisors":[2]}\n')
-    code, out, err = run(capsys, "--cache", str(cache), "predict", "89", "--tower", "L")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "skipping" not in err
+def test_forged_two_sylow_basis_is_refused(capsys, monkeypatch):
+    # Cl(-8*177) is Z/2 x Z/8; a certificate of Z/2 x Z/4, its largest
+    # generator replaced by that generator's square, would give r = 3
+    primes = (2, 3, 59)
+    (g1, g2), exps = qforms.two_sylow(-1416, primes)
+    assert exps == [1, 3]
+    forged = [g1, qforms._compose(g2, g2)], [1, 2]
+    build = qforms._halving_basis
+    monkeypatch.setattr(qforms, "_halving_basis",
+                        lambda D, ps: forged if D == -1416 else build(D, ps))
+    code, out, err = run(capsys, "predict", "177", "--n", "1", "--tower", "K")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Cl(-1416) certificate: the product of generators")
+    code, out, _ = run(capsys, "scan", "--min", "177", "--max", "177")
+    assert (code, out.splitlines()[1]) == (0, "177,A2,3,59,skipped,,,,,,")
+    monkeypatch.setattr(qforms, "_halving_basis", build)
+    code, out, _ = run(capsys, "predict", "177", "--n", "1", "--tower", "K")
+    assert code == 0 and "shape=Z/2 x Z/16 r=4 (oracle)" in out
 
 
 def test_predict_layer_cap(capsys, monkeypatch):

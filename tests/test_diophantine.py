@@ -2,13 +2,14 @@ from math import isqrt, prod
 
 import pytest
 
-from ztwo.arith import _sqrt_mod_prime, factorize, is_prime
+from ztwo.arith import _sqrt_mod_prime, factorize, is_prime, is_squarefree
 from ztwo.classifier import classify
 from ztwo.diophantine import (
     KaplanParams,
     LegendreSolution,
     PellRepresentation,
     _cycle_norm_hit,
+    _legendre_descent,
     _norm_rep_pairs,
     _principal_cycle,
     _sqrt_mod,
@@ -28,6 +29,7 @@ from ztwo.errors import (
     NotSquarefree,
     PrecondViolated,
 )
+from ztwo.qforms import compose, is_fundamental_discriminant, reduced_forms
 
 
 def pell_oracle(p):
@@ -409,3 +411,67 @@ def test_legendre_validator():
         LegendreSolution(5, 19, 1, 2, 11)     # wrong identity
     with pytest.raises(InvalidInput):
         LegendreSolution(5, 19, 3, 6, 21)     # not coprime (and Z != 1 mod 4)
+
+
+# ---------------------------------------------------------------------------
+# Legendre's equation by descent
+# ---------------------------------------------------------------------------
+
+SQUAREFREE_30 = [m for m in range(-30, 31) if m and is_squarefree(abs(m))]
+
+
+def _descent(A, B):
+    return _legendre_descent(A, list(factorize(abs(A))), B, list(factorize(abs(B))))
+
+
+def test_legendre_descent_solves_or_finds_none():
+    # every squarefree |A|, |B| <= 30: a returned point is a nonzero solution
+    # of X**2 = A Y**2 + B W**2, and None comes exactly when a search of the
+    # box |Y|, |W| < 8 finds none (Holzer's bound puts a solution of any
+    # solvable equation of this size inside it)
+    solved = 0
+    for A in SQUAREFREE_30:
+        for B in SQUAREFREE_30:
+            sol = _descent(A, B)
+            boxed = any(v >= 0 and isqrt(v) ** 2 == v
+                        for Y in range(8) for W in range(8) if Y or W
+                        for v in [A * Y * Y + B * W * W])
+            assert (sol is not None) == boxed, (A, B)
+            if sol:
+                X, Y, W = sol
+                assert X * X == A * Y * Y + B * W * W and (Y, W) != (0, 0), (A, B, sol)
+                solved += 1
+    assert solved > 200
+
+
+def test_legendre_descent_agrees_with_sympy():
+    ldescent = pytest.importorskip("sympy.solvers.diophantine.diophantine").ldescent
+    small = [m for m in SQUAREFREE_30 if abs(m) <= 20]
+    for A in small:
+        for B in small:
+            try:
+                theirs = ldescent(A, B)  # assumes a solution exists; fails or gives None otherwise
+            except (TypeError, ValueError):
+                theirs = None
+            assert (_descent(A, B) is None) == (theirs is None), (A, B)
+            if theirs is not None:
+                w, x, y = theirs
+                assert w * w == A * x * x + B * y * y
+
+
+def test_legendre_descent_at_class_group_size():
+    # A is the squarefree part of a discriminant D near -8e6 and B that of
+    # the first coefficient of a square class of D: a square class
+    # represents a square prime to D, so every equation has a point
+    D = next(D for D in range(-8 * 10 ** 6, -8 * 10 ** 6 - 800, -8) if is_fundamental_discriminant(D))
+    A = D // 4
+    fa = list(factorize(-A))
+    for f in reduced_forms(D)[:60]:
+        a = compose(f, f).a
+        fac = factorize(a)
+        s = prod(ell ** (e // 2) for ell, e in fac.items())
+        B = a // (s * s)
+        sol = _legendre_descent(A, fa, B, [ell for ell, e in fac.items() if e % 2])
+        assert sol is not None, (D, f)
+        X, Y, W = sol
+        assert X * X == A * Y * Y + B * W * W and (Y, W) != (0, 0), (D, f)

@@ -4,17 +4,20 @@ from math import gcd, isqrt
 import pytest
 
 from ztwo import qforms
+from ztwo.arith import factorize
 from ztwo.errors import (
     EnumerationBoundExceeded,
     IndefiniteForm,
     InvalidInput,
     MismatchedDiscriminant,
     NotSquarefree,
+    PrecondViolated,
 )
 from ztwo.qforms import (
     ClassGroupStructure,
     Discriminant,
     FormClass,
+    check_two_sylow,
     class_group,
     class_group_sweep,
     compose,
@@ -26,6 +29,7 @@ from ztwo.qforms import (
     principal_form,
     reduce_form,
     reduced_forms,
+    two_sylow,
 )
 from ztwo.symbols import jacobi
 
@@ -474,3 +478,74 @@ def test_class_number_formula():
         h, rem = divmod(total, 2 - kronecker(D, 2))
         assert rem == 0, D
         assert h == class_group(D).h, D
+
+
+# ---------------------------------------------------------------------------
+# the 2-Sylow certificate
+# ---------------------------------------------------------------------------
+
+def test_two_sylow_matches_the_form_count_to_30000():
+    # every fundamental |D| <= 30000: 2**sum(exps) is the 2-part of the form
+    # count that class_group's h comes from, and the certificate with its
+    # largest generator replaced by that generator's square, one exponent
+    # lower, is refused
+    forged = 0
+    for D in range(-3, -30001, -1):
+        if not is_fundamental_discriminant(D):
+            continue
+        primes = sorted(factorize(-D))
+        basis, exps = two_sylow(D, primes)
+        h = len(qforms._FormList(Discriminant(D)))
+        assert 2 ** sum(exps) == h & -h, D
+        if exps and max(exps) >= 2:
+            i = exps.index(max(exps))
+            fake = list(basis)
+            fake[i] = qforms._compose(basis[i], basis[i])
+            with pytest.raises(PrecondViolated):
+                check_two_sylow(D, primes, fake, exps[:i] + [exps[i] - 1] + exps[i + 1:])
+            forged += 1
+    assert forged == 3675
+
+
+def test_two_sylow_exponents_match_the_chain_to_5000():
+    # the cyclic factors themselves: 2**e_i are the 2-parts of the chain
+    for s in class_group_sweep(5000):
+        _, exps = two_sylow(s.D.D, sorted(factorize(-s.D.D)))
+        assert sorted(2 ** e for e in exps) == sorted(d & -d for d in s.divisors if d % 2 == 0), s
+
+
+def test_check_two_sylow_refuses_forged_certificates(monkeypatch):
+    # Cl(-1416) = Z/2 x Z/8; each forgery below is refused
+    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
+    D, primes = -1416, [2, 3, 59]
+    assert class_group(D).divisors == (2, 8)
+    (g1, g2), exps = two_sylow(D, primes)
+    assert exps == [1, 3]
+    check_two_sylow(D, primes, [g1, g2], exps)
+    ident = tuple(principal_form(D))
+    a, b, c = g2
+    forgeries = {
+        "Z/2 x Z/4, the largest generator squared": (D, primes, [g1, qforms._compose(g2, g2)], [1, 2]),
+        "a generator dropped": (D, primes, [g2], [3]),
+        "an exponent too high": (D, primes, [g1, g2], [1, 4]),
+        "an exponent too low": (D, primes, [g1, g2], [1, 2]),
+        "a zero exponent": (D, primes, [g1, ident], [1, 0]),
+        "the identity": (D, primes, [ident, g2], [1, 3]),
+        "a dependent socle": (D, primes, [g2, qforms._compose(g1, g2)], [3, 3]),
+        "an unreduced form": (D, primes, [g1, (a, b + 2 * a, a + b + c)], [1, 3]),
+        "a form of another discriminant": (D, primes, [g1, (1, 0, 5)], [1, 3]),
+        "a prime missing": (D, [2, 3], [g2], [3]),
+        "a composite prime": (D, [2, 177], [g2], [3]),
+        "a non-fundamental discriminant": (4 * D, primes, [g1, g2], [1, 3]),
+    }
+    for name, args in forgeries.items():
+        with pytest.raises(PrecondViolated):
+            check_two_sylow(*args)
+            pytest.fail(f"accepted {name}")
+
+
+@pytest.mark.parametrize("D", [-3, -4, -8, -23, -71])
+def test_two_sylow_of_an_odd_class_number(D):
+    # one prime divisor: genus 2-rank 0, empty basis, h2 = 1
+    assert two_sylow(D, sorted(factorize(-D))) == ([], [])
+    assert class_group(D).h2 == 1
