@@ -194,6 +194,29 @@ def test_forged_two_sylow_basis_is_refused(capsys, monkeypatch):
     assert code == 0 and "shape=Z/2 x Z/16 r=4 (oracle)" in out
 
 
+def test_cache_forged_consistent_record_is_refused(tmp_path, capsys, monkeypatch):
+    # Cl(-712) of order 2 is consistent with genus theory, but breaks r >= 3 for d = 89
+    cache = tmp_path / "cg.jsonl"
+    cache.write_text('{"schema":"ztwo/1","D":-712,"h":2,"divisors":[2]}\n')
+    code, honest, _ = run(capsys, "predict", "89", "--tower", "L")
+    assert code == 0 and honest
+    # no file can carry the record in: --cache is unknown and ZTWO_CACHE unread
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--cache", str(cache), "predict", "89", "--tower", "L"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    monkeypatch.setenv("ZTWO_CACHE", str(cache))
+    assert run(capsys, "predict", "89", "--tower", "L") == (0, honest, "")
+    # the same record forged as a 2-Sylow basis fails its certificate
+    build = qforms._halving_basis
+    monkeypatch.setattr(qforms, "_halving_basis",
+                        lambda D, ps: ([(2, 0, 89)], [1]) if D == -712 else build(D, ps))
+    code, out, err = run(capsys, "predict", "89", "--tower", "L")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "skipping" not in err
+
+
 def test_predict_layer_cap(capsys, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(cli.classifier, "analyze", None)  # the cap is checked first
