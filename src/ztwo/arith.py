@@ -5,10 +5,18 @@ All functions are pure and deterministic.  Bounds are deliberately modest
 (inputs below 2**40 for factorization, 2**64 for primality) so that every
 intermediate stays well inside native big-int comfort and the primality
 test is provably correct, not probabilistic.
+
+A single n is factored by trial division and Pollard rho (factorize,
+factor_squarefree).  A window of odd d is factored at once by
+odd_squarefree_range: a segmented sieve of Eratosthenes in blocks of
+2,048 odd d, with the primes up to isqrt(min(dmax, 2**40 - 1)) sieved
+once per call, over the same [3, 2**40) domain as factor_squarefree;
+each d it yields is still validated by the OddSquarefree constructor.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
 
 from .errors import InvalidInput, NotQuadraticResidue, NotSquarefree
 
@@ -36,6 +44,8 @@ _MR_PREFIXES = (
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _TRIAL_LIMIT = 1 << 16
+
+_SIEVE_BLOCK = 2048  # odd d per block of odd_squarefree_range
 
 
 @dataclass(frozen=True)
@@ -167,6 +177,67 @@ def factor_squarefree(n: int) -> OddSquarefree:
     if any(e > 1 for e in fac.values()):
         raise NotSquarefree(f"{n} is divisible by a square")
     return OddSquarefree(n, tuple(sorted(fac)))
+
+
+def _odd_primes_to(n):
+    """The odd primes p <= n, ascending (sieve of Eratosthenes on the odd
+    numbers: index i stands for 2i + 1)."""
+    if n < 3:
+        return []
+    half = (n + 1) // 2
+    prime = bytearray([1]) * half
+    prime[0] = 0
+    for i in range(1, (isqrt(n) + 1) // 2):
+        if prime[i]:
+            p = 2 * i + 1
+            prime[p * p // 2::p] = bytes(len(range(p * p // 2, half, p)))
+    return list(compress(range(1, n + 1, 2), prime))
+
+
+def odd_squarefree_range(dmin: int, dmax: int):
+    """OddSquarefree for every odd squarefree d in [dmin, dmax] with
+    3 <= d < 2**40, ascending (generator).
+
+    A segmented sieve of Eratosthenes over the odd d, _SIEVE_BLOCK
+    (2,048) of them at a time, so memory stays bounded on any window.
+    The odd primes up to isqrt(min(dmax, 2**40 - 1)) are sieved once per
+    call; a block divides out the primes p with p**2 at most its last d,
+    drops every d with a prime square among them, and keeps the cofactor
+    above 1 that is left as the last prime (it has no prime factor up to
+    the square root of d).  Every d is still validated by the
+    OddSquarefree constructor (sorted distinct primes, each proved by
+    is_prime, whose product is d).  A d outside [3, 2**40) yields
+    nothing, as factor_squarefree refuses it.
+    """
+    lo = max(3, dmin) | 1
+    hi = min(dmax, FACTOR_BOUND - 1)
+    if lo > hi:
+        return
+    primes = _odd_primes_to(isqrt(hi))
+    for start in range(lo, hi + 1, 2 * _SIEVE_BLOCK):
+        end = min(start + 2 * _SIEVE_BLOCK - 2, hi)  # last odd d of the block
+        size = (end - start) // 2 + 1
+        rest = list(range(start, end + 1, 2))
+        factors = [[] for _ in range(size)]
+        square = bytearray(size)
+        for p in primes:
+            pp = p * p
+            if pp > end:
+                break
+            # start + 2i = 0 (mod p) at i = -start/2 (mod p); likewise mod p**2
+            first = -start * ((p + 1) // 2) % p
+            for i in range(first, size, p):
+                rest[i] //= p
+                factors[i].append(p)
+            first = -start * ((pp + 1) // 2) % pp
+            square[first::pp] = b"\1" * len(range(first, size, pp))
+        for i in range(size):
+            if square[i]:
+                continue
+            fs = factors[i]
+            if rest[i] > 1:
+                fs.append(rest[i])
+            yield OddSquarefree(start + 2 * i, tuple(fs))
 
 
 def is_squarefree(n: int) -> bool:

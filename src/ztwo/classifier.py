@@ -28,7 +28,7 @@ cross_check confronts the two routes over a whole range of d.
 
 from dataclasses import dataclass, field
 
-from .arith import OddSquarefree, factor_squarefree
+from .arith import OddSquarefree, factor_squarefree, odd_squarefree_range
 from .diophantine import solve_kaplan, solve_legendre, solve_pell_rep, williams_criterion
 from .errors import (
     HypothesisNotMet,
@@ -37,7 +37,6 @@ from .errors import (
     NoSolutionInBound,
     PrecondViolated,
     UnsupportedFamily,
-    ZtwoError,
 )
 from .qforms import two_sylow
 from .symbols import jacobi, quartic_2_reciprocal, quartic_residue
@@ -177,13 +176,16 @@ def classify(d) -> FamilyTag:
 
 
 def classified(dmin: int, dmax: int):
-    """FamilyTag of every odd squarefree d in [max(3, dmin), dmax], ascending."""
-    for d in range(max(3, dmin) | 1, dmax + 1, 2):
-        try:
-            tag = classify(factor_squarefree(d))
-        except ZtwoError:
-            continue
-        yield tag
+    """FamilyTag of every odd squarefree d in [dmin, dmax] with
+    3 <= d < 2**40, ascending.
+
+    The window is factored once, by the segmented sieve of
+    odd_squarefree_range, and each d still passes the validating
+    OddSquarefree constructor; the tags are those of classify on
+    factor_squarefree(d), which refuses every d this skips.
+    """
+    for d in odd_squarefree_range(dmin, dmax):
+        yield classify(d)
 
 
 def exponent_r_oracle(tag: FamilyTag) -> int:

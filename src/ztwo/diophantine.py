@@ -8,12 +8,14 @@ every solution of s**2 - p Y**2 = 2 q k**2 with |Y| <= bound exactly,
 by the continued-fraction method of Lagrange, Matthews and Mollin and
 the fundamental unit of Z[sqrt p], instead of scanning Y: one walk of
 the principal cycle of sqrt p per p, then an O(log p) reduction and a
-lookup in that cycle per class (Cohen, GTM 138, section 5.6).  Returned
+lookup in that cycle per class (Cohen, GTM 138, section 5.6).  The
+norms m = 2 q k**2 / f**2 repeat across k, so one call keeps a memo
+keyed by m of the primitive solutions with |Y| <= bound: each class is
+decided, and its unit orbit walked, once per call.  Returned
 objects re-validate their defining identities on construction,
 independently of the search path that produced them.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt, prod
@@ -264,7 +266,30 @@ def _unit_orbit(s, Y, p, unit, y_bound):
     return found
 
 
-def _norm_rep_pairs(p, factors, y_bound, principal, decided=None):
+def _primitive_pairs(p, m, factors, y_bound, principal):
+    """Every (|Y|, s) with s**2 - p Y**2 = m, gcd(s, Y) = 1, s > 0 and
+    1 <= |Y| <= y_bound, ascending; m > 0 has prime factorization factors.
+
+    One class per square root z of p modulo m, decided by a lookup in the
+    principal cycle (_cycle_norm_hit); a class with a member of norm +m
+    contributes its unit orbit.
+    """
+    unit, cycle = principal
+    found = set()
+    for z in _sqrt_mod(p, factors):
+        hit = _cycle_norm_hit(p, z, m, cycle)
+        if hit is None:
+            continue
+        x, y = hit
+        if x * x - p * y * y != m:
+            continue
+        if x < 0:
+            x, y = -x, -y
+        found |= _unit_orbit(x, y, p, unit, y_bound)
+    return sorted(found)
+
+
+def _norm_rep_pairs(p, factors, y_bound, principal, primitive=None):
     """Every (Y, s) with s**2 - p Y**2 = N, s > 0 and 1 <= Y <= y_bound,
     Y ascending.
 
@@ -277,28 +302,25 @@ def _norm_rep_pairs(p, factors, y_bound, principal, decided=None):
     x = z y (mod m).  The principal cycle is walked once per p; each class
     costs an O(log p) reduction and a lookup in it (_cycle_norm_hit),
     which gives a member of the class or shows it empty: a hit of norm -m
-    means no solution, since Z[sqrt p] has no unit of norm -1.  decided
-    maps each class (z, m) to its lookup; a caller that shares it across
-    several N for one p decides each class once.
+    means no solution, since Z[sqrt p] has no unit of norm -1.  The orbit
+    of f (x + y sqrt p) is f times the orbit of x + y sqrt p, so the
+    solutions of gcd f are f (y, s) over the primitive pairs of m with
+    y <= y_bound // f.  primitive maps each m to its primitive pairs
+    (_primitive_pairs); a caller that shares it across several N for one
+    p and one y_bound decides each class (z, m) and walks its orbit once.
     """
-    unit, cycle = principal
-    if decided is None:
-        decided = {}
+    if primitive is None:
+        primitive = {}
     found = set()
     for f, rest in _square_divisors(factors):
         m = prod(ell ** e for ell, e in rest.items())
-        for z in _sqrt_mod(p, rest):
-            if (z, m) not in decided:
-                decided[z, m] = _cycle_norm_hit(p, z, m, cycle)
-            hit = decided[z, m]
-            if hit is None:
-                continue
-            x, y = hit
-            if x * x - p * y * y != m:
-                continue
-            if x < 0:
-                x, y = -x, -y
-            found |= _unit_orbit(f * x, f * y, p, unit, y_bound)
+        if m not in primitive:
+            primitive[m] = _primitive_pairs(p, m, rest, y_bound, principal)
+        cap = y_bound // f
+        for y, s in primitive[m]:
+            if y > cap:
+                break
+            found.add((f * y, f * s))
     return sorted(found)
 
 
@@ -320,14 +342,17 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
     if jacobi(p, q) != 1:
         raise PrecondViolated(f"need (p/q) = +1; order the pair so it holds")
     principal = _principal_cycle(p)
-    decided = {}  # (z, m) -> cycle lookup, shared by every k
+    primitive = {}  # m -> primitive pairs of norm m, shared by every k
     for k in range(1, KAPLAN_K_MAX + 1):
         k2 = k * k
-        two_k2 = Counter({ell: 2 * e for ell, e in factorize(k).items()}) + Counter({2: 1})
+        two_k2 = {ell: 2 * e for ell, e in factorize(k).items()}
+        two_k2[2] = two_k2.get(2, 0) + 1
         ls = _sqrt_mod(p, two_k2)
         if not ls:
             continue
-        pairs = _norm_rep_pairs(p, two_k2 + Counter({q: 1}), bound, principal, decided)
+        n_factors = dict(two_k2)
+        n_factors[q] = n_factors.get(q, 0) + 1
+        pairs = _norm_rep_pairs(p, n_factors, bound, principal, primitive)
         for l in ls:
             m = (l * l - p) // (2 * k2)
             for abs_y, s in pairs:

@@ -185,11 +185,14 @@ def test_criterion_4_iwasawa_formula():
             continue
         if tag.tag not in ("A1", "A2", "B"):
             continue
+        analysis = ztwo.analyze(tag)  # r is read once per d
         for tower in ("L", "K"):
-            inv = ztwo.iwasawa_invariants(d, tower)
+            inv = analysis.invariants(tower)
             assert (inv.lam, inv.mu) == (1, 0)
+            assert ztwo.iwasawa_invariants(d, tower) == inv
+            assert ztwo.predict(d, 1, tower) == analysis.predict(1, tower)
             for n in range(1, 21):
-                e_n = ztwo.predict(d, n, tower).shape.order.bit_length() - 1
+                e_n = analysis.predict(n, tower).shape.order.bit_length() - 1
                 assert e_n == inv.lam * n + inv.mu * 2 ** n + inv.nu
         checked += 1
     assert checked > 100

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from ztwo.arith import OddSquarefree, factor_squarefree, factorize, is_prime, modpow
+from ztwo import arith
+from ztwo.arith import (
+    OddSquarefree,
+    factor_squarefree,
+    factorize,
+    is_prime,
+    modpow,
+    odd_squarefree_range,
+)
 from ztwo.errors import InvalidInput, NotSquarefree
 
 
@@ -84,6 +92,27 @@ def test_factor_roundtrip():
             prod *= p
         assert prod == n
         assert sorted(set(d.factors)) == list(d.factors)
+
+
+def test_sieve_keeps_a_cofactor_above_its_prime_limit():
+    # the primes are sieved to isqrt(dmax) = 1732; 1000003 is left as the
+    # cofactor and is the last factor, and a lone prime d is its own
+    assert list(odd_squarefree_range(3 * 1000003, 3 * 1000003)) == [
+        OddSquarefree(3 * 1000003, (3, 1000003))]
+    assert list(odd_squarefree_range(1000003, 1000003)) == [OddSquarefree(1000003, (1000003,))]
+    got = {d.value: d.factors for d in odd_squarefree_range(3 * 999983 - 20, 3 * 999983 + 20)}
+    assert got[3 * 999983] == (3, 999983)
+
+
+def test_sieve_validates_every_d(monkeypatch):
+    # each yielded d went through the OddSquarefree checks: every factor
+    # is proved prime by is_prime, in order
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    out = list(odd_squarefree_range(10 ** 6 - 500, 10 ** 6 + 500))
+    assert len(out) > 300
+    assert calls == [p for d in out for p in d.factors]
 
 
 def test_factorize_pollard_rho_path():

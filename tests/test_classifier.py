@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from ztwo import classifier, diophantine, qforms
+from ztwo import arith, classifier, diophantine, qforms
 from ztwo.arith import factor_squarefree, factorize, is_squarefree
 from ztwo.classifier import (
     Analysis,
@@ -27,6 +27,7 @@ from ztwo.errors import (
     NotSquarefree,
     PrecondViolated,
     UnsupportedFamily,
+    ZtwoError,
 )
 from ztwo.symbols import jacobi, quartic_residue
 
@@ -138,7 +139,7 @@ def test_oracle_checks_its_discriminant_once(monkeypatch):
     assert calls == [(-712, (2, 89))]  # D = -8 * 89 and its primes, checked once
 
 
-def test_oracle_memo_hit_factors_nothing(monkeypatch):
+def test_oracle_factors_no_discriminant(monkeypatch):
     # the oracle keeps no memo, and no call factors D, d or 2d: the primes
     # come from the tag, and only the small coefficients of the descent
     # are factored
@@ -159,6 +160,45 @@ def test_oracle_memo_hit_factors_nothing(monkeypatch):
     assert exponent_r_oracle(tag) == exponent_r_oracle(tag) == 3
     assert factored and not {712, 178, 89} & set(factored)
     assert squarefree == [] and qforms.CLASS_GROUP_MEMO == {}
+
+
+def classify_each(dmin, dmax):
+    """(tag, d, primes) of classify(factor_squarefree(d)) for each d, refusals skipped."""
+    out = []
+    for d in range(dmin, dmax + 1):
+        try:
+            tag = classify(factor_squarefree(d))
+        except ZtwoError:
+            continue
+        out.append((tag.tag, tag.d, tag.primes))
+    return out
+
+
+@pytest.mark.parametrize("dmin, dmax", [
+    (3, 10 ** 4),  # more than one sieve block
+    (998001, 10 ** 6),
+    (10, 5), (0, 2), (-7, 1), (8, 8), (9, 9), (10, 11), (3, 3), (2, 3),
+    (2 ** 32 + 1, 2 ** 32 + 200),
+    (10 ** 11, 10 ** 11 + 200),
+    (2 ** 40 - 40, 2 ** 40 + 10),  # nothing at or past 2**40
+])
+def test_classified_matches_the_per_d_path(dmin, dmax):
+    # the window sieve yields the same tags as factoring each d alone
+    want = classify_each(dmin, dmax)
+    got = [(t.tag, t.d, t.primes) for t in classifier.classified(dmin, dmax)]
+    assert got == want
+    assert all(d.value < 2 ** 40 for _, d, _ in got)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_classified_across_sieve_blocks(block, monkeypatch):
+    # small blocks put many block boundaries in each window, and each
+    # block sieves only the primes up to the square root of its last d
+    monkeypatch.setattr(arith, "_SIEVE_BLOCK", block)
+    want = classify_each(2001, 3000) + classify_each(998001, 998300)
+    got = [(t.tag, t.d, t.primes) for t in classifier.classified(2001, 3000)]
+    got += [(t.tag, t.d, t.primes) for t in classifier.classified(998001, 998300)]
+    assert got == want
 
 
 def test_oracle_never_counts_forms(monkeypatch):
@@ -321,7 +361,7 @@ def test_analyze_refuses_broken_b_precondition(monkeypatch):
     assert (entry.d, entry.detail) == (247, msg)
 
 
-def test_bad_layer_or_tower_is_refused_before_any_class_group(monkeypatch):
+def test_bad_layer_or_tower_is_refused_before_any_two_sylow(monkeypatch):
     def no_two_sylow(D, primes):
         raise AssertionError(f"Cl({D}) built for a refused input")
     monkeypatch.setattr(classifier, "two_sylow", no_two_sylow)

@@ -334,12 +334,26 @@ def test_cycle_lookup_matches_period_walk():
     assert min(outcomes.values()) > 1000, outcomes
 
 
-def test_kaplan_scan_high_window_matches_period_walk():
-    # every A2 d of the scan-high benchmark window: the same witness as a
-    # solve on the period walk, and the same three refusals
+@pytest.mark.parametrize("d_min, d_max, count, refusals", [
+    (998001, 10 ** 6, 34, {
+        998409: "no Kaplan witness for (332803, 3) with |Y| <= 1000000, k <= 64",
+        998833: "no Kaplan witness for (90803, 11) with |Y| <= 1000000, k <= 64",
+        999849: "no Kaplan witness for (333283, 3) with |Y| <= 1000000, k <= 64",
+    }),
+    (9999001, 10 ** 7, 18, {
+        9999057: "no Kaplan witness for (3333019, 3) with |Y| <= 1000000, k <= 64",
+        9999489: "no Kaplan witness for (3333163, 3) with |Y| <= 1000000, k <= 64",
+        9999849: "no Kaplan witness for (3333283, 3) with |Y| <= 1000000, k <= 64",
+        9999921: "no Kaplan witness for (3333307, 3) with |Y| <= 1000000, k <= 64",
+    }),
+], ids=["998001-1000000", "9999001-10000000"])
+def test_kaplan_scan_high_window_matches_period_walk(d_min, d_max, count, refusals):
+    # every A2 d of the scan-high benchmark window and of the 1,000 d
+    # below 1e7: the same witness as a solve on the period walk, and the
+    # same refusals
     refused = {}
-    pairs = list(a2_pairs(10 ** 6, d_min=998001))
-    assert len(pairs) == 34
+    pairs = list(a2_pairs(d_max, d_min=d_min))
+    assert len(pairs) == count
     for p, q in pairs:
         want = kaplan_reference(p, q, 10 ** 6, pairs_of=norm_rep_pairs_reference)
         try:
@@ -348,11 +362,7 @@ def test_kaplan_scan_high_window_matches_period_walk():
             refused[p * q] = str(exc)
             got = None
         assert got == want, (p, q)
-    assert refused == {
-        998409: "no Kaplan witness for (332803, 3) with |Y| <= 1000000, k <= 64",
-        998833: "no Kaplan witness for (90803, 11) with |Y| <= 1000000, k <= 64",
-        999849: "no Kaplan witness for (333283, 3) with |Y| <= 1000000, k <= 64",
-    }
+    assert refused == refusals
 
 
 @pytest.mark.parametrize("bound", [0, -1])
