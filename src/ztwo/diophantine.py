@@ -324,6 +324,16 @@ def _norm_rep_pairs(p, factors, y_bound, principal, primitive=None):
     return sorted(found)
 
 
+def _two_k2_factors(k):
+    # the prime factorization {ell: e} of 2 k**2
+    factors = {ell: 2 * e for ell, e in factorize(k).items()}
+    factors[2] = factors.get(2, 0) + 1
+    return factors
+
+
+_TWO_K2_FACTORS = tuple(_two_k2_factors(k) for k in range(1, KAPLAN_K_MAX + 1))
+
+
 def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
     """First witness in (k, then l, then |Y|) order; bound caps |Y|.
 
@@ -343,10 +353,8 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
         raise PrecondViolated(f"need (p/q) = +1; order the pair so it holds")
     principal = _principal_cycle(p)
     primitive = {}  # m -> primitive pairs of norm m, shared by every k
-    for k in range(1, KAPLAN_K_MAX + 1):
+    for k, two_k2 in enumerate(_TWO_K2_FACTORS, 1):
         k2 = k * k
-        two_k2 = {ell: 2 * e for ell, e in factorize(k).items()}
-        two_k2[2] = two_k2.get(2, 0) + 1
         ls = _sqrt_mod(p, two_k2)
         if not ls:
             continue

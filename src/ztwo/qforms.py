@@ -12,11 +12,12 @@ Theory, Algorithm 5.4.7; on f == g it performs the steps of duplication,
 Algorithm 5.4.8, so squaring has no separate kernel.  It ends in the one
 reduction loop that reduce_form also runs.  The structure builder
 composes plain (a, b, c) tuples (_compose, _pow); the public functions
-check their input and return FormClass.  Enumeration lifts the roots of a
-quadratic congruence over a sieve (_roots) and skips every multiple of a
-prime power that has none; each root yields at most one reduced form
-(_forms).  class_group counts its forms from those root lists, testing
-only the roots that can fail, and builds just the forms its generator
+check their input and return FormClass.  Enumeration reads the roots of
+a quadratic congruence modulo every prime power q from one _RootTable per
+call, keyed by (q, D mod 4q) and so shared by all the discriminants of a
+sweep; each root yields at most one reduced form (_forms).  class_group
+counts its forms as products of prime-power root counts, testing only the
+roots that can fail, and joins by CRT just the root lists its generator
 scans reach (_FormList).
 
 two_sylow builds the 2-Sylow subgroup alone, counting no form: from the
@@ -26,6 +27,7 @@ until no product of its generators is a square, and check_two_sylow
 certifies the result independently of that construction.
 """
 
+from array import array
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -266,13 +268,10 @@ def reduced_forms(D) -> list:
 
     With delta = D mod 2 and b = 2t + delta, (b**2 - D)/4 = t**2 + delta*t + N
     for N = (delta - D)/4, so a form with first coefficient a needs a root t
-    mod a of that quadratic, and each root gives one b in (-a, a].  Root
-    lists for a = 2 .. sqrt(|D|/3) grow over a smallest-prime-factor sieve
-    (_roots): a one-pass square root at a prime p not dividing 2D, a p-digit
-    lift from a/p at p = 2, at p | D and at prime powers, and CRT at every
-    other a.  A prime power with no root rules out all its multiples, which
-    are skipped.  class_group counts its forms from the same root lists and
-    builds only the ones its generator scans reach (_FormList).
+    mod a of that quadratic, and each root gives one b in (-a, a].  The
+    roots for a = 1 .. sqrt(|D|/3) come from a _RootTable: those of each
+    prime power of a, joined by CRT; an a with a root-less prime power
+    has none.  Each root is tested for reducedness and primitivity.
     """
     D = _as_disc(D)
     if D >= 0:
@@ -282,59 +281,106 @@ def reduced_forms(D) -> list:
     return [FormClass(*f) for f in _reduced_forms(D)]
 
 
-def _reduced_forms(D: int) -> list:
-    # reduced_forms as sorted plain (a, b, c) tuples, for D < 0, D = 0, 1 (mod 4); unchecked
-    return sorted(_forms(D, _roots(D)))
+def _reduced_forms(D: int, table=None) -> list:
+    # reduced_forms as sorted plain (a, b, c) tuples, for D < 0, D = 0, 1 (mod 4),
+    # from table or a table of its own; unchecked
+    if table is None:
+        table = _RootTable(isqrt(-D // 3))
+    return sorted(_forms(D, table, table.counts(D)))
 
 
-def _roots(D: int) -> list:
-    # roots[a]: every t in [0, a) with t*(t + delta) + N = 0 (mod a), for
-    # 1 <= a <= sqrt(|D|/3), D < 0, D = 0, 1 (mod 4); None for an a with no
-    # root.  alive[a] == 0 once a prime power dividing a has no root, so a
-    # composite a that is alive has roots at both CRT factors.
-    delta = D % 2
-    N = (delta - D) // 4
-    top = isqrt(-D // 3)
-    spf = list(range(top + 1))
-    for p in range(2, isqrt(top) + 1):
-        if spf[p] == p:
-            for m in range(p * p, top + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    roots = [None, [0]] + [None] * (top - 1)
-    alive = bytearray(b"\x01") * (top + 1)
-    for a in range(2, top + 1):
-        if not alive[a]:
-            continue
-        p = spf[a]
-        m, pk = a, 1
-        while m % p == 0:
-            m //= p
-            pk *= p
-        if m > 1:
-            inv = pow(m, -1, pk)
-            roots[a] = [r + m * ((z - r) * inv % pk) for r in roots[m] for z in roots[pk]]
-            continue
-        if a == p > 2 and D % p:
+class _RootTable:
+    """The roots t of t*(t + delta) + N = 0 (mod a), for every a <= top,
+    shared by the discriminants D of one call with isqrt(|D| // 3) <= top.
+
+    Since 4(t*(t + delta) + N) = (2t + delta)**2 - D, the roots modulo a
+    prime power q depend on D only through D mod 4q.  They are kept in one
+    dict keyed by (q, D mod 4q) and filled on first use: a one-pass square
+    root at a prime p not dividing 2D, a p-digit lift from q/p at p = 2,
+    at p | D and at higher powers.  The dict holds at most sum(4q) entries
+    over the prime powers q <= top.  A sieve splits each a <= top once as
+    a = p**k * m, p its least prime: least[a] = p and part[a] = p**k, kept
+    in arrays.  The roots of any other a are joined by CRT from its prime
+    powers, and built only when asked for (roots).
+    """
+
+    def __init__(self, top: int):
+        # slice writes in descending p: the last write to least[m] comes from
+        # the least p with p | m and p*p <= m, the least prime of a composite
+        # m, and the last to part[m] from the highest power of that prime
+        least = array("I", range(top + 1))
+        for p in range(isqrt(top), 1, -1):
+            least[p * p::p] = array("I", [p]) * (top // p - p + 1)
+        part = array("I", least)
+        for p in range(isqrt(top), 1, -1):
+            if least[p] == p:
+                q = p
+                while q <= top:
+                    part[q::q] = array("I", [q]) * (top // q)
+                    q *= p
+        self.least = least
+        self.part = part
+        self.lists = {}
+
+    def _prime_power_roots(self, q: int, D: int) -> tuple:
+        # the roots modulo the prime power q, in the order the lift finds them
+        key = 4 * q * q + D % (4 * q)  # (q, D mod 4q) as one int
+        ts = self.lists.get(key)
+        if ts is not None:
+            return ts
+        p = self.least[q]
+        delta = D % 2
+        if q == p > 2 and D % p:
             s = _sqrt_mod_prime_or_none(D, p)
             half = (p + 1) // 2  # 1/2 mod p
-            ts = [] if s is None else [(s - delta) * half % p, (-s - delta) * half % p]
+            ts = () if s is None else ((s - delta) * half % p, (-s - delta) * half % p)
         else:
-            step = a // p
-            ts = [z for r in roots[step] for z in range(r, a, step) if (z * (z + delta) + N) % a == 0]
-        if ts:
-            roots[a] = ts
-        else:
-            alive[a::a] = bytes(top // a)
-    return roots
+            N = (delta - D) // 4
+            step = q // p
+            below = self._prime_power_roots(step, D) if step > 1 else (0,)
+            ts = tuple(z for r in below for z in range(r, q, step) if (z * (z + delta) + N) % q == 0)
+        self.lists[key] = ts
+        return ts
+
+    def counts(self, D: int) -> list:
+        """count[a], the number of roots mod a, for 0 <= a <= sqrt(|D|/3).
+
+        A prime power's count is its root list's length, and every other
+        a = p**k * m multiplies the counts of its two CRT factors, so a
+        root-less prime power zeroes all its multiples.
+        """
+        top = isqrt(-D // 3)
+        count = [0, 1] + [0] * (top - 1)
+        part, lists = self.part, self.lists
+        for a in range(2, top + 1):
+            q = part[a]
+            if q < a:
+                count[a] = count[a // q] * count[q]
+            else:  # _prime_power_roots's lookup inlined, as it runs for every D
+                ts = lists.get(4 * a * a + D % (4 * a))
+                count[a] = len(self._prime_power_roots(a, D) if ts is None else ts)
+        return count
+
+    def roots(self, a: int, D: int):
+        """Every root mod a, for 1 <= a <= top, by CRT over its prime powers."""
+        q = self.part[a]
+        if q == a:
+            return self._prime_power_roots(a, D) if a > 1 else (0,)
+        m = a // q
+        inv = pow(m, -1, q)
+        zs = self._prime_power_roots(q, D)
+        return [r + m * ((z - r) * inv % q) for r in self.roots(m, D) for z in zs]
 
 
-def _forms(D: int, roots: list, start: int = 1):
+def _forms(D: int, table: _RootTable, count: list, start: int = 1):
     # the reduced primitive (a, b, c) with a >= start, ascending in a, one
-    # per root in roots = _roots(D) that passes the tests
+    # per root in table that passes the tests; count = table.counts(D)
+    # skips every a without roots
     delta = D % 2
-    for a in range(start, len(roots)):
-        for t in roots[a] or ():
+    for a in range(start, len(count)):
+        if not count[a]:
+            continue
+        for t in table.roots(a, D):
             b = (2 * t + delta) % (2 * a)
             if b > a:
                 b -= 2 * a
@@ -344,27 +390,31 @@ def _forms(D: int, roots: list, start: int = 1):
 
 
 class _FormList:
-    """The reduced forms of a fundamental discriminant, counted from their
-    root lists and built anew, ascending in a, on each scan.
+    """The reduced forms of a fundamental discriminant, counted from the
+    root counts of a _RootTable and built anew, ascending in a, on each
+    scan.
 
     Every root with 4a**2 < |D| gives a reduced form, since then
     c = (b**2 - D)/4a > a, and a primitive one, since every form of a
-    fundamental discriminant is primitive; only the roots with
-    4a**2 >= |D| are tested one by one.
+    fundamental discriminant is primitive; so h sums count[a] below that
+    split, and only the roots with 4a**2 >= |D| are listed and tested one
+    by one.  table is shared by the caller's discriminants (the sweep);
+    without one the list builds its own.
     """
 
-    def __init__(self, D: Discriminant):
+    def __init__(self, D: Discriminant, table: _RootTable = None):
         self.D = D.D
-        self.roots = _roots(self.D)
+        self.table = _RootTable(isqrt(-self.D // 3)) if table is None else table
+        self.count = self.table.counts(self.D)
         split = (isqrt(-self.D - 1) + 2) // 2  # the least a with 4a**2 >= |D|
-        self.h = sum(len(ts) for ts in self.roots[:split] if ts)
-        self.h += sum(1 for _ in _forms(self.D, self.roots, split))
+        self.h = sum(self.count[:split])
+        self.h += sum(1 for _ in _forms(self.D, self.table, self.count, split))
 
     def __len__(self):
         return self.h
 
     def __iter__(self):
-        return _forms(self.D, self.roots)
+        return _forms(self.D, self.table, self.count)
 
 
 def _sylow_subgroup(forms, ident, p, size):
@@ -473,9 +523,9 @@ def _structure_from_forms(D, forms) -> tuple:
     return tuple(chain)
 
 
-def _structure_of(D: Discriminant) -> ClassGroupStructure:
+def _structure_of(D: Discriminant, table: _RootTable = None) -> ClassGroupStructure:
     # the one builder behind class_group and class_group_sweep
-    forms = _FormList(D)
+    forms = _FormList(D, table)
     return ClassGroupStructure.from_chain(D, len(forms), _structure_from_forms(D.D, forms))
 
 
@@ -506,17 +556,20 @@ def genus_two_rank(D) -> int:
 def class_group_sweep(limit: int):
     """Yield ClassGroupStructure for every fundamental -limit <= D < 0, ordered by |D|.
 
-    Each structure comes from the builder class_group uses; the sweep
-    neither reads nor writes CLASS_GROUP_MEMO.
+    Each structure comes from the builder class_group uses, and every D
+    reads its roots from one _RootTable of top isqrt(limit // 3), built
+    for this call; it holds at most sum(4q) entries over the prime powers
+    q <= top.  The sweep neither reads nor writes CLASS_GROUP_MEMO.
     """
     if limit > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(f"sweep limit {limit} exceeds 2**32")
+    table = _RootTable(isqrt(max(limit, 0) // 3))
     for D in range(-3, -limit - 1, -1):
         try:
             disc = Discriminant(D)
         except InvalidInput:
             continue
-        yield _structure_of(disc)
+        yield _structure_of(disc, table)
 
 
 # ---------------------------------------------------------------------------

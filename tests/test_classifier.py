@@ -204,7 +204,7 @@ def test_classified_across_sieve_blocks(block, monkeypatch):
 def test_oracle_never_counts_forms(monkeypatch):
     def no_count(*args):
         raise AssertionError("the oracle counted forms")
-    for name in ("class_group", "_roots", "_structure_of"):
+    for name in ("class_group", "_RootTable", "_structure_of"):
         monkeypatch.setattr(qforms, name, no_count)
     rs = {tag.d.value: exponent_r_oracle(tag) for tag in classifier.classified(3, 3000)
           if tag.tag in classifier.EXACT_FAMILIES}

@@ -451,6 +451,26 @@ def test_reduced_forms_matches_divisor_scan():
         assert reduced_forms(D) == divisor_scan_reduced_forms(D), D
 
 
+def test_one_root_table_serves_every_discriminant():
+    # the table keys prime-power roots by D mod 4q; walked over every
+    # D = 0, 1 (mod 4) down to -6000 in a shuffled order, fundamental or
+    # not, it must give what a fresh table and the divisor scan give
+    ds = [D for D in range(-3, -6001, -1) if D % 4 < 2]
+    random.Random(13).shuffle(ds)
+    table = qforms._RootTable(isqrt(6000 // 3))
+    for D in ds:
+        forms = qforms._reduced_forms(D, table)
+        assert forms == qforms._reduced_forms(D), D
+        assert forms == divisor_scan_reduced_forms(D), D
+
+
+def test_sweep_table_matches_fresh_class_groups(monkeypatch):
+    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
+    for swept in class_group_sweep(5000):
+        single = class_group(swept.D.D)
+        assert (swept.h, swept.divisors) == (single.h, single.divisors), swept.D
+
+
 @pytest.mark.parametrize("top", [-10 ** 6, -8 * 10 ** 6])
 def test_counted_class_number_matches_the_form_list(top, monkeypatch):
     # class_group counts the forms with 4a**2 < |D| from their root lists
