@@ -12,6 +12,13 @@ odd_squarefree_range: a segmented sieve of Eratosthenes in blocks of
 2,048 odd d, with the primes up to isqrt(min(dmax, 2**40 - 1)) sieved
 once per call, over the same [3, 2**40) domain as factor_squarefree;
 each d it yields is still validated by the OddSquarefree constructor.
+
+Every quadratic congruence of the package is solved here: a square root
+modulo a prime in one pass, lifted one base-p digit at a time to a prime
+power (_sqrt_mod_prime_power), joined by CRT modulo any n (_sqrt_mod).
+The lift tries all p digits, so it is only for small p: the callers
+lift at p <= 194 (the reduced-form root table) and at the primes of
+2k**2, k <= 64 (the Kaplan solver).
 """
 
 from dataclasses import dataclass
@@ -302,3 +309,38 @@ def _sqrt_mod_prime_or_none(n, p):
         t = t * c % p
         m = i
     return r
+
+
+def _sqrt_mod_prime_power(a, p, q):
+    """Every z in [0, q) with z**2 = a (mod q), for a power q of a prime p.
+
+    Seeded with the roots mod p (one pass for odd p not dividing a, else
+    the single root a mod p), then lifted one base-p digit at a time by
+    trying all p digits; the roots come out in the order of their base-p
+    digits, lowest digit first.  A lift costs about p steps per root and
+    digit, so callers lift only at small p.
+    """
+    if p > 2 and a % p:
+        z = _sqrt_mod_prime_or_none(a, p)
+        roots = [] if z is None else [z, p - z]
+    else:
+        roots = [a % p]
+    mod = p
+    while mod < q:
+        nxt = mod * p
+        roots = [z for r in roots for z in range(r, nxt, mod) if (z * z - a) % nxt == 0]
+        mod = nxt
+    return roots
+
+
+def _sqrt_mod(a, factors):
+    """Every z in [0, n) with z**2 = a (mod n), ascending, for the n with
+    prime factorization {p: e}; prime-power roots are joined by CRT."""
+    roots, mod = [0], 1
+    for p, e in factors.items():
+        pe = p ** e
+        inv = pow(mod, -1, pe)
+        roots = [r + mod * ((z - r) * inv % pe)
+                 for r in roots for z in _sqrt_mod_prime_power(a, p, pe)]
+        mod *= pe
+    return sorted(roots)

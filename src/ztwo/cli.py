@@ -119,10 +119,15 @@ def _shape_str(divisors) -> str:
 def scan_rows(dmin, dmax, family=None, bound=10 ** 6):
     """One row dict per odd squarefree d in [dmin, dmax], ascending.
 
-    InvalidInput for bound < 1, raised at the first row; a solver refusal
-    at a row is written as "skipped".
+    InvalidInput for bound < 1, raised by the call itself; a solver
+    refusal at a row is written as "skipped".
     """
     diophantine._check_bound(bound)
+    return _scan_rows(dmin, dmax, family, bound)
+
+
+def _scan_rows(dmin, dmax, family, bound):
+    # the rows of scan_rows, for a bound it has checked
     for tag in classifier.classified(dmin, dmax):
         if family and tag.tag != family:
             continue
@@ -161,7 +166,6 @@ def scan_rows(dmin, dmax, family=None, bound=10 ** 6):
 def cmd_scan(args):
     if args.min > args.max or args.max > 10 ** 6:
         raise InvalidInput("need min <= max <= 10**6")
-    diophantine._check_bound(args.bound)  # scan_rows checks it only at its first row, after the header
     rows = scan_rows(args.min, args.max, family=args.family, bound=args.bound)
     if args.format == "csv":
         print(",".join(SCAN_COLUMNS))

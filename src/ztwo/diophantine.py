@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt, prod
 
-from .arith import _sqrt_mod_prime, _sqrt_mod_prime_or_none, factorize, is_prime
+from .arith import _sqrt_mod, _sqrt_mod_prime, factorize, is_prime
 from .errors import (
     BadPrimeClass,
     InvalidInput,
@@ -147,44 +147,6 @@ def solve_pell_rep(p: int, bound: int = DEFAULT_BOUND) -> PellRepresentation:
         if u * u == u2 and u % 8 == 1:
             return PellRepresentation(p, u, v)
     raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p} with v <= {bound}")
-
-
-def _sqrt_mod_prime_power(a, ell, e):
-    """Every z in [0, ell**e) with z**2 = a (mod ell**e), ell prime."""
-    if a % ell == 0 and e == 1:
-        return [0]
-    if ell > 2 and a % ell:
-        z = _sqrt_mod_prime_or_none(a, ell)
-        if z is None:
-            return []
-        mod = ell
-        for _ in range(e - 1):  # Hensel: a simple root lifts uniquely
-            mod *= ell
-            z = (z - (z * z - a) * pow(2 * z, -1, mod)) % mod
-        return [z, mod - z]
-    # ell = 2 or ell | a with e >= 2: lift one digit at a time, trying all
-    # ell of them, so this branch costs about ell steps per root and digit
-    # (solve_kaplan only meets ell | a = p when p | k, so there
-    # ell <= KAPLAN_K_MAX)
-    roots, mod = [0], 1
-    for _ in range(e):
-        nxt = mod * ell
-        roots = [z for r in roots for z in range(r, nxt, mod) if (z * z - a) % nxt == 0]
-        mod = nxt
-    return roots
-
-
-def _sqrt_mod(a, factors):
-    """Every z in [0, n) with z**2 = a (mod n), ascending, for the n with
-    prime factorization {ell: e}; prime-power roots are joined by CRT."""
-    roots, mod = [0], 1
-    for ell, e in factors.items():
-        pe = ell ** e
-        inv = pow(mod, -1, pe)
-        roots = [r + mod * ((z - r) * inv % pe)
-                 for r in roots for z in _sqrt_mod_prime_power(a, ell, e)]
-        mod *= pe
-    return sorted(roots)
 
 
 def _square_divisors(factors):

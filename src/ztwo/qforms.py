@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .arith import _sqrt_mod_prime_or_none, factorize, is_prime, is_squarefree
+from .arith import _sqrt_mod_prime_power, factorize, is_prime, is_squarefree
 from .diophantine import _legendre_descent
 from .errors import (
     EnumerationBoundExceeded,
@@ -295,10 +295,11 @@ class _RootTable:
 
     Since 4(t*(t + delta) + N) = (2t + delta)**2 - D, the roots modulo a
     prime power q depend on D only through D mod 4q.  They are kept in one
-    dict keyed by (q, D mod 4q) and filled on first use: a one-pass square
-    root at a prime p not dividing 2D, a p-digit lift from q/p at p = 2,
-    at p | D and at higher powers.  The dict holds at most sum(4q) entries
-    over the prime powers q <= top.  A sieve splits each a <= top once as
+    dict keyed by (q, D mod 4q) and filled on first use from the square
+    roots z of D that arith._sqrt_mod_prime_power lifts: t = (z - delta)/2
+    mod q for the z modulo an odd q, t = z // 2 for the z < 2q modulo 4q
+    at p = 2.  The dict holds at most sum(4q) entries over the prime
+    powers q <= top.  A sieve splits each a <= top once as
     a = p**k * m, p its least prime: least[a] = p and part[a] = p**k, kept
     in arrays.  The roots of any other a are joined by CRT from its prime
     powers, and built only when asked for (roots).
@@ -323,22 +324,18 @@ class _RootTable:
         self.lists = {}
 
     def _prime_power_roots(self, q: int, D: int) -> tuple:
-        # the roots modulo the prime power q, in the order the lift finds them
+        # the roots modulo the prime power q, in the order of the square
+        # roots z of D that give them
         key = 4 * q * q + D % (4 * q)  # (q, D mod 4q) as one int
         ts = self.lists.get(key)
         if ts is not None:
             return ts
         p = self.least[q]
-        delta = D % 2
-        if q == p > 2 and D % p:
-            s = _sqrt_mod_prime_or_none(D, p)
-            half = (p + 1) // 2  # 1/2 mod p
-            ts = () if s is None else ((s - delta) * half % p, (-s - delta) * half % p)
-        else:
-            N = (delta - D) // 4
-            step = q // p
-            below = self._prime_power_roots(step, D) if step > 1 else (0,)
-            ts = tuple(z for r in below for z in range(r, q, step) if (z * (z + delta) + N) % q == 0)
+        if p == 2:  # t = (z - delta)/2 for the z < 2q with z**2 = D (mod 4q)
+            ts = tuple(z // 2 for z in _sqrt_mod_prime_power(D, 2, 4 * q) if z < 2 * q)
+        else:  # t = (z - delta)/2 mod q for the z with z**2 = D (mod q)
+            half = (q + 1) // 2  # 1/2 mod q
+            ts = tuple((z - D % 2) * half % q for z in _sqrt_mod_prime_power(D, p, q))
         self.lists[key] = ts
         return ts
 
@@ -451,37 +448,24 @@ def _sylow_subgroup(forms, ident, p, size):
     return sylow, gens
 
 
-def _sylow_partition(sylow, ident, p, e):
-    """Exponent partition (descending) of an abelian p-group given as a set."""
-    # order_exp[x] = k with x**(p**k) == identity, read off one x -> x**p table
+def _sylow_partition(sylow, p):
+    """Exponent partition (descending) of an abelian p-group S given as a set.
+
+    |p**i S| / |p**(i+1) S| = p**ranks[i], where ranks[i] counts the cyclic
+    factors of exponent > i; the images p**i S come from one x -> x**p
+    table, and the partition is the conjugate of ranks.
+    """
     power = {x: _pow(x, p) for x in sylow}
-    order_exp = {ident: 0}
-    for x in sylow:
-        chain = []
-        while x not in order_exp:
-            chain.append(x)
-            x = power[x]
-        level = order_exp[x]
-        for y in reversed(chain):
-            level += 1
-            order_exp[y] = level
-    # counts[i] = #elements with x**(p**i) == identity
-    counts = [0] * (e + 1)
-    for lv in order_exp.values():
-        for i in range(lv, e + 1):
-            counts[i] += 1
-    # number of cyclic factors with exponent >= i
-    ge = []
-    for i in range(1, e + 1):
-        if counts[i] == counts[i - 1]:
-            break
-        ratio = counts[i] // counts[i - 1]
-        k = 0
-        while ratio > 1:
-            ratio //= p
+    ranks = []
+    image = sylow
+    while len(image) > 1:
+        smaller = {power[x] for x in image}
+        k = 1
+        while p ** k < len(image) // len(smaller):
             k += 1
-        ge.append(k)
-    return [sum(1 for m in ge if m > j) for j in range(ge[0])]
+        ranks.append(k)
+        image = smaller
+    return [sum(1 for k in ranks if k > j) for j in range(ranks[0])]
 
 
 def _structure_from_forms(D, forms) -> tuple:
@@ -510,7 +494,7 @@ def _structure_from_forms(D, forms) -> tuple:
         if len(gens) == 1 or _pow(gens[-1], p ** (e - 1)) != ident:
             partitions[p] = [e]
         else:
-            partitions[p] = _sylow_partition(sylow, ident, p, e)
+            partitions[p] = _sylow_partition(sylow, p)
     width = max(len(v) for v in partitions.values())
     chain = []
     for j in range(width):

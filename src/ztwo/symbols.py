@@ -45,8 +45,7 @@ def quartic_residue(a: int, p: int) -> int:
         raise InvalidInput(f"{p} is not prime")
     if p % 4 != 1:
         raise BadPrimeClass(f"quartic symbol needs p = 1 (mod 4), got p = {p}")
-    a %= p
-    if a == 0:
+    if a % p == 0:
         raise NonCoprime(f"{a} shares a factor with {p}")
     if jacobi(a, p) != 1:
         raise NotQuadraticResidue(f"{a} is not a quadratic residue mod {p}")

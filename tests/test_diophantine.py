@@ -2,7 +2,7 @@ from math import isqrt, prod
 
 import pytest
 
-from ztwo.arith import _sqrt_mod_prime, factorize, is_prime, is_squarefree
+from ztwo.arith import _sqrt_mod, _sqrt_mod_prime, factorize, is_prime, is_squarefree
 from ztwo.classifier import classify
 from ztwo.diophantine import (
     KaplanParams,
@@ -12,7 +12,6 @@ from ztwo.diophantine import (
     _legendre_descent,
     _norm_rep_pairs,
     _principal_cycle,
-    _sqrt_mod,
     _square_divisors,
     _unit_orbit,
     enumerate_legendre_solutions,
@@ -195,8 +194,10 @@ def test_kaplan_matches_brute_force(d_max, bound):
 
 
 def test_sqrt_mod_matches_brute_force():
-    for n in range(1, 400):
-        for a in (3, 11, 19, 25):
+    # negative a as the root table passes D < 0, and 2**k up to 2**10 as
+    # it asks for roots modulo 4q
+    for n in list(range(1, 400)) + [2 ** k for k in range(9, 11)]:
+        for a in (3, 11, 19, 25, -3, -4, -20, -23, -72):
             roots = [z for z in range(n) if (z * z - a) % n == 0]
             assert _sqrt_mod(a, factorize(n)) == roots, (a, n)
 
