@@ -29,7 +29,8 @@ cross_check confronts the two routes over a whole range of d.
 from dataclasses import dataclass, field
 
 from .arith import OddSquarefree, factor_squarefree, odd_squarefree_range
-from .diophantine import solve_kaplan, solve_legendre, solve_pell_rep, williams_criterion
+from .diophantine import (DEFAULT_BOUND, solve_kaplan, solve_legendre, solve_pell_rep,
+                          williams_criterion)
 from .errors import (
     HypothesisNotMet,
     InvalidInput,
@@ -221,7 +222,7 @@ def b_symbol_r(p: int, q: int):
     return None
 
 
-def exponent_r_corollary(tag: FamilyTag, bound: int = 10 ** 6) -> RBound:
+def exponent_r_corollary(tag: FamilyTag, bound: int = DEFAULT_BOUND) -> RBound:
     """r (or a lower bound) from representation witnesses and symbols alone.
 
     A1: (u/p)_4 = -1 for the u of p = u^2 - 2v^2  <=>  r = 3.
@@ -246,9 +247,6 @@ def exponent_r_corollary(tag: FamilyTag, bound: int = 10 ** 6) -> RBound:
     r = b_symbol_r(p, q)
     if r is not None:
         return RBound.exact(r)
-    if quartic_residue(-q % p, p) != 1:
-        # unreachable for p = 5 (mod 8), where (-1/p)_4 = -1 flips the sign
-        return RBound.at_least(4)
     sol = solve_legendre(p, q, bound=bound)
     if williams_criterion(sol) == 1:
         return RBound.exact(4)
@@ -423,7 +421,7 @@ class CrossCheckReport:
             self.skipped.append(entry)
 
 
-def cross_check(d_max: int, bound: int = 10 ** 6) -> CrossCheckReport:
+def cross_check(d_max: int, bound: int = DEFAULT_BOUND) -> CrossCheckReport:
     """Confront the corollary exponent with the oracle for every classified d <= d_max.
 
     Per entry: the corollary's exact r must equal the oracle r, or its

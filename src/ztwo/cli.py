@@ -116,7 +116,7 @@ def _shape_str(divisors) -> str:
     return "x".join(str(x) for x in divisors)
 
 
-def scan_rows(dmin, dmax, family=None, bound=10 ** 6):
+def scan_rows(dmin, dmax, family=None, bound=diophantine.DEFAULT_BOUND):
     """One row dict per odd squarefree d in [dmin, dmax], ascending.
 
     InvalidInput for bound < 1, raised by the call itself; a solver
@@ -311,7 +311,7 @@ def build_parser():
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--family", choices=classifier.FAMILIES)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--bound", type=int, default=10 ** 6)
+    p.add_argument("--bound", type=int, default=diophantine.DEFAULT_BOUND)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("classgroup", help="exact structure of Cl(D)")
@@ -332,14 +332,14 @@ def build_parser():
     g.add_argument("--pell", type=int, metavar="P")
     g.add_argument("--kaplan", nargs=2, type=int, metavar=("P", "Q"))
     g.add_argument("--legendre", nargs=2, type=int, metavar=("P", "Q"))
-    p.add_argument("--bound", type=int, default=10 ** 6)
+    p.add_argument("--bound", type=int, default=diophantine.DEFAULT_BOUND)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify", help="run consistency suites; exit 3 on violations")
     p.add_argument("--max", type=int, default=10 ** 4)
     p.add_argument("--suite", choices=("corollary", "genus", "williams", "all"),
                    default="all")
-    p.add_argument("--bound", type=int, default=10 ** 6)
+    p.add_argument("--bound", type=int, default=diophantine.DEFAULT_BOUND)
     p.set_defaults(func=cmd_verify)
 
     return ap

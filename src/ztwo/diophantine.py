@@ -4,20 +4,21 @@ Every solver is deterministic and answers within a bound; a witness that
 exists but lies beyond the bound surfaces as NoRepresentationInBound or
 NoSolutionInBound, never as a wrong answer.  solve_pell_rep and
 solve_legendre search in increasing order.  solve_kaplan enumerates
-every solution of s**2 - p Y**2 = 2 q k**2 with |Y| <= bound exactly,
-by the continued-fraction method of Lagrange, Matthews and Mollin and
-the fundamental unit of Z[sqrt p], instead of scanning Y: one walk of
-the principal cycle of sqrt p per p, then an O(log p) reduction and a
-lookup in that cycle per class (Cohen, GTM 138, section 5.6).  The
-norms m = 2 q k**2 / f**2 repeat across k, so one call keeps a memo
-keyed by m of the primitive solutions with |Y| <= bound: each class is
-decided, and its unit orbit walked, once per call.  Returned
-objects re-validate their defining identities on construction,
-independently of the search path that produced them.
+every primitive solution, gcd(s, Y) = 1, of s**2 - p Y**2 = 2 q k**2
+with |Y| <= bound exactly, by the continued-fraction method of
+Lagrange, Matthews and Mollin and the fundamental unit of Z[sqrt p],
+instead of scanning Y: one walk of the principal cycle of sqrt p per p,
+then an O(log p) reduction and a lookup in that cycle per class (Cohen,
+GTM 138, section 5.6).  A solution with gcd(s, Y) = f > 1 has f | k,
+as 2q is squarefree, and if it is a witness for k then dividing it by
+f gives one for k/f, which the ascending search in k has already
+refused.  Each norm 2 q k**2 is distinct, so each class is decided,
+and its unit orbit walked, once per call.  Returned objects
+re-validate their defining identities on construction, independently
+of the search path that produced them.
 """
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd, isqrt, prod
 
 from .arith import _sqrt_mod, _sqrt_mod_prime, factorize, is_prime
@@ -149,18 +150,6 @@ def solve_pell_rep(p: int, bound: int = DEFAULT_BOUND) -> PellRepresentation:
     raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p} with v <= {bound}")
 
 
-def _square_divisors(factors):
-    """(f, factorization of n/f**2) for every f > 0 with f**2 | n."""
-    primes = list(factors)
-    for js in product(*(range(factors[ell] // 2 + 1) for ell in primes)):
-        f, rest = 1, {}
-        for ell, j in zip(primes, js):
-            f *= ell ** j
-            if factors[ell] > 2 * j:
-                rest[ell] = factors[ell] - 2 * j
-        yield f, rest
-
-
 def _principal_cycle(p):
     """(unit, cycle) from one period of sqrt p, p a prime = 3 (mod 4).
 
@@ -232,9 +221,12 @@ def _primitive_pairs(p, m, factors, y_bound, principal):
     """Every (|Y|, s) with s**2 - p Y**2 = m, gcd(s, Y) = 1, s > 0 and
     1 <= |Y| <= y_bound, ascending; m > 0 has prime factorization factors.
 
-    One class per square root z of p modulo m, decided by a lookup in the
-    principal cycle (_cycle_norm_hit); a class with a member of norm +m
-    contributes its unit orbit.
+    p is a prime = 3 (mod 4) and principal is _principal_cycle(p).  The
+    solutions fall into classes under the unit, one per square root z of
+    p modulo m with s = z Y (mod m) (Matthews, Expo. Math. 18, 2000); a
+    lookup in the principal cycle (_cycle_norm_hit) decides each.  A hit
+    of norm -m means no solution, as Z[sqrt p] has no unit of norm -1; a
+    class with a member of norm +m contributes its unit orbit.
     """
     unit, cycle = principal
     found = set()
@@ -248,41 +240,6 @@ def _primitive_pairs(p, m, factors, y_bound, principal):
         if x < 0:
             x, y = -x, -y
         found |= _unit_orbit(x, y, p, unit, y_bound)
-    return sorted(found)
-
-
-def _norm_rep_pairs(p, factors, y_bound, principal, primitive=None):
-    """Every (Y, s) with s**2 - p Y**2 = N, s > 0 and 1 <= Y <= y_bound,
-    Y ascending.
-
-    N > 0 is given by its prime factorization {ell: e}, p is a prime
-    = 3 (mod 4) and principal is _principal_cycle(p).  Method of Lagrange,
-    Matthews and Mollin (Cohen, GTM 138, section 5.6; Matthews, Expo.
-    Math. 18, 2000): a solution with gcd(s, Y) = f is f times a primitive
-    solution of x**2 - p y**2 = m = N/f**2, and those fall into classes
-    under the unit, one for each square root z of p modulo m with
-    x = z y (mod m).  The principal cycle is walked once per p; each class
-    costs an O(log p) reduction and a lookup in it (_cycle_norm_hit),
-    which gives a member of the class or shows it empty: a hit of norm -m
-    means no solution, since Z[sqrt p] has no unit of norm -1.  The orbit
-    of f (x + y sqrt p) is f times the orbit of x + y sqrt p, so the
-    solutions of gcd f are f (y, s) over the primitive pairs of m with
-    y <= y_bound // f.  primitive maps each m to its primitive pairs
-    (_primitive_pairs); a caller that shares it across several N for one
-    p and one y_bound decides each class (z, m) and walks its orbit once.
-    """
-    if primitive is None:
-        primitive = {}
-    found = set()
-    for f, rest in _square_divisors(factors):
-        m = prod(ell ** e for ell, e in rest.items())
-        if m not in primitive:
-            primitive[m] = _primitive_pairs(p, m, rest, y_bound, principal)
-        cap = y_bound // f
-        for y, s in primitive[m]:
-            if y > cap:
-                break
-            found.add((f * y, f * s))
     return sorted(found)
 
 
@@ -302,9 +259,13 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
     A witness for k and l is a solution (Y, s) of s**2 - p Y**2 = 2 q k**2
     with X = (s - l Y)/k**2 integral, where s and Y may each take either
     sign; l only matters modulo 2 k**2, so it runs over the ascending
-    square roots of p modulo 2 k**2.  The solutions with |Y| <= bound are
-    enumerated exactly (_norm_rep_pairs), so NoSolutionInBound means that
-    no witness with |Y| <= bound and k <= KAPLAN_K_MAX exists.
+    square roots of p modulo 2 k**2.  Only primitive solutions,
+    gcd(s, Y) = 1, can be the first witness: if gcd(s, Y) = f > 1, then
+    f | k since 2q is squarefree, and (Y/f, s/f) is a witness for k/f and
+    l mod 2 (k/f)**2, a square root of p the search tried at k/f.  The
+    primitive solutions with |Y| <= bound are enumerated exactly
+    (_primitive_pairs), so NoSolutionInBound means that no witness with
+    |Y| <= bound and k <= KAPLAN_K_MAX exists.
     """
     _check_bound(bound)
     if not (is_prime(p) and is_prime(q)):
@@ -314,7 +275,6 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
     if jacobi(p, q) != 1:
         raise PrecondViolated(f"need (p/q) = +1; order the pair so it holds")
     principal = _principal_cycle(p)
-    primitive = {}  # m -> primitive pairs of norm m, shared by every k
     for k, two_k2 in enumerate(_TWO_K2_FACTORS, 1):
         k2 = k * k
         ls = _sqrt_mod(p, two_k2)
@@ -322,7 +282,7 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
             continue
         n_factors = dict(two_k2)
         n_factors[q] = n_factors.get(q, 0) + 1
-        pairs = _norm_rep_pairs(p, n_factors, bound, principal, primitive)
+        pairs = _primitive_pairs(p, 2 * q * k2, n_factors, bound, principal)
         for l in ls:
             m = (l * l - p) // (2 * k2)
             for abs_y, s in pairs:

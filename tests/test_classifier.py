@@ -126,6 +126,20 @@ def test_b_symbol_r_agrees_with_the_oracle():
     assert decided
 
 
+def test_b_pairs_the_symbols_leave_open_meet_the_legendre_precondition():
+    # b_symbol_r is None only for (q/p) = (p/q) = +1 and (q/p)_4 = -1; with
+    # (-1/p)_4 = -1 for p = 5 (mod 8) that gives (-q/p)_4 = +1, so the
+    # corollary always reaches solve_legendre and reads 4 or >= 5
+    outcomes = {RBound.exact(4): 0, RBound.at_least(5): 0}
+    for tag in classifier.classified(3, 2 * 10 ** 4):
+        if tag.tag != "B" or classifier.b_symbol_r(*tag.primes) is not None:
+            continue
+        p, q = tag.primes
+        assert quartic_residue(-q % p, p) == 1, tag.d
+        outcomes[exponent_r_corollary(tag)] += 1
+    assert outcomes == {RBound.exact(4): 75, RBound.at_least(5): 90}
+
+
 def test_oracle_checks_its_discriminant_once(monkeypatch):
     tag = classify(89)
     calls = []

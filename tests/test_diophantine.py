@@ -1,4 +1,4 @@
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -10,9 +10,8 @@ from ztwo.diophantine import (
     PellRepresentation,
     _cycle_norm_hit,
     _legendre_descent,
-    _norm_rep_pairs,
+    _primitive_pairs,
     _principal_cycle,
-    _square_divisors,
     _unit_orbit,
     enumerate_legendre_solutions,
     solve_kaplan,
@@ -221,6 +220,7 @@ def test_sqrt_mod_prime_roots_every_residue_below_200():
 
 
 def test_norm_rep_pairs_matches_brute_force():
+    # the primitive pairs, gcd(Y, s) = 1, of a scan over Y
     bound = 3000
     for p in (3, 11, 19, 43, 67, 227):
         principal = _principal_cycle(p)
@@ -228,9 +228,9 @@ def test_norm_rep_pairs_matches_brute_force():
             pairs = []
             for y in range(1, bound + 1):
                 s = isqrt(p * y * y + N)
-                if s * s == p * y * y + N:
+                if s * s == p * y * y + N and gcd(y, s) == 1:
                     pairs.append((y, s))
-            assert _norm_rep_pairs(p, factorize(N), bound, principal) == pairs, (p, N)
+            assert _primitive_pairs(p, N, factorize(N), bound, principal) == pairs, (p, N)
 
 
 def test_norm_rep_pairs_matches_sympy_diop_dn():
@@ -254,8 +254,8 @@ def test_norm_rep_pairs_matches_sympy_diop_dn():
                         if Y:
                             expected.add((abs(Y), s))
                         s, Y = s * ux + sign * p * Y * uy, Y * ux + sign * s * uy
-        expected = sorted(e for e in expected if e[0] <= bound)
-        assert _norm_rep_pairs(p, factorize(N), bound, _principal_cycle(p)) == expected, (p, N)
+        expected = sorted(e for e in expected if e[0] <= bound and gcd(*e) == 1)
+        assert _primitive_pairs(p, N, factorize(N), bound, _principal_cycle(p)) == expected, (p, N)
 
 
 def cf_norm_hit_reference(D, z, m):
@@ -288,14 +288,17 @@ def cf_norm_hit_reference(D, z, m):
 
 def norm_classes(p, N):
     """(f, z, m) for every class of primitive x**2 - p y**2 = m = N/f**2."""
-    for f, rest in _square_divisors(factorize(N)):
-        m = prod(ell ** e for ell, e in rest.items())
-        for z in _sqrt_mod(p, rest):
-            yield f, z, m
+    for f in range(1, isqrt(N) + 1):
+        if N % (f * f) == 0:
+            m = N // (f * f)
+            for z in _sqrt_mod(p, factorize(m)):
+                yield f, z, m
 
 
 def norm_rep_pairs_reference(p, N, y_bound):
-    """_norm_rep_pairs with every class decided by cf_norm_hit_reference."""
+    """Every (Y, s) with s**2 - p Y**2 = N, s > 0 and 1 <= Y <= y_bound,
+    primitive or not: f times the unit orbit of each class of each
+    m = N/f**2, the class decided by cf_norm_hit_reference."""
     unit = cf_norm_hit_reference(p, 0, 1)
     found = set()
     for f, z, m in norm_classes(p, N):
@@ -307,7 +310,7 @@ def norm_rep_pairs_reference(p, N, y_bound):
     return sorted(found)
 
 
-# the composite N of the two _norm_rep_pairs oracle tests above
+# the composite N of the two norm_rep_pairs oracle tests above
 COMPOSITE_N = (2 * 3 * 9, 2 * 11 * 121, 2 * 19 * 45 ** 2, 2 * 3 * 49, 2 * 43 * 25,
                6 * 169, 2 * 3019, 2 * 163, 2 * 3 * 27 ** 2)
 
