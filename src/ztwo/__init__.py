@@ -8,7 +8,7 @@ and Q(sqrt(-d)).  Full class groups come from exhaustive reduced-form
 enumeration.
 """
 
-from .arith import OddSquarefree, factor_squarefree, is_prime, modpow
+from .arith import OddSquarefree, factor_squarefree, is_prime
 from .classifier import (
     Analysis,
     FamilyTag,

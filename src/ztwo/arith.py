@@ -252,15 +252,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
 
 
-def modpow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus, canonical representative in [0, modulus)."""
-    if modulus < 1:
-        raise InvalidInput(f"modulus must be >= 1, got {modulus}")
-    if exp < 0:
-        raise InvalidInput(f"exponent must be >= 0, got {exp}")
-    return pow(base, exp, modulus)
-
-
 def _sqrt_mod_prime(n, p):
     """A square root of n modulo an odd prime p; NotQuadraticResidue if none."""
     r = _sqrt_mod_prime_or_none(n, p)

@@ -231,6 +231,9 @@ def exponent_r_corollary(tag: FamilyTag, bound: int = DEFAULT_BOUND) -> RBound:
     B:  (p/q) = -1 => r = 2;  else (q/p)_4 = +1 => r = 3;  else the
         normalized solution of p X'^2 + q Y'^2 = Z^2 decides between
         r = 4 and r >= 5 via (Z/p)_4 vs (2X'/Z).
+
+    bound caps the A1 and B searches.  The A2 search has no |Y| cap, so
+    its witness may run to thousands of digits; nothing here prints it.
     """
     if tag.tag not in EXACT_FAMILIES:
         raise PrecondViolated(f"no corollary route for family {tag.tag}")
@@ -240,7 +243,7 @@ def exponent_r_corollary(tag: FamilyTag, bound: int = DEFAULT_BOUND) -> RBound:
         return RBound.exact(3) if fires else RBound.at_least(4)
     if tag.tag == "A2":
         p, q = tag.primes
-        wit = solve_kaplan(p, q, bound=bound)
+        wit = solve_kaplan(p, q, bound=None)
         fires = jacobi(-2, abs(wit.norm_value)) == -1
         return RBound.exact(3) if fires else RBound.at_least(4)
     p, q = tag.primes

@@ -1,21 +1,20 @@
-"""Bounded solvers for the three representation problems the criteria use.
+"""Solvers for the three representation problems the criteria use.
 
-Every solver is deterministic and answers within a bound; a witness that
-exists but lies beyond the bound surfaces as NoRepresentationInBound or
-NoSolutionInBound, never as a wrong answer.  solve_pell_rep and
-solve_legendre search in increasing order.  solve_kaplan enumerates
-every primitive solution, gcd(s, Y) = 1, of s**2 - p Y**2 = 2 q k**2
-with |Y| <= bound exactly, by the continued-fraction method of
-Lagrange, Matthews and Mollin and the fundamental unit of Z[sqrt p],
-instead of scanning Y: one walk of the principal cycle of sqrt p per p,
-then an O(log p) reduction and a lookup in that cycle per class (Cohen,
-GTM 138, section 5.6).  A solution with gcd(s, Y) = f > 1 has f | k,
-as 2q is squarefree, and if it is a witness for k then dividing it by
-f gives one for k/f, which the ascending search in k has already
-refused.  Each norm 2 q k**2 is distinct, so each class is decided,
-and its unit orbit walked, once per call.  Returned objects
-re-validate their defining identities on construction, independently
-of the search path that produced them.
+Every solver is deterministic.  solve_pell_rep and solve_legendre search
+in increasing order up to a bound; a witness beyond it surfaces as
+NoRepresentationInBound or NoSolutionInBound, never as a wrong answer.
+solve_kaplan reads the primitive solutions, gcd(s, Y) = 1, of
+s**2 - p Y**2 = 2 q k**2 off their classes under the fundamental unit of
+Z[sqrt p], by the continued-fraction method of Lagrange, Matthews and
+Mollin: one walk of the principal cycle of sqrt p per p, then an
+O(log p) reduction and a lookup in that cycle per class (Cohen, GTM 138,
+section 5.6).  Only primitive solutions can be first witnesses
+(solve_kaplan), and of each class only the two members next to Y = 0:
+for l**2 = p (mod 2 k**2), a + b sqrt p -> a - b l (mod k**2) is a ring
+map that sends the unit, of norm 1, to a unit, so the witness test
+s = l Y (mod k**2) takes one value on a whole orbit, along which |Y| is
+least next to Y = 0.  Returned objects re-validate their defining
+identities on construction, independently of the search path.
 """
 
 from dataclasses import dataclass
@@ -198,35 +197,36 @@ def _cycle_norm_hit(p, z, m, cycle):
     return x * b_prev - x_prev * b, y * b_prev - y_prev * b
 
 
-def _unit_orbit(s, Y, p, unit, y_bound):
-    """{(|Y'|, s')} over s' + Y' sqrt p = (s + Y sqrt p) * unit**n, n in Z,
-    with 1 <= |Y'| <= y_bound.
+def _orbit_ends(s, Y, p, unit):
+    """{(|Y'|, s')} of the members s' + Y' sqrt p of the unit orbit of
+    s + Y sqrt p with the least Y' > 0 and the greatest Y' < 0.
 
     Both conjugates of s + Y sqrt p must be positive; then Y' grows
-    strictly with n, so the walk goes up until Y' > y_bound and down until
-    Y' < -y_bound.
+    strictly along the orbit, and the conjugate orbit's least Y' > 0 is
+    this orbit's greatest Y' < 0, up to sign.
     """
     ux, uy = unit
-    found = set()
-    for sign in (1, -1):
-        t, u = s, Y
-        while sign * u <= y_bound:
-            if 0 < abs(u) <= y_bound:
-                found.add((abs(u), t))
-            t, u = t * ux + sign * p * u * uy, u * ux + sign * t * uy
-    return found
+    ends = set()
+    for t, u in ((s, Y), (s, -Y)):
+        while u > 0:
+            t, u = t * ux - p * u * uy, u * ux - t * uy
+        while u <= 0:
+            t, u = t * ux + p * u * uy, u * ux + t * uy
+        ends.add((u, t))
+    return ends
 
 
-def _primitive_pairs(p, m, factors, y_bound, principal):
-    """Every (|Y|, s) with s**2 - p Y**2 = m, gcd(s, Y) = 1, s > 0 and
-    1 <= |Y| <= y_bound, ascending; m > 0 has prime factorization factors.
+def _primitive_pairs(p, m, factors, principal):
+    """(|Y|, s) of the members next to Y = 0 of every class of solutions
+    of s**2 - p Y**2 = m with gcd(s, Y) = 1, s > 0 and Y != 0, ascending;
+    m > 0 has prime factorization factors.
 
     p is a prime = 3 (mod 4) and principal is _principal_cycle(p).  The
     solutions fall into classes under the unit, one per square root z of
     p modulo m with s = z Y (mod m) (Matthews, Expo. Math. 18, 2000); a
     lookup in the principal cycle (_cycle_norm_hit) decides each.  A hit
     of norm -m means no solution, as Z[sqrt p] has no unit of norm -1; a
-    class with a member of norm +m contributes its unit orbit.
+    class with a member of norm +m contributes its _orbit_ends.
     """
     unit, cycle = principal
     found = set()
@@ -239,7 +239,7 @@ def _primitive_pairs(p, m, factors, y_bound, principal):
             continue
         if x < 0:
             x, y = -x, -y
-        found |= _unit_orbit(x, y, p, unit, y_bound)
+        found |= _orbit_ends(x, y, p, unit)
     return sorted(found)
 
 
@@ -253,8 +253,8 @@ def _two_k2_factors(k):
 _TWO_K2_FACTORS = tuple(_two_k2_factors(k) for k in range(1, KAPLAN_K_MAX + 1))
 
 
-def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
-    """First witness in (k, then l, then |Y|) order; bound caps |Y|.
+def solve_kaplan(p: int, q: int, bound: int | None = DEFAULT_BOUND) -> KaplanParams:
+    """First witness in (k, then l, then |Y|) order; bound caps |Y| unless None.
 
     A witness for k and l is a solution (Y, s) of s**2 - p Y**2 = 2 q k**2
     with X = (s - l Y)/k**2 integral, where s and Y may each take either
@@ -263,11 +263,13 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
     gcd(s, Y) = 1, can be the first witness: if gcd(s, Y) = f > 1, then
     f | k since 2q is squarefree, and (Y/f, s/f) is a witness for k/f and
     l mod 2 (k/f)**2, a square root of p the search tried at k/f.  The
-    primitive solutions with |Y| <= bound are enumerated exactly
-    (_primitive_pairs), so NoSolutionInBound means that no witness with
-    |Y| <= bound and k <= KAPLAN_K_MAX exists.
+    test on (Y, s) takes one value on the whole unit orbit of s + Y sqrt p
+    (module docstring), so the least |Y| it passes on is at a member next
+    to Y = 0 (_primitive_pairs), and NoSolutionInBound means that no
+    witness with |Y| <= bound and k <= KAPLAN_K_MAX exists.
     """
-    _check_bound(bound)
+    if bound is not None:
+        _check_bound(bound)
     if not (is_prime(p) and is_prime(q)):
         raise InvalidInput(f"{p}, {q} must both be prime")
     if p % 8 != 3 or q % 8 != 3:
@@ -282,7 +284,8 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
             continue
         n_factors = dict(two_k2)
         n_factors[q] = n_factors.get(q, 0) + 1
-        pairs = _primitive_pairs(p, 2 * q * k2, n_factors, bound, principal)
+        pairs = [(abs_y, s) for abs_y, s in _primitive_pairs(p, 2 * q * k2, n_factors, principal)
+                 if bound is None or abs_y <= bound]
         for l in ls:
             m = (l * l - p) // (2 * k2)
             for abs_y, s in pairs:
@@ -291,7 +294,8 @@ def solve_kaplan(p: int, q: int, bound: int = DEFAULT_BOUND) -> KaplanParams:
                         num = -l * Y + root
                         if num % k2 == 0:
                             return KaplanParams(p, q, k, l, m, num // k2, Y)
-    raise NoSolutionInBound(f"no Kaplan witness for ({p}, {q}) with |Y| <= {bound}, k <= {KAPLAN_K_MAX}")
+    cap = "" if bound is None else f"|Y| <= {bound}, "
+    raise NoSolutionInBound(f"no Kaplan witness for ({p}, {q}) with {cap}k <= {KAPLAN_K_MAX}")
 
 
 def _short_vector(n, r, k):

@@ -9,7 +9,7 @@ where it is +-1.
 
 from math import gcd
 
-from .arith import is_prime, modpow
+from .arith import is_prime
 from .errors import (
     BadPrimeClass,
     InvalidInput,
@@ -49,7 +49,7 @@ def quartic_residue(a: int, p: int) -> int:
         raise NonCoprime(f"{a} shares a factor with {p}")
     if jacobi(a, p) != 1:
         raise NotQuadraticResidue(f"{a} is not a quadratic residue mod {p}")
-    t = modpow(a, (p - 1) // 4, p)
+    t = pow(a, (p - 1) // 4, p)
     if t == 1:
         return 1
     if t == p - 1:

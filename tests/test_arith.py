@@ -8,7 +8,6 @@ from ztwo.arith import (
     factor_squarefree,
     factorize,
     is_prime,
-    modpow,
     odd_squarefree_range,
 )
 from ztwo.errors import InvalidInput, NotSquarefree
@@ -161,26 +160,3 @@ def test_oddsquarefree_validates():
         OddSquarefree(15, (3,))
 
 
-def test_modpow_examples():
-    assert modpow(2, 22, 89) == 1  # 2^11 = 1 (mod 89), squared
-    assert modpow(7, 0, 11) == 1
-    assert modpow(4, 1, 5) == 4
-
-
-def test_modpow_canonical_range_and_errors():
-    assert modpow(-3, 3, 7) == (-27) % 7
-    assert modpow(5, 2, 1) == 0
-    with pytest.raises(InvalidInput):
-        modpow(2, -1, 5)
-    with pytest.raises(InvalidInput):
-        modpow(2, 3, 0)
-
-
-def test_modpow_exponent_additivity():
-    rng = random.Random(40917)
-    for _ in range(300):
-        m = rng.randrange(2, 10 ** 9)
-        a = rng.randrange(0, m)
-        e1 = rng.randrange(0, 1000)
-        e2 = rng.randrange(0, 1000)
-        assert modpow(a, e1 + e2, m) == modpow(a, e1, m) * modpow(a, e2, m) % m

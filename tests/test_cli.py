@@ -266,7 +266,7 @@ def test_scan_rows_refuses_a_non_positive_bound(bound):
     ("3", "3000", "json", "e8fd9b6851c4ddc09c27ca73c84c82368899bf95"),
     # the top of the CLI range, where Kaplan witnesses with k > 1 are most
     # frequent: this pin covers the r_corollary column there
-    ("998001", "1000000", "csv", "57937f5bf46cfa6a81595a6c36039d268f8f85ad"),
+    ("998001", "1000000", "csv", "6e9ef191d6219f156c960460fa0a2deb3d4fe728"),
 ])
 def test_scan_output_pinned(capsys, dmin, dmax, fmt, sha1):
     code, out, _ = run(capsys, "scan", "--min", dmin, "--max", dmax, "--format", fmt)

@@ -4,6 +4,7 @@ import pytest
 
 from ztwo.arith import _sqrt_mod, _sqrt_mod_prime, factorize, is_prime, is_squarefree
 from ztwo.classifier import classify
+from ztwo.cli import scan_rows
 from ztwo.diophantine import (
     KaplanParams,
     LegendreSolution,
@@ -12,7 +13,6 @@ from ztwo.diophantine import (
     _legendre_descent,
     _primitive_pairs,
     _principal_cycle,
-    _unit_orbit,
     enumerate_legendre_solutions,
     solve_kaplan,
     solve_legendre,
@@ -219,6 +219,40 @@ def test_sqrt_mod_prime_roots_every_residue_below_200():
                     _sqrt_mod_prime(a, p)
 
 
+def _unit_orbit(s, Y, p, unit, y_bound):
+    """{(|Y'|, s')} over s' + Y' sqrt p = (s + Y sqrt p) * unit**n, n in Z,
+    with 1 <= |Y'| <= y_bound.
+
+    Both conjugates of s + Y sqrt p must be positive; then Y' grows
+    strictly with n, so the walk goes up until Y' > y_bound and down until
+    Y' < -y_bound.
+    """
+    ux, uy = unit
+    found = set()
+    for sign in (1, -1):
+        t, u = s, Y
+        while sign * u <= y_bound:
+            if 0 < abs(u) <= y_bound:
+                found.add((abs(u), t))
+            t, u = t * ux + sign * p * u * uy, u * ux + sign * t * uy
+    return found
+
+
+def assert_orbit_ends(p, N, principal, bound, expected):
+    # the pairs of _primitive_pairs, walked along their unit orbits up to
+    # bound, are the expected (|Y|, s) list, and each is the member next
+    # to Y = 0 on its side of its orbit: one unit step towards Y = 0
+    # crosses it
+    unit = (ux, uy) = principal[0]
+    ends = _primitive_pairs(p, N, factorize(N), principal)
+    assert ends == sorted(set(ends)), (p, N)
+    walked = set().union(*(_unit_orbit(s, y, p, unit, bound) for y, s in ends))
+    assert sorted(walked) == expected, (p, N)
+    for y, s in ends:
+        assert y > 0 and s > 0 and s * s - p * y * y == N and gcd(y, s) == 1, (p, N, y)
+        assert y * ux - s * uy <= 0, (p, N, y)
+
+
 def test_norm_rep_pairs_matches_brute_force():
     # the primitive pairs, gcd(Y, s) = 1, of a scan over Y
     bound = 3000
@@ -230,7 +264,7 @@ def test_norm_rep_pairs_matches_brute_force():
                 s = isqrt(p * y * y + N)
                 if s * s == p * y * y + N and gcd(y, s) == 1:
                     pairs.append((y, s))
-            assert _primitive_pairs(p, N, factorize(N), bound, principal) == pairs, (p, N)
+            assert_orbit_ends(p, N, principal, bound, pairs)
 
 
 def test_norm_rep_pairs_matches_sympy_diop_dn():
@@ -255,7 +289,7 @@ def test_norm_rep_pairs_matches_sympy_diop_dn():
                             expected.add((abs(Y), s))
                         s, Y = s * ux + sign * p * Y * uy, Y * ux + sign * s * uy
         expected = sorted(e for e in expected if e[0] <= bound and gcd(*e) == 1)
-        assert _primitive_pairs(p, N, factorize(N), bound, _principal_cycle(p)) == expected, (p, N)
+        assert_orbit_ends(p, N, _principal_cycle(p), bound, expected)
 
 
 def cf_norm_hit_reference(D, z, m):
@@ -367,6 +401,32 @@ def test_kaplan_scan_high_window_matches_period_walk(d_min, d_max, count, refusa
             got = None
         assert got == want, (p, q)
     assert refused == refusals
+
+
+@pytest.mark.parametrize("d, r_corollary", [
+    (998409, "3"), (998833, ">=4"), (999849, ">=4"),
+    (9999057, ">=4"), (9999489, ">=4"), (9999849, "3"), (9999921, "3"),
+])
+def test_corollary_has_no_y_cap(d, r_corollary):
+    # the capped refusals of the window test above: the corollary's
+    # uncapped search finds a witness, and the oracle satisfies it
+    row, = scan_rows(d, d)
+    assert row["r_corollary"] == r_corollary
+    if r_corollary.startswith(">="):
+        assert row["r_oracle"] >= int(r_corollary[2:])
+    else:
+        assert row["r_oracle"] == int(r_corollary)
+
+
+@pytest.mark.parametrize("d, p, q", [(10009137, 3336379, 3), (100005681, 33335227, 3)])
+def test_corollary_refuses_past_k_max(d, p, q):
+    # the least k is 355 and 333 here, past KAPLAN_K_MAX: the row is
+    # skipped, and the uncapped refusal names k alone
+    row, = scan_rows(d, d)
+    assert (row["r_oracle"], row["r_corollary"]) == (3, "skipped")
+    with pytest.raises(NoSolutionInBound) as exc:
+        solve_kaplan(p, q, bound=None)
+    assert str(exc.value) == f"no Kaplan witness for ({p}, {q}) with k <= 64"
 
 
 @pytest.mark.parametrize("bound", [0, -1])
