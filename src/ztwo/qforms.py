@@ -18,7 +18,9 @@ call, keyed by (q, D mod 4q) and so shared by all the discriminants of a
 sweep; each root yields at most one reduced form (_forms).  class_group
 counts its forms as products of prime-power root counts, testing only the
 roots that can fail, and joins by CRT just the root lists its generator
-scans reach (_FormList).
+scans reach (_FormList).  A Sylow subgroup of order p**e > p is closed
+under composition, and its shape is the Smith form of the relations the
+closure records (Teske, Math. Comp. 67, 1998), at no further composition.
 
 two_sylow builds the 2-Sylow subgroup alone, counting no form: from the
 ambiguous classes of the known prime divisors of D it halves square
@@ -415,57 +417,79 @@ class _FormList:
 
 
 def _sylow_subgroup(forms, ident, p, size):
-    """The Sylow p-subgroup as a set, and the generators it took, in order.
+    """The Sylow p-subgroup as a dict from each element to its discrete
+    log, and the relations among the generators it took.
 
     x -> x**(h / p**e) maps the group onto its Sylow p-part, so scanning
     the full form list is guaranteed to generate it; in practice the first
-    few candidates already do.  Each generator lies outside the subgroup
-    of the ones before it.
+    few candidates already do.  A form with b < 0 is skipped, as its
+    inverse is listed.  A generator y outside the subgroup H of the ones
+    before it adds s*y**j with log log(s) + j*|H| for 0 < j < k, the least
+    k with y**k = s in H: logs are exponents in mixed radix, and the
+    relation is the row (-digits of log(s), k) of a lower-triangular
+    matrix of determinant p**e.
     """
     cofactor = len(forms) // size
-    sylow = {ident}
-    gens = []
+    log = {ident: 0}
+    rows = []
     for f in forms:
-        if len(sylow) == size:
+        if len(log) == size:
             break
-        if f == ident:
+        if f == ident or f[1] < 0:
             continue
         y = _pow(f, cofactor)
-        if y in sylow:
+        if y in log:
             continue
-        gens.append(y)
-        # the cosets sylow * y**k until y**k falls back into sylow
-        rest = [s for s in sylow if s != ident]
-        grown = set(sylow)
-        step = y
-        while step not in sylow:
-            grown.add(step)
-            grown.update(_compose(s, step) for s in rest)
+        # the cosets H * y**k until y**k falls back into H
+        rest = list(log)[1:]
+        step, k = y, 1
+        while step not in log:
+            log[step] = len(log)
+            for s in rest:
+                log[_compose(s, step)] = len(log)
             step = _compose(step, y)
-        sylow = grown
-    if len(sylow) != size:
-        raise AssertionError(f"Sylow closure reached {len(sylow)}, wanted {size}")
-    return sylow, gens
-
-
-def _sylow_partition(sylow, p):
-    """Exponent partition (descending) of an abelian p-group S given as a set.
-
-    |p**i S| / |p**(i+1) S| = p**ranks[i], where ranks[i] counts the cyclic
-    factors of exponent > i; the images p**i S come from one x -> x**p
-    table, and the partition is the conjugate of ranks.
-    """
-    power = {x: _pow(x, p) for x in sylow}
-    ranks = []
-    image = sylow
-    while len(image) > 1:
-        smaller = {power[x] for x in image}
-        k = 1
-        while p ** k < len(image) // len(smaller):
             k += 1
-        ranks.append(k)
-        image = smaller
-    return [sum(1 for k in ranks if k > j) for j in range(ranks[0])]
+        i, row = log[step], []
+        for old in rows:
+            i, digit = divmod(i, old[-1])
+            row.append(-digit)
+        rows.append(row + [k])
+    if len(log) != size:
+        raise AssertionError(f"Sylow closure reached {len(log)}, wanted {size}")
+    return log, rows
+
+
+def _smith_partition(rows, p):
+    """Exponent partition (descending) of the abelian p-group Z**t / rows.
+
+    rows is lower triangular (row i has i + 1 entries) with p-power
+    diagonal of product p**e, so every Smith invariant divides p**e and the
+    Smith form may be taken over Z/p**(e+1) (Cohen, GTM 138, 2.4.3): an
+    entry of least p-adic valuation v clears its column and leaves Z/p**v.
+    """
+    m = p * prod(row[-1] for row in rows)
+    a = [[x % m for x in row] + [0] * (len(rows) - len(row)) for row in rows]
+    exps = []
+    while a:
+        v, i, j = min((_valuation(x, p), i, j) for i, r in enumerate(a) for j, x in enumerate(r) if x)
+        pivot, q = a.pop(i), p ** v
+        inv = pow(pivot[j] // q, -1, m)
+        for r in a:
+            f = r[j] // q * inv
+            r[:] = [(x - f * y) % m for x, y in zip(r, pivot)]
+            del r[j]
+        if v:
+            exps.append(v)
+    return sorted(exps, reverse=True)
+
+
+def _valuation(x: int, p: int) -> int:
+    # the exponent of p in x != 0
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
 def _structure_from_forms(D, forms) -> tuple:
@@ -487,14 +511,7 @@ def _structure_from_forms(D, forms) -> tuple:
                 raise AssertionError(f"no element of order {p} among {h} forms")
             partitions[p] = [1]
             continue
-        sylow, gens = _sylow_subgroup(forms, ident, p, p ** e)
-        # the subgroups of a cyclic p-group form a chain, so each generator's
-        # powers hold the ones before it: the group is cyclic iff the last
-        # generator has order p**e, which a lone generator has by the count
-        if len(gens) == 1 or _pow(gens[-1], p ** (e - 1)) != ident:
-            partitions[p] = [e]
-        else:
-            partitions[p] = _sylow_partition(sylow, p)
+        partitions[p] = _smith_partition(_sylow_subgroup(forms, ident, p, p ** e)[1], p)
     width = max(len(v) for v in partitions.values())
     chain = []
     for j in range(width):
@@ -549,6 +566,8 @@ def class_group_sweep(limit: int):
         raise EnumerationBoundExceeded(f"sweep limit {limit} exceeds 2**32")
     table = _RootTable(isqrt(max(limit, 0) // 3))
     for D in range(-3, -limit - 1, -1):
+        if D % 4 > 1:  # never a discriminant: skip Discriminant's refusal
+            continue
         try:
             disc = Discriminant(D)
         except InvalidInput:

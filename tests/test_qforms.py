@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import gcd, isqrt
 
@@ -411,10 +412,39 @@ def test_forged_form_list_trips_the_order_check():
         qforms._structure_from_forms(-23, [principal_form(-23)] * 3)
 
 
-def test_cyclic_sylow_shortcut_matches_the_partition():
-    # the builder reads [e] off the closure's generators; the x -> x**p
-    # table of _sylow_partition must agree on every Sylow subgroup, e >= 2
-    lone = cyclic = 0
+def test_forged_form_list_trips_the_closure():
+    # h = 4 claims a Sylow 2-subgroup of order 4, but the forms close at 2
+    with pytest.raises(AssertionError):
+        qforms._structure_from_forms(-84, [(1, 0, 21)] + [(2, 2, 11)] * 3)
+
+
+def power_table_partition(sylow, p):
+    """Exponent partition (descending) of an abelian p-group S given as a set.
+
+    |p**i S| / |p**(i+1) S| = p**ranks[i], where ranks[i] counts the cyclic
+    factors of exponent > i; the images p**i S come from one x -> x**p
+    table, and the partition is the conjugate of ranks.
+    """
+    power = {x: qforms._pow(x, p) for x in sylow}
+    ranks = []
+    image = sylow
+    while len(image) > 1:
+        smaller = {power[x] for x in image}
+        k = 1
+        while p ** k < len(image) // len(smaller):
+            k += 1
+        ranks.append(k)
+        image = smaller
+    return [sum(1 for k in ranks if k > j) for j in range(ranks[0])]
+
+
+def test_smith_partition_matches_the_power_table():
+    # the builder reads each Sylow subgroup's shape off the closure's
+    # relations; the x -> x**p table on its elements must agree whenever
+    # e >= 2, over cyclic groups with one and with several generators and
+    # non-cyclic ones for p = 2 and p = 3
+    seen = set()
+    shapes = {}
     for D in range(-3, -5001, -1):
         if not is_fundamental_discriminant(D):
             continue
@@ -423,16 +453,39 @@ def test_cyclic_sylow_shortcut_matches_the_partition():
         for p, e in qforms.factorize(len(forms)).items():
             if e < 2:
                 continue
-            sylow, gens = qforms._sylow_subgroup(forms, ident, p, p ** e)
-            partition = qforms._sylow_partition(sylow, p)
-            if len(gens) == 1:
-                lone += 1
-                assert partition == [e], (D, p)
-            # and so must the general rule: cyclic iff the last generator has order p**e
-            full_order = qforms._pow(gens[-1], p ** (e - 1)) != ident
-            cyclic += partition == [e]
-            assert (partition == [e]) == full_order, (D, p)
-    assert lone and cyclic > lone
+            log, rows = qforms._sylow_subgroup(forms, ident, p, p ** e)
+            partition = qforms._smith_partition(rows, p)
+            assert partition == power_table_partition(set(log), p), (D, p)
+            assert sorted(log.values()) == list(range(p ** e)), (D, p)
+            if partition != [e]:
+                seen.add(f"non-cyclic, p = {p}")
+            else:
+                seen.add("cyclic, " + ("several generators" if len(rows) > 1 else "one generator"))
+            shapes[D, p] = partition
+    assert seen >= {"cyclic, one generator", "cyclic, several generators",
+                    "non-cyclic, p = 2", "non-cyclic, p = 3"}
+    assert shapes[-3299, 3] == [2, 1] and shapes[-4027, 3] == [1, 1]
+
+
+@pytest.mark.parametrize("rows, partition", [
+    ([[2], [-1, 4]], [3]),                     # Z/8
+    ([[4], [-2, 2]], [2, 1]),                  # Z/2 x Z/4
+    ([[2], [0, 2], [-1, -1, 4]], [3, 1]),      # Z/2 x Z/8
+])
+def test_smith_partition_of_hand_made_relations(rows, partition):
+    assert qforms._smith_partition(rows, 2) == partition
+
+
+def test_sweep_chains_are_pinned_to_1e4():
+    # every (D, h, chain) of the sweep, odd parts included, in the line
+    # format of the benchmark's sweep check
+    digest = hashlib.sha1()
+    swept = 0
+    for s in class_group_sweep(10 ** 4):
+        digest.update(f"{s.D.D},{s.h},{'x'.join(map(str, s.divisors))}\n".encode())
+        swept += 1
+    assert swept == 3043
+    assert digest.hexdigest() == "724c76b8d3637b100a5dd5d58040f0e10001b743"
 
 
 def test_reduced_forms_refuses_non_discriminants():

@@ -1,4 +1,5 @@
-"""Group-law properties of form composition on random fundamental D, |D| < 2**32."""
+"""Group-law properties of form composition on random fundamental D, |D| < 2**32,
+and the Smith form of random relation matrices."""
 
 import pytest
 
@@ -6,6 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from ztwo import qforms  # noqa: E402
 from ztwo.qforms import (  # noqa: E402
     compose,
     form_pow,
@@ -40,3 +42,29 @@ def test_composition_is_an_abelian_group_law(D, data):
     assert compose(compose(f, g), k) == compose(f, compose(g, k))
     for e in range(-3, 9):
         assert form_pow(f, e) == repeated_compose(f, e, D), e
+
+
+def test_smith_partition_matches_sympy():
+    # random lower-triangular relation rows with a p-power diagonal, as the
+    # Sylow closure records them, against sympy's Smith normal form over Z
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    def check(p, data):
+        t = data.draw(st.integers(1, 4))
+        rows = [[data.draw(st.integers(-60, 60)) for _ in range(i)]
+                + [p ** data.draw(st.integers(0, 3))] for i in range(t)]
+        square = sympy.Matrix([row + [0] * (t - len(row)) for row in rows])
+        expected = []
+        for d in smith_normal_form(square, domain=sympy.ZZ).diagonal():
+            d, v = abs(d), 0
+            while d % p == 0:
+                d, v = d // p, v + 1
+            assert d == 1
+            if v:
+                expected.append(v)
+        assert qforms._smith_partition(rows, p) == sorted(expected, reverse=True), rows
+
+    check()
