@@ -6,19 +6,23 @@ NoRepresentationInBound or NoSolutionInBound, never as a wrong answer.
 solve_kaplan reads the primitive solutions, gcd(s, Y) = 1, of
 s**2 - p Y**2 = 2 q k**2 off their classes under the fundamental unit of
 Z[sqrt p], by the continued-fraction method of Lagrange, Matthews and
-Mollin: one walk of the principal cycle of sqrt p per p, then an
-O(log p) reduction and a lookup in that cycle per class (Cohen, GTM 138,
-section 5.6).  Only primitive solutions can be first witnesses
-(solve_kaplan), and of each class only the two members next to Y = 0:
-for l**2 = p (mod 2 k**2), a + b sqrt p -> a - b l (mod k**2) is a ring
-map that sends the unit, of norm 1, to a unit, so the witness test
-s = l Y (mod k**2) takes one value on a whole orbit, along which |Y| is
-least next to Y = 0.  Returned objects re-validate their defining
+Mollin.  Per p it walks half the principal cycle of sqrt p, up to the
+ideal above 2 at its middle; the palindrome of the period gives the
+other half and the fundamental unit (_principal_cycle).  Per class it
+makes an O(log p) reduction and a lookup in that cycle, and rebuilds the
+convergent denominators from a sparse checkpoint only on a hit (Cohen,
+GTM 138, sections 5.6 and 5.7).  Only primitive solutions can be first
+witnesses (solve_kaplan), and of each class only the two members next to
+Y = 0: for l**2 = p (mod 2 k**2), a + b sqrt p -> a - b l (mod k**2) is
+a ring map that sends the unit, of norm 1, to a unit, so the witness
+test s = l Y (mod k**2) takes one value on a whole orbit, along which
+|Y| is least next to Y = 0.  Returned objects re-validate their defining
 identities on construction, independently of the search path.
 """
 
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .arith import _sqrt_mod, _sqrt_mod_prime, factorize, is_prime
 from .errors import (
@@ -149,27 +153,84 @@ def solve_pell_rep(p: int, bound: int = DEFAULT_BOUND) -> PellRepresentation:
     raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p} with v <= {bound}")
 
 
-def _principal_cycle(p):
-    """(unit, cycle) from one period of sqrt p, p a prime = 3 (mod 4).
+_STRIDE = 64  # quotients between two stored convergent matrices
 
-    unit is the fundamental unit (x, y) of Z[sqrt p]; the period is even,
-    so x**2 - p y**2 = 1.  cycle maps each reduced complete quotient
-    (P_k, Q_k), k >= 1, to its convergent denominators (B_{k-2}, B_{k-1}).
+
+class _Cycle(NamedTuple):
+    """The principal cycle of sqrt p, kept as its first half.
+
+    position maps each reduced complete quotient (P_k, Q_k) of the period,
+    1 <= k <= L, to k when k <= L/2 and to k - L otherwise.  quotients
+    holds a_0 .. a_{L/2-1}, and checkpoints the matrix N_j of a_1 .. a_j as
+    (B_{j-1}, B_j, D_{j-1}, D_j) for every j = 0 (mod _STRIDE) below L/2;
+    last is (B_{L-1}, B_{L-2}).
+    """
+
+    position: dict
+    quotients: list
+    checkpoints: list
+    last: tuple
+
+    def _state(self, j):
+        # N_j = [[B_j, B_{j-1}], [D_j, D_{j-1}]] from the checkpoint below it
+        b_prev, b, d_prev, d = self.checkpoints[j // _STRIDE]
+        for a in self.quotients[j - j % _STRIDE + 1:j + 1]:
+            b_prev, b, d_prev, d = b, a * b + b_prev, d, a * d + d_prev
+        return b_prev, b, d_prev, d
+
+    def denominators(self, k):
+        """(B_{k-2}, B_{k-1}) at a position k, as position stores it.
+
+        A position past L/2 is L - j for some j < L/2.  As a_1 .. a_{L-1}
+        is a palindrome, N_{L-1} = N_j N_{L-1-j}^T, so the convergent
+        matrix M_{L-1-j} = M_{L-1} (N_j^T)**-1, of which only the bottom
+        row (B_{L-1-j}, B_{L-2-j}) is needed; det N_j = (-1)**j.
+        """
+        if k > 0:
+            b_prev, b, _, _ = self._state(k - 1)
+            return b_prev, b
+        b_prev, b, d_prev, d = self._state(-k)
+        last, before = self.last
+        sign = -1 if k % 2 else 1
+        return sign * (before * b - last * d), sign * (last * d_prev - before * b_prev)
+
+
+def _principal_cycle(p):
+    """(unit, cycle) from half a period of sqrt p, p a prime = 3 (mod 4).
+
+    unit is the fundamental unit (x, y) of Z[sqrt p], x**2 - p y**2 = 1,
+    and cycle a _Cycle.  The period L is even, and the complete quotients
+    mirror about its middle: Q_{L-k} = Q_k and P_{L-k} = P_{k+1}.  The one
+    reduced quotient with Q = 2, the ideal above the ramified 2, sits at
+    k = L/2, so the walk stops there; theta = A_{L/2-1} + B_{L/2-1} sqrt p
+    has norm +-2, and unit = theta**2 / 2 (Cohen, GTM 138, section 5.7).
+    Only the quotients and a big-integer checkpoint every _STRIDE steps are
+    stored; _Cycle.denominators rebuilds the rest on a hit.
     """
     root = isqrt(p)
-    P, Q = 0, 1
-    x_prev, x = 0, 1
-    y_prev, y = 1, 0
-    cycle = {}
+    P, Q = root, p - root * root
+    position = {(root, 1): 0}  # (P_1, Q_0): the mirror of k = 0, position L
+    quotients = [root]
+    checkpoints = []
+    b_prev, b, d_prev, d = 0, 1, 1, 0  # N_0, the identity
+    k = 1
     while True:
+        if (k - 1) % _STRIDE == 0:
+            checkpoints.append((b_prev, b, d_prev, d))
+        position[P, Q] = k
+        if Q == 2:
+            break
         a = (P + root) // Q
+        quotients.append(a)
         P = a * Q - P
+        position[P, Q] = -k  # (P_{k+1}, Q_k), at position L - k
         Q = (p - P * P) // Q
-        x_prev, x = x, a * x + x_prev
-        y_prev, y = y, a * y + y_prev
-        cycle[P, Q] = (y_prev, y)
-        if Q == 1:
-            return (x, y), cycle
+        b_prev, b, d_prev, d = b, a * b + b_prev, d, a * d + d_prev
+        k += 1
+    A = d + root * b  # A_{L/2-1}, from M_j = [[a_0, 1], [1, 0]] N_j
+    x, y = (A * A + p * b * b) // 2, A * b
+    # N_{L-1} is symmetric, so B_{L-2} = D_{L-1} = A_{L-1} - a_0 B_{L-1}
+    return (x, y), _Cycle(position, quotients, checkpoints, (y, x - root * y))
 
 
 def _cycle_norm_hit(p, z, m, cycle):
@@ -179,7 +240,8 @@ def _cycle_norm_hit(p, z, m, cycle):
     quotient (P + sqrt p)/Q is reduced, in O(log p) steps; it lies in the
     principal cycle exactly when the class holds an element of norm +-m.
     On a hit at k, U = M_pre M_k**-1 maps sqrt p to (z + sqrt p)/m, and
-    (x, y) = +-(m U11 - z U21, U21) has x**2 - p y**2 = det(U) m.
+    (x, y) = +-(m U11 - z U21, U21) has x**2 - p y**2 = det(U) m; only the
+    denominators (B_{k-2}, B_{k-1}) of M_k are built, from the cycle.
     """
     root = isqrt(p)
     P, Q = z, m
@@ -191,9 +253,10 @@ def _cycle_norm_hit(p, z, m, cycle):
         Q = (p - P * P) // Q
         x_prev, x = x, a * x + x_prev
         y_prev, y = y, a * y + y_prev
-    if (P, Q) not in cycle:
+    k = cycle.position.get((P, Q))
+    if k is None:
         return None
-    b_prev, b = cycle[P, Q]
+    b_prev, b = cycle.denominators(k)
     return x * b_prev - x_prev * b, y * b_prev - y_prev * b
 
 
@@ -367,27 +430,34 @@ def _check_legendre_preconds(p, q):
 def _legendre_candidates(p, q, z_bound):
     """Admissible solutions in increasing-Z order (generator).
 
-    For each Z, X' must satisfy p X'**2 = Z**2 (mod q), so only two
-    residue classes of X' mod q can occur; scanning those keeps the
-    search near-linear in Z.
+    For each Z, X' must satisfy p X'**2 = Z**2 (mod q), so X' lies in the
+    two residue classes +-r of r = Z root mod q, root**2 = 1/p (mod q),
+    and r moves by 4 root from one Z to the next.  Y' even forces
+    q Y'**2 >= 4q, so p X'**2 <= Z**2 - 4q: a Z at which the least
+    candidate min(r, q - r) already breaks that is passed over with one
+    product and one comparison, and the other Z scan only those classes.
     """
     root = _sqrt_mod_prime(pow(p, -1, q), q)
+    step, r = 4 * root % q, root  # r = Z root mod q, here for Z = 1
+    half, four_q = q // 2, 4 * q
     for Z in range(5, z_bound + 1, 4):
-        zz = Z * Z
-        if zz <= 4 * q:
+        r = (r + step) % q
+        least = r if r <= half else q - r
+        room = Z * Z - four_q
+        if p * least * least > room:
             continue
-        xmax = isqrt((zz - 4 * q) // p)  # Y' even forces q Y'**2 >= 4q
-        residues = sorted({Z * root % q, -Z * root % q})
+        xmax = isqrt(room // p)
+        residues = sorted({r, -r % q})
         xs = []
-        for r in residues:
-            x = r if r else q
+        for c in residues:
+            x = c if c else q
             while x <= xmax:
                 xs.append(x)
                 x += q
         for X in sorted(xs):
             if X % 2 == 0:
                 continue
-            rem = zz - p * X * X
+            rem = Z * Z - p * X * X
             if rem <= 0 or rem % q:
                 continue
             yy = rem // q

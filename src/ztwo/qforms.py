@@ -505,8 +505,10 @@ def _structure_from_forms(D, forms) -> tuple:
     partitions = {}
     for p, e in factorize(h).items():
         if e == 1:
-            # a cyclic Sylow p-subgroup: an element of exact order p proves it
-            y = next((y for f in forms if f != ident and (y := _pow(f, h // p)) != ident), ident)
+            # a cyclic Sylow p-subgroup: an element of exact order p proves it;
+            # a form with b < 0 has order p exactly when its listed inverse has
+            y = next((y for f in forms if f[1] >= 0 and f != ident
+                      and (y := _pow(f, h // p)) != ident), ident)
             if y == ident or _pow(y, p) != ident:
                 raise AssertionError(f"no element of order {p} among {h} forms")
             partitions[p] = [1]

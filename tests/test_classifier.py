@@ -434,6 +434,20 @@ def test_is_cyclic_tower():
     assert not is_cyclic_tower(89)
 
 
+def test_is_cyclic_tower_matches_the_predicted_shapes():
+    # over every classified d <= 2*10**4: true exactly for B and C7, where
+    # the L-layers are cyclic, and A1 and A2 predict two divisors
+    count = 0
+    for tag in classifier.classified(3, 2 * 10 ** 4):
+        count += 1
+        assert is_cyclic_tower(tag.d) == (tag.tag in ("B", "C7")), tag
+        if tag.tag in ("A1", "A2", "B"):
+            analysis = analyze(tag)
+            widths = {len(analysis.predict(n, "L").shape.divisors) for n in (2, 3, 4)}
+            assert widths == {1 if tag.tag == "B" else 2}, tag
+    assert count == 8103
+
+
 def test_iwasawa_invariants():
     assert iwasawa_invariants(89, "L") == IwasawaInvariants(1, 0, 2, 1)
     assert iwasawa_invariants(89, "K").nu == 3

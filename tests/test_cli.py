@@ -273,3 +273,17 @@ def test_scan_output_pinned(capsys, dmin, dmax, fmt, sha1):
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
+
+@pytest.mark.parametrize("dmin, rows, sha1", [
+    (9999001, 813, "15422bf2560a5cae2326ed2c52f0cf5599e3976e"),
+    (99999001, 809, "4ab581a8d52e7a80a3c43153e9c9af2e8f7f02ab"),
+    (999999001, 805, "c86ab3cd06fa741e4069205107aa3c2654460caf"),
+])
+def test_scan_rows_past_the_cli_cap_pinned(dmin, rows, sha1):
+    # the CSV that cmd_scan would print for the 2,000 d from dmin, which
+    # only the library reaches: scan --max stops at 10**6
+    found = list(cli.scan_rows(dmin, dmin + 1999))
+    lines = [cli.SCAN_COLUMNS] + [[str(row[c]) for c in cli.SCAN_COLUMNS] for row in found]
+    out = "".join(",".join(line) + "\n" for line in lines)
+    assert len(found) == rows
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1

@@ -9,6 +9,8 @@ from ztwo.diophantine import (
     KaplanParams,
     LegendreSolution,
     PellRepresentation,
+    _Cycle,
+    _STRIDE,
     _cycle_norm_hit,
     _legendre_descent,
     _primitive_pairs,
@@ -370,6 +372,68 @@ def test_cycle_lookup_matches_period_walk():
                 assert norm == want[0] ** 2 - p * want[1] ** 2 and abs(norm) == m, (p, z, m)
                 outcomes[norm // m] += 1
     assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_principal_cycle_midpoint():
+    # for every prime p = 3 (mod 4) below 2*10**4, by a walk of the whole
+    # period L of sqrt p: the first Q = 2 is at L/2, and theta**2 / 2, for
+    # the convergent theta = A + B sqrt p before it, is the fundamental unit
+    checked = 0
+    for p in range(3, 2 * 10 ** 4, 4):
+        if not is_prime(p):
+            continue
+        root = isqrt(p)
+        P, Q, k, mid = 0, 1, 0, None
+        A_prev, A, B_prev, B = 0, 1, 1, 0
+        while k == 0 or Q != 1:
+            a = (P + root) // Q
+            P = a * Q - P
+            Q = (p - P * P) // Q
+            A_prev, A = A, a * A + A_prev
+            B_prev, B = B, a * B + B_prev
+            k += 1
+            if Q == 2 and mid is None:
+                mid = k, A, B
+        assert mid[0] * 2 == k, p
+        _, A, B = mid
+        assert (A * A + p * B * B) % 2 == 0, p
+        unit = ((A * A + p * B * B) // 2, A * B)
+        assert unit == cf_norm_hit_reference(p, 0, 1) == _principal_cycle(p)[0], p
+        checked += 1
+    assert checked == 1136
+
+
+def test_cycle_lookup_matches_period_walk_on_long_periods(monkeypatch):
+    # class by class, as above, for the A2 primes of the scan-high window at
+    # the norms 2 q k**2, k <= 3: the longest half periods span 11
+    # checkpoints, and hits past the first stride land in both halves
+    positions = []
+    denominators = _Cycle.denominators
+
+    def spy(cycle, k):
+        positions.append(k)
+        return denominators(cycle, k)
+
+    monkeypatch.setattr(_Cycle, "denominators", spy)
+    hits = misses = 0
+    spans = []
+    for p, q in a2_pairs(10 ** 6, d_min=998001):
+        _, cycle = _principal_cycle(p)
+        spans.append(len(cycle.checkpoints))
+        for k in (1, 2, 3):
+            for _, z, m in norm_classes(p, 2 * q * k * k):
+                want = cf_norm_hit_reference(p, z, m)
+                got = _cycle_norm_hit(p, z, m, cycle)
+                assert (got is None) == (want is None), (p, z, m)
+                if got is None:
+                    misses += 1
+                    continue
+                norm = got[0] ** 2 - p * got[1] ** 2
+                assert norm == want[0] ** 2 - p * want[1] ** 2 and abs(norm) == m, (p, z, m)
+                hits += 1
+    assert hits == len(positions) == 240 and misses > 0
+    assert max(spans) == 11
+    assert sum(k >= _STRIDE for k in positions) == sum(k <= -_STRIDE for k in positions) == 43
 
 
 @pytest.mark.parametrize("d_min, d_max, count, refusals", [
