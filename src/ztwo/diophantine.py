@@ -435,7 +435,10 @@ def _legendre_candidates(p, q, z_bound):
     and r moves by 4 root from one Z to the next.  Y' even forces
     q Y'**2 >= 4q, so p X'**2 <= Z**2 - 4q: a Z at which the least
     candidate min(r, q - r) already breaks that is passed over with one
-    product and one comparison, and the other Z scan only those classes.
+    product and one comparison, as is a Z = 0 (mod q), and the other Z scan
+    only those classes.  While the largest X' allowed is below q, each class
+    holds at most one candidate, and min(r, q - r) and max(r, q - r) are
+    tried as they stand.
     """
     root = _sqrt_mod_prime(pow(p, -1, q), q)
     step, r = 4 * root % q, root  # r = Z root mod q, here for Z = 1
@@ -444,17 +447,14 @@ def _legendre_candidates(p, q, z_bound):
         r = (r + step) % q
         least = r if r <= half else q - r
         room = Z * Z - four_q
-        if p * least * least > room:
+        if p * least * least > room or not least:
             continue
         xmax = isqrt(room // p)
-        residues = sorted({r, -r % q})
-        xs = []
-        for c in residues:
-            x = c if c else q
-            while x <= xmax:
-                xs.append(x)
-                x += q
-        for X in sorted(xs):
+        if xmax < q:  # the test above gives least <= xmax
+            xs = (least, q - least) if q - least <= xmax else (least,)
+        else:
+            xs = sorted([*range(least, xmax + 1, q), *range(q - least, xmax + 1, q)])
+        for X in xs:
             if X % 2 == 0:
                 continue
             rem = Z * Z - p * X * X

@@ -19,8 +19,11 @@ sweep; each root yields at most one reduced form (_forms).  class_group
 counts its forms as products of prime-power root counts, testing only the
 roots that can fail, and joins by CRT just the root lists its generator
 scans reach (_FormList).  A Sylow subgroup of order p**e > p is closed
-under composition, and its shape is the Smith form of the relations the
-closure records (Teske, Math. Comp. 67, 1998), at no further composition.
+under composition up to its last generator, which needs only two powers
+to prove that it completes the subgroup; the shape is the Smith form of
+the relations the generators satisfy (Teske, Math. Comp. 67, 1998), at
+no further composition.  For odd p the ambiguous forms, of order at most
+2, are never tried as generators.
 
 two_sylow builds the 2-Sylow subgroup alone, counting no form: from the
 ambiguous classes of the known prime divisors of D it halves square
@@ -416,47 +419,64 @@ class _FormList:
         return _forms(self.D, self.table, self.count)
 
 
+def _candidates(forms, ident, p):
+    # the forms whose images under x -> x**(h / p**e) may be new in the
+    # Sylow p-subgroup: not ident, and not b < 0, as the inverse is listed;
+    # for odd p not an ambiguous form either (b == 0, b == a or a == c),
+    # whose order is at most 2
+    if p == 2:
+        return (f for f in forms if f[1] >= 0 and f != ident)
+    return (f for f in forms if 0 < f[1] < f[0] < f[2])
+
+
 def _sylow_subgroup(forms, ident, p, size):
-    """The Sylow p-subgroup as a dict from each element to its discrete
-    log, and the relations among the generators it took.
+    """Discrete logs and generator relations of the Sylow p-subgroup: a
+    dict from each element of the subgroup H that the generators before the
+    last one span to its log, and the relation rows of all the generators.
 
     x -> x**(h / p**e) maps the group onto its Sylow p-part, so scanning
     the full form list is guaranteed to generate it; in practice the first
-    few candidates already do.  A form with b < 0 is skipped, as its
-    inverse is listed.  A generator y outside the subgroup H of the ones
-    before it adds s*y**j with log log(s) + j*|H| for 0 < j < k, the least
-    k with y**k = s in H: logs are exponents in mixed radix, and the
-    relation is the row (-digits of log(s), k) of a lower-triangular
-    matrix of determinant p**e.
+    few candidates already do.  A new generator y has an order modulo H
+    that divides k = size / |H|.  When t = y**(k/p) is not in H that order
+    is k, so H and y span the whole subgroup, and y is the last generator:
+    its relation is y**k = t**p.  Otherwise y adds s*y**j with log
+    log(s) + j*|H| for 0 < j < k, the least k with y**k = s in H: logs are
+    exponents in mixed radix, and the relation is the row (-digits of
+    log(s), k) of a lower-triangular matrix of determinant p**e.
     """
     cofactor = len(forms) // size
     log = {ident: 0}
     rows = []
-    for f in forms:
-        if len(log) == size:
-            break
-        if f == ident or f[1] < 0:
-            continue
+    for f in _candidates(forms, ident, p):
         y = _pow(f, cofactor)
         if y in log:
             continue
-        # the cosets H * y**k until y**k falls back into H
-        rest = list(log)[1:]
-        step, k = y, 1
-        while step not in log:
-            log[step] = len(log)
-            for s in rest:
-                log[_compose(s, step)] = len(log)
-            step = _compose(step, y)
-            k += 1
+        k = size // len(log)
+        t = _pow(y, k // p)
+        last = t not in log
+        if last:
+            step = _pow(t, p)
+            if step not in log:  # y's order modulo H passes k
+                break
+        else:  # the cosets H * y**k until y**k falls back into H
+            rest = list(log)[1:]
+            step, k = y, 1
+            while step not in log:
+                log[step] = len(log)
+                for s in rest:
+                    log[_compose(s, step)] = len(log)
+                step = _compose(step, y)
+                k += 1
         i, row = log[step], []
         for old in rows:
             i, digit = divmod(i, old[-1])
             row.append(-digit)
         rows.append(row + [k])
-    if len(log) != size:
-        raise AssertionError(f"Sylow closure reached {len(log)}, wanted {size}")
-    return log, rows
+        if last:
+            return log, rows
+        if size % (p * len(log)):  # |H| is no p**j with j < e
+            break
+    raise AssertionError(f"no Sylow {p}-subgroup of order {size} among {len(forms)} forms")
 
 
 def _smith_partition(rows, p):
@@ -505,10 +525,9 @@ def _structure_from_forms(D, forms) -> tuple:
     partitions = {}
     for p, e in factorize(h).items():
         if e == 1:
-            # a cyclic Sylow p-subgroup: an element of exact order p proves it;
-            # a form with b < 0 has order p exactly when its listed inverse has
-            y = next((y for f in forms if f[1] >= 0 and f != ident
-                      and (y := _pow(f, h // p)) != ident), ident)
+            # a cyclic Sylow p-subgroup: an element of exact order p proves it
+            y = next((y for f in _candidates(forms, ident, p)
+                      if (y := _pow(f, h // p)) != ident), ident)
             if y == ident or _pow(y, p) != ident:
                 raise AssertionError(f"no element of order {p} among {h} forms")
             partitions[p] = [1]

@@ -533,6 +533,30 @@ def test_legendre_solution_minimality_and_admissibility():
         assert s.p * s.Xp ** 2 + s.q * s.Yp ** 2 == s.Z ** 2
 
 
+def legendre_reference(p, q, bound):
+    """Every admissible solution with Z <= bound by brute force over Z = 1
+    (mod 4) and X' = 1 .. sqrt(Z**2 / p), in increasing Z, then X'."""
+    sols = []
+    for Z in range(1, bound + 1, 4):
+        for X in range(1, isqrt(Z * Z // p) + 1):
+            rem = Z * Z - p * X * X
+            Y = isqrt(rem // q)
+            if rem % q or q * Y * Y != rem or X % 2 == 0 or Y % 2 or Y == 0:
+                continue
+            if gcd(X, Y) == gcd(Y, Z) == gcd(Z, X) == gcd(p, Y * Z) == gcd(q, X * Z) == 1:
+                sols.append((X, Y, Z))
+    return sols
+
+
+@pytest.mark.parametrize("p, q, bound", [(4397, 227, 8000), (3253, 307, 8000), (2917, 3, 3000)])
+def test_legendre_enumeration_matches_brute_force(p, q, bound):
+    # the first two pairs keep X' below q at every Z up to the bound, so each
+    # residue class of X' mod q holds at most one candidate; q = 3 does not
+    expected = legendre_reference(p, q, bound)
+    assert expected
+    assert [(s.Xp, s.Yp, s.Z) for s in enumerate_legendre_solutions(p, q, bound)] == expected
+
+
 def test_williams_criterion_invariant_across_solutions():
     # the branch decision must not depend on which admissible solution is used
     expected = {(5, 19): 1, (37, 11): -1, (2917, 3): 1}

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -439,24 +439,29 @@ def power_table_partition(sylow, p):
 
 
 def test_smith_partition_matches_the_power_table():
-    # the builder reads each Sylow subgroup's shape off the closure's
-    # relations; the x -> x**p table on its elements must agree whenever
-    # e >= 2, over cyclic groups with one and with several generators and
-    # non-cyclic ones for p = 2 and p = 3
+    # the builder reads each Sylow subgroup's shape off its generators'
+    # relations; the x -> x**p table on the subgroup, taken independently
+    # as the image of x -> x**(h / p**e), must agree whenever e >= 2, over
+    # cyclic groups with one and with several generators and non-cyclic
+    # ones for p = 2 and p = 3
     seen = set()
     shapes = {}
     for D in range(-3, -5001, -1):
         if not is_fundamental_discriminant(D):
             continue
         forms = qforms._reduced_forms(D)
+        h = len(forms)
         ident = tuple(principal_form(D))
-        for p, e in qforms.factorize(len(forms)).items():
+        for p, e in qforms.factorize(h).items():
             if e < 2:
                 continue
+            sylow = {qforms._pow(f, h // p ** e) for f in forms}
+            assert len(sylow) == p ** e, (D, p)
             log, rows = qforms._sylow_subgroup(forms, ident, p, p ** e)
             partition = qforms._smith_partition(rows, p)
-            assert partition == power_table_partition(set(log), p), (D, p)
-            assert sorted(log.values()) == list(range(p ** e)), (D, p)
+            assert partition == power_table_partition(sylow, p), (D, p)
+            assert prod(row[-1] for row in rows) == p ** e, (D, p)
+            assert set(log) <= sylow and sorted(log.values()) == list(range(len(log))), (D, p)
             if partition != [e]:
                 seen.add(f"non-cyclic, p = {p}")
             else:
@@ -465,6 +470,28 @@ def test_smith_partition_matches_the_power_table():
     assert seen >= {"cyclic, one generator", "cyclic, several generators",
                     "non-cyclic, p = 2", "non-cyclic, p = 3"}
     assert shapes[-3299, 3] == [2, 1] and shapes[-4027, 3] == [1, 1]
+
+
+def test_forged_form_list_trips_the_last_generator():
+    # Cl(-95) = Z/8 cut to h = 4: the first generator y has y**2 != 1, so it
+    # would close a Sylow 2-subgroup of order 4, but y**4 != 1
+    with pytest.raises(AssertionError):
+        qforms._structure_from_forms(-95, qforms._reduced_forms(-95)[:4])
+
+
+def test_last_generator_adds_no_cosets(monkeypatch):
+    # Cl(-19711) = Z/128: the generator that completes the Sylow subgroup
+    # is checked by two powers, not by listing its 127 powers
+    compositions = []
+    compose_forms = qforms._compose
+
+    def counted(f, g):
+        compositions.append(1)
+        return compose_forms(f, g)
+
+    monkeypatch.setattr(qforms, "_compose", counted)
+    assert qforms._structure_of(Discriminant(-19711)).divisors == (128,)
+    assert len(compositions) <= 40
 
 
 @pytest.mark.parametrize("rows, partition", [
