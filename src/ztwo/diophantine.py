@@ -4,20 +4,23 @@ Every solver is deterministic.  solve_pell_rep and solve_legendre search
 in increasing order up to a bound; a witness beyond it surfaces as
 NoRepresentationInBound or NoSolutionInBound, never as a wrong answer.
 solve_kaplan reads the primitive solutions, gcd(s, Y) = 1, of
-s**2 - p Y**2 = 2 q k**2 off their classes under the fundamental unit of
-Z[sqrt p], by the continued-fraction method of Lagrange, Matthews and
-Mollin.  Per p it walks half the principal cycle of sqrt p, up to the
-ideal above 2 at its middle; the palindrome of the period gives the
-other half and the fundamental unit (_principal_cycle).  Per class it
-makes an O(log p) reduction and a lookup in that cycle, and rebuilds the
-convergent denominators from a sparse checkpoint only on a hit (Cohen,
-GTM 138, sections 5.6 and 5.7).  Only primitive solutions can be first
-witnesses (solve_kaplan), and of each class only the two members next to
-Y = 0: for l**2 = p (mod 2 k**2), a + b sqrt p -> a - b l (mod k**2) is
-a ring map that sends the unit, of norm 1, to a unit, so the witness
-test s = l Y (mod k**2) takes one value on a whole orbit, along which
-|Y| is least next to Y = 0.  Returned objects re-validate their defining
-identities on construction, independently of the search path.
+s**2 - p Y**2 = 2 q k**2 off the continued fraction of sqrt p (Lagrange,
+Matthews and Mollin; Cohen, GTM 138, sections 5.6 and 5.7), walking at
+most half its period, up to the ideal above 2 at its middle
+(_principal_cycle).  At k = 1 with 2q < sqrt p, Legendre's theorem makes
+every such solution a convergent, so the first witness is the first
+convergent of norm +2q and the walk stops there; a walk that reaches the
+middle proves there is none, as the period is a palindrome.  Otherwise
+the solutions fall into classes under the fundamental unit, which the
+walk also yields.  Per class the solver makes an O(log p) reduction and
+a lookup in the cycle, and rebuilds the convergent denominators from a
+sparse checkpoint only on a hit.  Of each class only the two members
+next to Y = 0 can be first witnesses: for l**2 = p (mod 2 k**2),
+a + b sqrt p -> a - b l (mod k**2) is a ring map that sends the unit, of
+norm 1, to a unit, so the witness test s = l Y (mod k**2) takes one
+value on a whole orbit, along which |Y| is least next to Y = 0.
+Returned objects re-validate their defining identities on construction,
+independently of the search path.
 """
 
 from dataclasses import dataclass
@@ -156,6 +159,33 @@ def solve_pell_rep(p: int, bound: int = DEFAULT_BOUND) -> PellRepresentation:
 _STRIDE = 64  # quotients between two stored convergent matrices
 
 
+def _fold(state, quotients):
+    """N_j times the matrices [[a, 1], [1, 0]] of the quotients that follow
+    a_j, each N_j = [[B_j, B_{j-1}], [D_j, D_{j-1}]] kept as (B_{j-1}, B_j,
+    D_{j-1}, D_j).  The quotients multiply into a matrix of small integers
+    first, which meets the big entries of N_j once.
+    """
+    c11, c12, c21, c22 = 1, 0, 0, 1
+    for a in quotients:
+        c11, c12, c21, c22 = a * c11 + c12, c11, a * c21 + c22, c21
+    b_prev, b, d_prev, d = state
+    return (b * c12 + b_prev * c22, b * c11 + b_prev * c21,
+            d * c12 + d_prev * c22, d * c11 + d_prev * c21)
+
+
+def _checkpoints(quotients):
+    # N_j of a_1 .. a_j for every j = 0 (mod _STRIDE) below len(quotients)
+    checkpoints = [(0, 1, 1, 0)]  # N_0, the identity
+    for j in range(_STRIDE, len(quotients), _STRIDE):
+        checkpoints.append(_fold(checkpoints[-1], quotients[j - _STRIDE + 1:j + 1]))
+    return checkpoints
+
+
+def _matrix(quotients, checkpoints, j):
+    # N_j from the checkpoint at or below it
+    return _fold(checkpoints[j // _STRIDE], quotients[j - j % _STRIDE + 1:j + 1])
+
+
 class _Cycle(NamedTuple):
     """The principal cycle of sqrt p, kept as its first half.
 
@@ -171,13 +201,6 @@ class _Cycle(NamedTuple):
     checkpoints: list
     last: tuple
 
-    def _state(self, j):
-        # N_j = [[B_j, B_{j-1}], [D_j, D_{j-1}]] from the checkpoint below it
-        b_prev, b, d_prev, d = self.checkpoints[j // _STRIDE]
-        for a in self.quotients[j - j % _STRIDE + 1:j + 1]:
-            b_prev, b, d_prev, d = b, a * b + b_prev, d, a * d + d_prev
-        return b_prev, b, d_prev, d
-
     def denominators(self, k):
         """(B_{k-2}, B_{k-1}) at a position k, as position stores it.
 
@@ -187,16 +210,17 @@ class _Cycle(NamedTuple):
         row (B_{L-1-j}, B_{L-2-j}) is needed; det N_j = (-1)**j.
         """
         if k > 0:
-            b_prev, b, _, _ = self._state(k - 1)
+            b_prev, b, _, _ = _matrix(self.quotients, self.checkpoints, k - 1)
             return b_prev, b
-        b_prev, b, d_prev, d = self._state(-k)
+        b_prev, b, d_prev, d = _matrix(self.quotients, self.checkpoints, -k)
         last, before = self.last
         sign = -1 if k % 2 else 1
         return sign * (before * b - last * d), sign * (last * d_prev - before * b_prev)
 
 
-def _principal_cycle(p):
-    """(unit, cycle) from half a period of sqrt p, p a prime = 3 (mod 4).
+def _principal_cycle(p, stop=0):
+    """(unit, cycle) from half a period of sqrt p, p a prime = 3 (mod 4),
+    or ((A, B), None) when a convergent A/B of norm +stop ends the walk.
 
     unit is the fundamental unit (x, y) of Z[sqrt p], x**2 - p y**2 = 1,
     and cycle a _Cycle.  The period L is even, and the complete quotients
@@ -204,29 +228,42 @@ def _principal_cycle(p):
     reduced quotient with Q = 2, the ideal above the ramified 2, sits at
     k = L/2, so the walk stops there; theta = A_{L/2-1} + B_{L/2-1} sqrt p
     has norm +-2, and unit = theta**2 / 2 (Cohen, GTM 138, section 5.7).
-    Only the quotients and a big-integer checkpoint every _STRIDE steps are
-    stored; _Cycle.denominators rebuilds the rest on a hit.
+    The walk keeps only the small P_k, Q_k and a_k.  At the middle it
+    builds the position map from them, and the convergent matrices a chunk
+    of _STRIDE quotients at a time (_fold), one big-integer checkpoint per
+    chunk; _Cycle.denominators rebuilds the rest on a hit.
+
+    As A_{k-1}**2 - p B_{k-1}**2 = (-1)**k Q_k, a stop > 1 ends the walk
+    at the first even k <= L/2 with Q_k = stop, and (A_{k-1}, B_{k-1}) is
+    the convergent of norm +stop with the least B.  Since L is even, the
+    second half repeats the first half's norms with the same signs, so a
+    walk that reaches the middle proves that no convergent, in any period,
+    has norm +stop.  By Legendre's theorem every coprime A, B > 0 with
+    0 < A**2 - p B**2 < sqrt p are a convergent: for 1 < stop < sqrt p
+    the walk finds the solution of A**2 - p B**2 = stop, gcd(A, B) = 1,
+    with the least B > 0, or proves there is none.
     """
     root = isqrt(p)
     P, Q = root, p - root * root
-    position = {(root, 1): 0}  # (P_1, Q_0): the mirror of k = 0, position L
-    quotients = [root]
-    checkpoints = []
-    b_prev, b, d_prev, d = 0, 1, 1, 0  # N_0, the identity
-    k = 1
+    Ps, Qs, quotients = [], [], [root]  # P_k and Q_k from k = 1, a_0 .. a_{k-1}
     while True:
-        if (k - 1) % _STRIDE == 0:
-            checkpoints.append((b_prev, b, d_prev, d))
-        position[P, Q] = k
+        if Q == stop and len(quotients) % 2 == 0:
+            _, b, _, d = _matrix(quotients, _checkpoints(quotients), len(quotients) - 1)
+            return (d + root * b, b), None  # A = a_0 B + D, from M = [[a_0, 1], [1, 0]] N
+        Ps.append(P)
+        Qs.append(Q)
         if Q == 2:
             break
         a = (P + root) // Q
         quotients.append(a)
         P = a * Q - P
-        position[P, Q] = -k  # (P_{k+1}, Q_k), at position L - k
         Q = (p - P * P) // Q
-        b_prev, b, d_prev, d = b, a * b + b_prev, d, a * d + d_prev
-        k += 1
+    half = len(quotients)
+    position = {(root, 1): 0}  # (P_1, Q_0): the mirror of k = 0, position L
+    position.update(zip(zip(Ps, Qs), range(1, half + 1)))
+    position.update(zip(zip(Ps[1:], Qs), range(-1, -half, -1)))  # (P_{k+1}, Q_k) at L - k
+    checkpoints = _checkpoints(quotients)
+    _, b, _, d = _matrix(quotients, checkpoints, half - 1)
     A = d + root * b  # A_{L/2-1}, from M_j = [[a_0, 1], [1, 0]] N_j
     x, y = (A * A + p * b * b) // 2, A * b
     # N_{L-1} is symmetric, so B_{L-2} = D_{L-1} = A_{L-1} - a_0 B_{L-1}
@@ -330,6 +367,14 @@ def solve_kaplan(p: int, q: int, bound: int | None = DEFAULT_BOUND) -> KaplanPar
     (module docstring), so the least |Y| it passes on is at a member next
     to Y = 0 (_primitive_pairs), and NoSolutionInBound means that no
     witness with |Y| <= bound and k <= KAPLAN_K_MAX exists.
+
+    At k = 1 every pair passes the test, with l = 1, so the witness is the
+    primitive solution with the least Y > 0.  When 4 q**2 < p, that is the
+    first convergent of norm +2q, and one walk of _principal_cycle either
+    stops there or ends at the middle with the unit and the cycle, which
+    then serve k >= 2.  Only when that convergent's Y exceeds bound does
+    the search go on to k >= 2 after a second walk, which builds the
+    cycle the first one stopped short of.
     """
     if bound is not None:
         _check_bound(bound)
@@ -339,9 +384,17 @@ def solve_kaplan(p: int, q: int, bound: int | None = DEFAULT_BOUND) -> KaplanPar
         raise PrecondViolated(f"need p = q = 3 (mod 8), got {p}, {q}")
     if jacobi(p, q) != 1:
         raise PrecondViolated(f"need (p/q) = +1; order the pair so it holds")
-    principal = _principal_cycle(p)
-    for k, two_k2 in enumerate(_TWO_K2_FACTORS, 1):
-        k2 = k * k
+    if 4 * q * q < p:  # k = 1: the first convergent of norm 2q, or none
+        k_min, principal = 2, _principal_cycle(p, stop=2 * q)
+        if principal[1] is None:  # the walk stopped at that convergent
+            s, Y = principal[0]
+            if bound is None or Y <= bound:
+                return KaplanParams(p, q, 1, 1, (1 - p) // 2, s - Y, Y)
+            principal = _principal_cycle(p)
+    else:
+        k_min, principal = 1, _principal_cycle(p)
+    for k in range(k_min, KAPLAN_K_MAX + 1):
+        two_k2, k2 = _TWO_K2_FACTORS[k - 1], k * k
         ls = _sqrt_mod(p, two_k2)
         if not ls:
             continue

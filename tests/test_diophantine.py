@@ -493,6 +493,119 @@ def test_corollary_refuses_past_k_max(d, p, q):
     assert str(exc.value) == f"no Kaplan witness for ({p}, {q}) with k <= 64"
 
 
+def test_half_walk_finds_the_first_convergent_of_each_norm():
+    # for every prime p = 3 (mod 4) below 2*10**4 and every norm N < sqrt p,
+    # by a walk of the whole period: a walk that stops at N returns the
+    # period's first convergent of norm +N, and a walk that reaches the
+    # middle means the period has none; N = 1 is first met at k = L, by
+    # the fundamental unit
+    hits = misses = 0
+    for p in range(3, 2 * 10 ** 4, 4):
+        if not is_prime(p):
+            continue
+        root = isqrt(p)
+        P, Q, k = 0, 1, 0
+        A_prev, A, B_prev, B = 0, 1, 1, 0
+        first = {}
+        while k == 0 or Q != 1:
+            a = (P + root) // Q
+            P = a * Q - P
+            Q = (p - P * P) // Q
+            A_prev, A = A, a * A + A_prev
+            B_prev, B = B, a * B + B_prev
+            k += 1
+            if A * A - p * B * B > 0:
+                first.setdefault(A * A - p * B * B, (A, B))
+        assert first[1] == _principal_cycle(p)[0], p
+        for N in range(2, root + 1):
+            found, cycle = _principal_cycle(p, stop=N)
+            if cycle is None:
+                assert found == first[N], (p, N)
+                hits += 1
+            else:
+                assert N not in first, (p, N)
+                misses += 1
+    assert (hits, misses) == (13741, 86476)
+
+
+def kaplan_by_class_lookup(p, q, bounds, principal):
+    """{bound: the first witness in (k, l, |Y|) order with |Y| <= bound,
+    or None}, bound None lifting the cap, with the class lookup at every
+    k, k = 1 included: solve_kaplan's route before the first convergent of
+    norm 2q settled k = 1."""
+    first = {}
+    for k in range(1, 65):
+        k2, N = k * k, 2 * q * k * k
+        ls = _sqrt_mod(p, factorize(2 * k2))
+        pairs = _primitive_pairs(p, N, factorize(N), principal) if ls else []
+        witnesses = [(abs_y, KaplanParams(p, q, k, l, (l * l - p) // (2 * k2), (root - l * Y) // k2, Y))
+                     for l in ls for abs_y, s in pairs for Y in (abs_y, -abs_y) for root in (s, -s)
+                     if (root - l * Y) % k2 == 0]
+        for bound in bounds:
+            hit = next((w for y, w in witnesses if bound is None or y <= bound), None)
+            if hit and bound not in first:
+                first[bound] = hit
+    return {bound: first.get(bound) for bound in bounds}
+
+
+@pytest.mark.parametrize("lo, hi, hits, misses, past_bound", [
+    (3, 2 * 10 ** 5, 1025, 189, {10 ** 6: 736, 2000: 835}),
+    (9999001, 10001000, 7, 6, {10 ** 6: 7, 2000: 7}),
+    (99999001, 100001000, 9, 0, {10 ** 6: 9, 2000: 9}),
+    (999999001, 1000001000, 6, 2, {10 ** 6: 6, 2000: 6}),
+], ids=["d<=2e5", "9999001", "99999001", "999999001"])
+def test_kaplan_first_convergent_matches_the_class_lookup(lo, hi, hits, misses, past_bound):
+    # every A2 pair with 4 q**2 < p among d <= 2*10**5 and in the 2,000-d
+    # windows from 9,999,001, 99,999,001 and 999,999,001, at bound None,
+    # 10**6 and 2000: the same witness, or none, as the class lookup; a
+    # k = 1 witness past the bound sends the search on to k >= 2
+    bounds = (None, 10 ** 6, 2000)
+    outcomes = {"hit": 0, "miss": 0, 10 ** 6: 0, 2000: 0}
+    for p, q in a2_pairs(hi, d_min=lo):
+        if 4 * q * q >= p:
+            continue
+        principal = _principal_cycle(p)
+        found, cycle = _principal_cycle(p, stop=2 * q)
+        outcomes["miss" if cycle else "hit"] += 1
+        want = kaplan_by_class_lookup(p, q, bounds, principal)
+        for bound in bounds:
+            try:
+                got = solve_kaplan(p, q, bound=bound)
+            except NoSolutionInBound:
+                got = None
+            assert got == want[bound], (p, q, bound)
+            if cycle is None and bound is not None and found[1] > bound:
+                assert got is None or got.k > 1, (p, q, bound)
+                outcomes[bound] += 1
+    assert outcomes == {"hit": hits, "miss": misses, **past_bound}
+
+
+@pytest.mark.parametrize("p, q, bound, walks, k", [
+    (332851, 3, None, 1, 1),        # a k = 1 hit
+    (333019, 3, None, 1, 3),        # a miss; the search ends at k = 3
+    (3336379, 3, None, 1, None),    # a miss, refused past KAPLAN_K_MAX
+    (332851, 3, 10 ** 6, 2, 5),     # a k = 1 hit past the bound
+])
+def test_kaplan_walks_the_cycle_once(monkeypatch, p, q, bound, walks, k):
+    # one walk per solve, but for a k = 1 hit past the bound; a miss hands
+    # on the cycle a walk without the stop builds
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(_principal_cycle(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr("ztwo.diophantine._principal_cycle", spy)
+    try:
+        got = solve_kaplan(p, q, bound=bound).k
+    except NoSolutionInBound as exc:
+        assert str(exc) == f"no Kaplan witness for ({p}, {q}) with k <= 64"
+        got = None
+    assert (len(calls), got) == (walks, k)
+    if calls[0][1] is not None:
+        assert calls[0] == _principal_cycle(p)
+
+
 @pytest.mark.parametrize("bound", [0, -1])
 def test_solvers_refuse_non_positive_bound(bound):
     for solve, args in ((solve_pell_rep, (89,)), (solve_kaplan, (11, 19)),
