@@ -10,8 +10,10 @@ A single n is factored by trial division and Pollard rho (factorize,
 factor_squarefree).  A window of odd d is factored at once by
 odd_squarefree_range: a segmented sieve of Eratosthenes in blocks of
 2,048 odd d, with the primes up to isqrt(min(dmax, 2**40 - 1)) sieved
-once per call, over the same [3, 2**40) domain as factor_squarefree;
-each d it yields is still validated by the OddSquarefree constructor.
+once per call, over the same [3, 2**40) domain as factor_squarefree.
+Both build their OddSquarefree through OddSquarefree._proven, which
+skips the constructor's checks: each factor is proved prime once, by
+the sieve or by factorize, and not again by Miller-Rabin.
 
 Every quadratic congruence of the package is solved here: a square root
 modulo a prime in one pass, lifted one base-p digit at a time to a prime
@@ -57,7 +59,13 @@ _SIEVE_BLOCK = 2048  # odd d per block of odd_squarefree_range
 
 @dataclass(frozen=True)
 class OddSquarefree:
-    """A validated odd squarefree integer with its sorted prime factors."""
+    """An odd squarefree integer with its ascending distinct prime factors.
+
+    The public constructor OddSquarefree(value, factors) checks all of
+    it (odd, product, order, each factor proved by is_prime).  The
+    factorizers of this module build through _proven instead, each with
+    its own proof in its docstring.
+    """
 
     value: int
     factors: tuple
@@ -74,6 +82,14 @@ class OddSquarefree:
             raise InvalidInput(f"factors {self.factors} not sorted and distinct")
         if not all(is_prime(p) for p in self.factors):
             raise InvalidInput(f"non-prime entry in {self.factors}")
+
+    @classmethod
+    def _proven(cls, value, factors):
+        # for factorizations proved where they are made; no checks
+        self = object.__new__(cls)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "factors", factors)
+        return self
 
     def __int__(self):
         return self.value
@@ -177,13 +193,19 @@ def factorize(n: int) -> dict:
 
 
 def factor_squarefree(n: int) -> OddSquarefree:
-    """Factor an odd squarefree n in [3, 2**40); error if a square divides it."""
+    """Factor an odd squarefree n in [3, 2**40); error if a square divides it.
+
+    factorize proves every prime it returns (by trial division below the
+    cofactor's square root, or by is_prime); with every exponent 1 the
+    sorted primes are distinct and multiply to n, so nothing is left for
+    the OddSquarefree checks to prove.
+    """
     if n % 2 == 0 or not 3 <= n < FACTOR_BOUND:
         raise InvalidInput(f"need odd n with 3 <= n < 2**40, got {n}")
     fac = factorize(n)
     if any(e > 1 for e in fac.values()):
         raise NotSquarefree(f"{n} is divisible by a square")
-    return OddSquarefree(n, tuple(sorted(fac)))
+    return OddSquarefree._proven(n, tuple(sorted(fac)))
 
 
 def _odd_primes_to(n):
@@ -209,12 +231,21 @@ def odd_squarefree_range(dmin: int, dmax: int):
     (2,048) of them at a time, so memory stays bounded on any window.
     The odd primes up to isqrt(min(dmax, 2**40 - 1)) are sieved once per
     call; a block divides out the primes p with p**2 at most its last d,
-    drops every d with a prime square among them, and keeps the cofactor
-    above 1 that is left as the last prime (it has no prime factor up to
-    the square root of d).  Every d is still validated by the
-    OddSquarefree constructor (sorted distinct primes, each proved by
-    is_prime, whose product is d).  A d outside [3, 2**40) yields
-    nothing, as factor_squarefree refuses it.
+    end, drops every d with a prime square among them, and keeps the
+    cofactor above 1 that is left as the last prime.
+
+    Each d is built by OddSquarefree._proven, without the constructor's
+    checks, because the sieve is itself the proof:
+    - the divided-out primes come from Eratosthenes, ascending, each
+      dividing d once;
+    - a cofactor c > 1 left over has no prime factor up to isqrt(end)
+      >= isqrt(d), so it is prime (c <= d); it is larger than every
+      sieved prime, so the factors stay ascending and distinct, and
+      their product is d;
+    - a prime square above end cannot divide d, so the squares sieved
+      are all there are.
+    A d outside [3, 2**40) yields nothing, as factor_squarefree refuses
+    it.
     """
     lo = max(3, dmin) | 1
     hi = min(dmax, FACTOR_BOUND - 1)
@@ -244,7 +275,7 @@ def odd_squarefree_range(dmin: int, dmax: int):
             fs = factors[i]
             if rest[i] > 1:
                 fs.append(rest[i])
-            yield OddSquarefree(start + 2 * i, tuple(fs))
+            yield OddSquarefree._proven(start + 2 * i, tuple(fs))
 
 
 def is_squarefree(n: int) -> bool:

@@ -181,9 +181,9 @@ def classified(dmin: int, dmax: int):
     3 <= d < 2**40, ascending.
 
     The window is factored once, by the segmented sieve of
-    odd_squarefree_range, and each d still passes the validating
-    OddSquarefree constructor; the tags are those of classify on
-    factor_squarefree(d), which refuses every d this skips.
+    odd_squarefree_range, whose sieve proves each factor prime; the tags
+    are those of classify on factor_squarefree(d), which refuses every d
+    this skips.
     """
     for d in odd_squarefree_range(dmin, dmax):
         yield classify(d)

@@ -103,15 +103,30 @@ def test_sieve_keeps_a_cofactor_above_its_prime_limit():
     assert got[3 * 999983] == (3, 999983)
 
 
-def test_sieve_validates_every_d(monkeypatch):
-    # each yielded d went through the OddSquarefree checks: every factor
-    # is proved prime by is_prime, in order
+def test_sieve_proves_its_primes_without_is_prime(monkeypatch):
+    # the sieve is the primality proof of every factor it yields
     calls = []
     real = arith.is_prime
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
     out = list(odd_squarefree_range(10 ** 6 - 500, 10 ** 6 + 500))
     assert len(out) > 300
-    assert calls == [p for d in out for p in d.factors]
+    assert calls == []
+
+
+@pytest.mark.parametrize("lo, hi", [(3, 20000), (998001, 10 ** 6),
+                                    (999999001, 1000001000),
+                                    (2 ** 40 - 1001, 2 ** 40 - 1)])
+def test_sieve_agrees_with_factor_squarefree(lo, hi):
+    sieved = iter(odd_squarefree_range(lo, hi))
+    for n in range(lo | 1, hi + 1, 2):
+        try:
+            want = factor_squarefree(n)
+        except NotSquarefree:
+            continue
+        got = next(sieved)
+        assert got == want and hash(got) == hash(want), n
+        assert OddSquarefree(got.value, got.factors) == got  # the checked path
+    assert next(sieved, None) is None
 
 
 def test_factorize_pollard_rho_path():
@@ -133,6 +148,9 @@ def test_factorize_proves_primes_by_trial_division_or_by_is_prime(monkeypatch):
                    (7 ** 2 * 1000003, {7: 2, 1000003: 1})]:
         assert factorize(n) == fac
         assert calls == [], n
+    # factor_squarefree builds on that proof and adds no is_prime call
+    assert factor_squarefree(3 * 5 * 65521).factors == (3, 5, 65521)
+    assert calls == []
     # past the trial limit with f*f <= n the cofactor goes to is_prime and rho
     for n, fac in [(65537 * 65539, {65537: 1, 65539: 1}),
                    (65537 ** 2, {65537: 2}),
@@ -158,5 +176,8 @@ def test_factorize_agrees_with_trial_division_to_ten_thousand():
 def test_oddsquarefree_validates():
     with pytest.raises(InvalidInput):
         OddSquarefree(15, (3,))
+    # the public constructor still proves each factor prime
+    with pytest.raises(InvalidInput, match="non-prime"):
+        OddSquarefree(9, (9,))
 
 
