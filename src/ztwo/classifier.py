@@ -34,7 +34,6 @@ from .diophantine import (DEFAULT_BOUND, solve_kaplan, solve_legendre, solve_pel
 from .errors import (
     HypothesisNotMet,
     InvalidInput,
-    NoRepresentationInBound,
     NoSolutionInBound,
     PrecondViolated,
     UnsupportedFamily,
@@ -232,13 +231,14 @@ def exponent_r_corollary(tag: FamilyTag, bound: int = DEFAULT_BOUND) -> RBound:
         normalized solution of p X'^2 + q Y'^2 = Z^2 decides between
         r = 4 and r >= 5 via (Z/p)_4 vs (2X'/Z).
 
-    bound caps the A1 and B searches.  The A2 search has no |Y| cap, so
-    its witness may run to thousands of digits; nothing here prints it.
+    bound caps only the B search.  The A1 representation comes from a gcd
+    in Z[sqrt 2] with no search, and the A2 search has no |Y| cap, so its
+    witness may run to thousands of digits; nothing here prints it.
     """
     if tag.tag not in EXACT_FAMILIES:
         raise PrecondViolated(f"no corollary route for family {tag.tag}")
     if tag.tag == "A1":
-        rep = solve_pell_rep(tag.primes[0], bound=bound)
+        rep = solve_pell_rep(tag.primes[0], bound=None)
         fires = quartic_residue(rep.u, rep.p) == -1
         return RBound.exact(3) if fires else RBound.at_least(4)
     if tag.tag == "A2":
@@ -444,7 +444,7 @@ def cross_check(d_max: int, bound: int = DEFAULT_BOUND) -> CrossCheckReport:
             continue
         try:
             r_cor = exponent_r_corollary(tag, bound=bound)
-        except (NoSolutionInBound, NoRepresentationInBound) as exc:
+        except NoSolutionInBound as exc:
             report.add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, RBound.at_least(1),
                                        "skipped", f"corollary: {exc}"))
             continue

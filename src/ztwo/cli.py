@@ -119,8 +119,9 @@ def _shape_str(divisors) -> str:
 def scan_rows(dmin, dmax, family=None, bound=diophantine.DEFAULT_BOUND):
     """One row dict per odd squarefree d in [dmin, dmax], ascending.
 
-    InvalidInput for bound < 1, raised by the call itself; a solver
-    refusal at a row is written as "skipped".
+    bound caps only the family-B search of the r_corollary column (see
+    classifier.exponent_r_corollary).  InvalidInput for bound < 1, raised
+    by the call itself; a solver refusal at a row is written as "skipped".
     """
     diophantine._check_bound(bound)
     return _scan_rows(dmin, dmax, family, bound)

@@ -1,8 +1,11 @@
 """Solvers for the three representation problems the criteria use.
 
-Every solver is deterministic.  solve_pell_rep and solve_legendre search
-in increasing order up to a bound; a witness beyond it surfaces as
+Every solver is deterministic, and a witness beyond a bound surfaces as
 NoRepresentationInBound or NoSolutionInBound, never as a wrong answer.
+solve_pell_rep reads the least-v representation off the prime above p in
+Z[sqrt 2], one gcd and a unit walk of a few steps, with no search; its
+bound only refuses a least v above it.  solve_legendre searches Z in
+increasing order up to its bound.
 solve_kaplan reads the primitive solutions, gcd(s, Y) = 1, of
 s**2 - p Y**2 = 2 q k**2 off the continued fraction of sqrt p (Lagrange,
 Matthews and Mollin; Cohen, GTM 138, sections 5.6 and 5.7), walking at
@@ -141,19 +144,68 @@ def _check_bound(bound):
         raise InvalidInput(f"bound must be >= 1, got {bound}")
 
 
-def solve_pell_rep(p: int, bound: int = DEFAULT_BOUND) -> PellRepresentation:
-    """Smallest-v representation p = u**2 - 2v**2 with u = 1 (mod 8)."""
-    _check_bound(bound)
+def _prime_above(p):
+    """(u, v) with u + v sqrt 2 of norm +p and u > 0, for a prime p = 1 (mod 8).
+
+    g = gcd(p, x + sqrt 2) with x**2 = 2 (mod p) generates a prime above
+    p, by Euclid's algorithm in Z[sqrt 2]: dividing by c + d sqrt 2 and
+    rounding each coordinate of the quotient to the nearest integer leaves
+    an error e with |N(e)| <= 1/4 + 2/4 < 1, so every remainder has a
+    smaller |norm| than its divisor (Z[sqrt 2] is norm-Euclidean; Hardy and
+    Wright, An Introduction to the Theory of Numbers, ch. 14).  A g of norm
+    -p is multiplied by 1 + sqrt 2, of norm -1.
+    """
+    a, b, c, d = p, 0, _sqrt_mod_prime(2, p), 1
+    while c or d:
+        n = c * c - 2 * d * d  # (a + b sqrt 2) / (c + d sqrt 2), rounded
+        s = (2 * (a * c - 2 * b * d) + n) // (2 * n)
+        t = (2 * (b * c - a * d) + n) // (2 * n)
+        a, b, c, d = c, d, a - s * c - 2 * t * d, b - s * d - t * c
+    if a * a - 2 * b * b < 0:
+        a, b = a + 2 * b, a + b
+    return (a, b) if a > 0 else (-a, -b)
+
+
+def solve_pell_rep(p: int, bound: int | None = DEFAULT_BOUND) -> PellRepresentation:
+    """Least-v representation p = u**2 - 2v**2 with u, v > 0 and
+    u = 1 (mod 8); bound refuses a least v above it unless None.
+
+    Every element of norm p generates a prime above p, the ideal of
+    g = _prime_above(p) or of its conjugate, so it is a unit times g or
+    g'.  The units are +-(1 + sqrt 2)**n, of norm (-1)**n, and u > 0
+    makes the element totally positive, as its norm is positive; so the
+    solutions with u > 0 are the members a_j = eps**j g of the orbit of g
+    under eps = 3 + 2 sqrt 2, and their conjugates.  As eps is totally
+    positive, u_j > 0 on the whole orbit, and v_j = (eps**j g -
+    eps**-j g') / (2 sqrt 2) increases with j, so it changes sign once,
+    from v_{k-1} < 0 to v_k > 0 (v = 0 would make p a square).  The
+    solutions with v > 0 are then a_k, a_{k+1}, ... and the conjugates of
+    a_{k-1}, a_{k-2}, ..., of v = -v_j.  Since u**2 = p = 1 (mod 8), v is
+    even, and eps maps (u, v) to (3u + 4v, 2u + 3v), so u to 3u (mod 8):
+    u = 1 (mod 8) holds on every other member, or on none.  If
+    u_k = 1 (mod 8), the least v is v_k, since the other candidates are
+    a_{k+2}, a_{k+4}, ... and the conjugates of a_{k-2}, a_{k-4}, ..., and
+    -v_{k-2} = 2u_{k-1} - 3v_{k-1} > 2u_{k-1} + 3v_{k-1} = v_k.  If
+    u_{k-1} = 1 (mod 8), it is -v_{k-1} in the same way, as
+    v_{k+1} = 2u_k + 3v_k > 2u_k - 3v_k = -v_{k-1}.  If neither is,
+    no representation exists.
+    """
+    if bound is not None:
+        _check_bound(bound)
     if not is_prime(p):
         raise InvalidInput(f"{p} is not prime")
     if p % 8 != 1:
         raise BadPrimeClass(f"need p = 1 (mod 8), got p = {p}")
-    for v in range(1, bound + 1):
-        u2 = p + 2 * v * v
-        u = isqrt(u2)
-        if u * u == u2 and u % 8 == 1:
-            return PellRepresentation(p, u, v)
-    raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p} with v <= {bound}")
+    u, v = _prime_above(p)
+    while v > 0:  # down the orbit, to a member with v < 0
+        u, v = 3 * u - 4 * v, 3 * v - 2 * u
+    while 2 * u + 3 * v < 0:  # up, to the last member with v < 0
+        u, v = 3 * u + 4 * v, 2 * u + 3 * v
+    u, v = (u, -v) if u % 8 == 1 else (3 * u + 4 * v, 2 * u + 3 * v)
+    if u % 8 != 1 or (bound is not None and v > bound):
+        cap = "" if bound is None else f" with v <= {bound}"
+        raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p}{cap}")
+    return PellRepresentation(p, u, v)
 
 
 _STRIDE = 64  # quotients between two stored convergent matrices

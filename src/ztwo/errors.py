@@ -46,7 +46,7 @@ class EnumerationBoundExceeded(ZtwoError):
 
 
 class NoRepresentationInBound(ZtwoError):
-    """Bounded search for a representation exhausted without a hit."""
+    """No representation exists, or its least parameter exceeds the bound."""
 
 
 class NoSolutionInBound(ZtwoError):

@@ -110,6 +110,14 @@ def test_exponent_r_corollary(d, expected):
     assert exponent_r_corollary(classify(d)) == expected
 
 
+def test_a1_corollary_has_no_v_bound():
+    # near 2**40 the least v is 2,091,578, past the default bound, which
+    # the A1 route no longer applies: the row is exact, not skipped
+    tag = classify(1099511000041)
+    assert tag.tag == "A1"
+    assert exponent_r_corollary(tag) == RBound.exact(3) == RBound.exact(analyze(tag).r)
+
+
 def test_b_symbol_r_agrees_with_the_oracle():
     # r from (p/q) and (q/p)_4 alone, else None; the class group agrees when they decide
     decided = 0

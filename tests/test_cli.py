@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ztwo import cli, qforms
+from ztwo.classifier import RBound
 from ztwo.errors import InvalidInput
 
 
@@ -143,6 +144,24 @@ def test_witness_pell_zero_is_invalid_input(capsys):
     code, out, err = run(capsys, "witness", "--pell", "0")
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("--pell", "89", "--bound", "9"), "error: no u = 1 (mod 8) representation of 89 with v <= 9\n"),
+    (("--pell", "17"), "error: no u = 1 (mod 8) representation of 17 with v <= 1000000\n"),
+])
+def test_witness_pell_refusals(capsys, argv, err):
+    # 89's least v is 10; 17 has no representation, as (2/17)_4 = -1
+    assert run(capsys, "witness", *argv) == (1, "", err)
+
+
+def test_scan_bound_caps_no_a1_row():
+    # --bound caps only the family-B search: at bound 1 every A1 row of
+    # the window still gets a corollary value, which the oracle satisfies
+    rows = list(cli.scan_rows(998001, 10 ** 6, family="A1", bound=1))
+    assert len(rows) == 9
+    for row in rows:
+        assert RBound.parse(row["r_corollary"]).satisfied_by(row["r_oracle"]), row["d"]
 
 
 def test_verify_small(capsys):

@@ -61,20 +61,56 @@ def test_pell_errors():
 
 def test_pell_agrees_with_oracle():
     # a u = 1 (mod 8) representation exists exactly when (2/p)_4 = +1;
-    # where it does, the solver must return the minimal-v one
+    # where it does, the solver must return the minimal-v one.  Near 10**10
+    # the oracle's scan is long (v up to 163,142), so that window takes
+    # only the A1 class p = 9 (mod 16)
     from ztwo.errors import NoRepresentationInBound
     from ztwo.symbols import quartic_residue
 
-    for p in range(17, 3000, 8):
-        try:
-            rep = solve_pell_rep(p, bound=10 ** 5)
-        except InvalidInput:
-            continue
-        except NoRepresentationInBound:
-            assert quartic_residue(2, p) == -1
-            continue
-        assert quartic_residue(2, p) == 1
-        assert (rep.u, rep.v) == pell_oracle(p)
+    found = []
+    for lo, hi, step in ((17, 3000, 8), (900001, 10 ** 6, 8), (10 ** 10 - 9991, 10 ** 10, 16)):
+        for p in range(lo, hi, step):
+            if not is_prime(p):
+                continue
+            try:
+                rep = solve_pell_rep(p, bound=None)
+            except NoRepresentationInBound as exc:
+                assert quartic_residue(2, p) == -1
+                assert str(exc) == f"no u = 1 (mod 8) representation of {p}"
+                continue
+            assert quartic_residue(2, p) == 1
+            assert (rep.u, rep.v) == pell_oracle(p)
+            found.append(p)
+    assert len(found) == 48 + 887 + 29
+
+
+@pytest.mark.parametrize("p, u, v", [(89, 17, 10), (998281, 2409, 1550)])
+def test_pell_bound_refuses_only_a_larger_least_v(p, u, v):
+    from ztwo.errors import NoRepresentationInBound
+
+    assert solve_pell_rep(p, bound=v) == PellRepresentation(p, u, v)
+    with pytest.raises(NoRepresentationInBound) as exc:
+        solve_pell_rep(p, bound=v - 1)
+    assert str(exc.value) == f"no u = 1 (mod 8) representation of {p} with v <= {v - 1}"
+
+
+def test_pell_walk_starts_anywhere_on_the_orbit(monkeypatch):
+    # the gcd lands next to v = 0; from any member of the orbit of g or of
+    # its conjugate under 3 + 2 sqrt 2, the walk reaches the same answer
+    import ztwo.diophantine as diophantine
+
+    cases = [(p, solve_pell_rep(p), diophantine._prime_above(p)) for p in (89, 998281)]
+    for p, want, (u0, v0) in cases:
+        for start in ((u0, v0), (u0, -v0)):
+            for steps in range(-3, 4):
+                u, v = start
+                for _ in range(abs(steps)):
+                    if steps > 0:
+                        u, v = 3 * u + 4 * v, 2 * u + 3 * v
+                    else:
+                        u, v = 3 * u - 4 * v, 3 * v - 2 * u
+                monkeypatch.setattr(diophantine, "_prime_above", lambda p, g=(u, v): g)
+                assert solve_pell_rep(p) == want
 
 
 def test_pell_deterministic():
