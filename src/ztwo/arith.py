@@ -17,7 +17,8 @@ the sieve or by factorize, and not again by Miller-Rabin.
 
 Every quadratic congruence of the package is solved here: a square root
 modulo a prime in one pass, lifted one base-p digit at a time to a prime
-power (_sqrt_mod_prime_power), joined by CRT modulo any n (_sqrt_mod).
+power (_sqrt_mod_prime_power), joined by CRT modulo any n (_sqrt_mod),
+or just one root joined modulo a squarefree n (_sqrt_mod_squarefree).
 The lift tries all p digits, so it is only for small p: the callers
 lift at p <= 194 (the reduced-form root table) and at the primes of
 2k**2, k <= 64 (the Kaplan solver).
@@ -313,9 +314,12 @@ def _sqrt_mod_prime_or_none(n, p):
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:  # a non-residue, by Euler's criterion
-        z += 1
+    # the least non-residue, by Euler's criterion: it is a prime, and not 2
+    # as p = 1 (mod 8), and every odd z below it is a product of smaller
+    # primes, all residues
+    z = 3
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 2
     c = pow(z, q, p)
     r = pow(n, (q + 1) // 2, p)
     t = pow(n, q, p)
@@ -366,3 +370,17 @@ def _sqrt_mod(a, factors):
                  for r in roots for z in _sqrt_mod_prime_power(a, p, pe)]
         mod *= pe
     return sorted(roots)
+
+
+def _sqrt_mod_squarefree(a, primes):
+    """One z in [0, n) with z**2 = a (mod n), or None when there is none,
+    for the squarefree n with the distinct prime divisors primes: one root
+    per prime (a mod 2 at 2), joined by CRT."""
+    z, mod = 0, 1
+    for p in primes:
+        r = a % 2 if p == 2 else _sqrt_mod_prime_or_none(a, p)
+        if r is None:
+            return None
+        z += mod * ((r - z) * pow(mod, -1, p) % p)
+        mod *= p
+    return z

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .arith import _sqrt_mod, _sqrt_mod_prime, factorize, is_prime
+from .arith import _sqrt_mod, _sqrt_mod_prime, _sqrt_mod_squarefree, factorize, is_prime
 from .errors import (
     BadPrimeClass,
     InvalidInput,
@@ -469,19 +469,18 @@ def solve_kaplan(p: int, q: int, bound: int | None = DEFAULT_BOUND) -> KaplanPar
 def _short_vector(n, r, k):
     # a shortest nonzero (x, w) with x = r*w (mod n) under x**2 + k*w**2,
     # n, k > 0: Lagrange-Gauss reduction of the basis (n, 0), (r, 1)
-    def norm(v):
-        return v[0] * v[0] + k * v[1] * v[1]
-
-    u, v = (n, 0), (r, 1)
-    if norm(u) < norm(v):
-        u, v = v, u
+    ux, uw, vx, vw = n, 0, r, 1
+    nu, nv = n * n, r * r + k
+    if nu < nv:
+        ux, uw, vx, vw, nu, nv = vx, vw, ux, uw, nv, nu
     while True:
-        nv = norm(v)
-        m = (2 * (u[0] * v[0] + k * u[1] * v[1]) + nv) // (2 * nv)  # nearest integer
-        u = (u[0] - m * v[0], u[1] - m * v[1])
-        if norm(u) >= nv:
-            return v
-        u, v = v, u
+        m = (2 * (ux * vx + k * uw * vw) + nv) // (2 * nv)  # nearest integer
+        ux -= m * vx
+        uw -= m * vw
+        nu = ux * ux + k * uw * uw
+        if nu >= nv:
+            return vx, vw
+        ux, uw, vx, vw, nu, nv = vx, vw, ux, uw, nv, nu
 
 
 def _legendre_descent(A, fa, B, fb):
@@ -492,10 +491,14 @@ def _legendre_descent(A, fa, B, fb):
     Comp. 72, 2003): for |A| >= |B| and r**2 = B (mod A), a shortest
     vector (X0, W0) of the lattice X = r W (mod A) under X**2 + |B| W**2
     has X0**2 - B W0**2 = A Q with |Q| <= 1.16 sqrt|B| (Hermite's bound).
+    Any root will do: for every r with r**2 = B (mod A), the lattice
+    X = r W (mod A) has determinant |A|, so Hermite's bound and the
+    descent's termination argument hold unchanged.  So each level takes
+    one square root, a root modulo each known prime of A joined by CRT
+    (_sqrt_mod_squarefree), not the whole root list.
     Norms from Q(sqrt B) multiply, so a solution for (Q0, B), Q0 the
     squarefree part of Q, times X0 + W0 sqrt B solves the one for (A, B).
-    Each step shrinks |A| + |B|; the square roots modulo A come from its
-    known primes, and only the small Q is factored.
+    Each step shrinks |A| + |B|, and only the small Q is factored.
     """
     if A == 1:
         return 1, 1, 0
@@ -506,10 +509,10 @@ def _legendre_descent(A, fa, B, fb):
         return sol and (sol[0], sol[2], sol[1])
     if A == -1:  # and B == -1: X**2 + Y**2 + W**2 = 0
         return None
-    roots = _sqrt_mod(B, dict.fromkeys(fa, 1))
-    if not roots:
+    root = _sqrt_mod_squarefree(B, fa)
+    if root is None:
         return None
-    X0, W0 = _short_vector(abs(A), roots[0], abs(B))
+    X0, W0 = _short_vector(abs(A), root, abs(B))
     Q = (X0 * X0 - B * W0 * W0) // A
     fq = factorize(abs(Q))
     f = prod(ell ** (e // 2) for ell, e in fq.items())

@@ -2,7 +2,14 @@ from math import gcd, isqrt, prod
 
 import pytest
 
-from ztwo.arith import _sqrt_mod, _sqrt_mod_prime, factorize, is_prime, is_squarefree
+from ztwo.arith import (
+    _sqrt_mod,
+    _sqrt_mod_prime,
+    _sqrt_mod_squarefree,
+    factorize,
+    is_prime,
+    is_squarefree,
+)
 from ztwo.classifier import classify
 from ztwo.cli import scan_rows
 from ztwo.diophantine import (
@@ -15,6 +22,7 @@ from ztwo.diophantine import (
     _legendre_descent,
     _primitive_pairs,
     _principal_cycle,
+    _short_vector,
     enumerate_legendre_solutions,
     solve_kaplan,
     solve_legendre,
@@ -255,6 +263,49 @@ def test_sqrt_mod_prime_roots_every_residue_below_200():
             else:
                 with pytest.raises(NotQuadraticResidue):
                     _sqrt_mod_prime(a, p)
+
+
+@pytest.mark.parametrize("p, least_non_residue, step", [(2689, 13, 1), (9241, 13, 1),
+                                                     (979969, 37, 97)])
+def test_sqrt_mod_prime_finds_a_late_non_residue(p, least_non_residue, step):
+    # p = 1 (mod 8), the Tonelli-Shanks branch, with every z below the least
+    # non-residue a residue; 979969 has the largest least non-residue among
+    # such p below 10**6; every a < p there, or every step-th a
+    euler = [pow(z, (p - 1) // 2, p) for z in range(2, least_non_residue + 1)]
+    assert euler == [1] * (least_non_residue - 2) + [p - 1]
+    for a in range(0, p, step):
+        if pow(a, (p - 1) // 2, p) == p - 1:
+            with pytest.raises(NotQuadraticResidue):
+                _sqrt_mod_prime(a, p)
+        else:
+            assert _sqrt_mod_prime(a, p) ** 2 % p == a, (a, p)
+
+
+def test_sqrt_mod_squarefree_gives_one_of_the_roots():
+    # every squarefree modulus n <= 2000, even ones included: one of
+    # _sqrt_mod's roots, or None exactly when it finds none
+    for n in range(1, 2001):
+        fac = factorize(n)
+        if any(e > 1 for e in fac.values()):
+            continue
+        for a in (-1, -2, -3, -72, 2, 3, 5, 25, 30):
+            roots = _sqrt_mod(a, fac)
+            root = _sqrt_mod_squarefree(a, list(fac))
+            assert root in roots if roots else root is None, (a, n, root)
+
+
+def test_short_vector_is_a_shortest_lattice_vector():
+    # against the least x**2 + k*w**2 over the lattice x = r*w (mod n): at
+    # w = 0 it is n**2, and at w >= 1 the nearest x to 0, up to n/sqrt(k)
+    for k in (1, 2, 3, 7, 30, 163):
+        for n in range(1, 151):
+            w_max = isqrt(n * n // k)
+            for r in range(n):
+                x, w = _short_vector(n, r, k)
+                assert (x, w) != (0, 0) and (x - r * w) % n == 0, (n, r, k)
+                least = min([n * n] + [min(t := r * v % n, n - t) ** 2 + k * v * v
+                                       for v in range(1, w_max + 1)])
+                assert x * x + k * w * w == least, (n, r, k)
 
 
 def _unit_orbit(s, Y, p, unit, y_bound):

@@ -6,6 +6,7 @@ import pytest
 
 from ztwo import qforms
 from ztwo.arith import factorize
+from ztwo.classifier import EXACT_FAMILIES, classified
 from ztwo.errors import (
     EnumerationBoundExceeded,
     IndefiniteForm,
@@ -605,6 +606,22 @@ def test_two_sylow_matches_the_form_count_to_30000():
                 check_two_sylow(D, primes, fake, exps[:i] + [exps[i] - 1] + exps[i + 1:])
             forged += 1
     assert forged == 3675
+
+
+def test_two_sylow_matches_the_form_count_at_scan_high_sizes():
+    # the 86 exact rows of ztwo scan --min 998001 --max 1000000, with |D|
+    # near 8e6: the discriminants the oracle reads r from
+    rows = 0
+    for tag in classified(998001, 10 ** 6):
+        if tag.tag not in EXACT_FAMILIES:
+            continue
+        d = tag.d
+        D, primes = (-d.value, d.factors) if tag.tag == "B" else (-8 * d.value, (2,) + d.factors)
+        _, exps = two_sylow(D, primes)
+        h = len(qforms._FormList(Discriminant(D)))
+        assert 2 ** sum(exps) == h & -h, D
+        rows += 1
+    assert rows == 86
 
 
 def test_two_sylow_exponents_match_the_chain_to_5000():
