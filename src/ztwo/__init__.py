@@ -21,10 +21,7 @@ from .classifier import (
     cross_check,
     exponent_r_corollary,
     exponent_r_oracle,
-    is_cyclic_tower,
     iwasawa_invariants,
-    lambda_minus,
-    plus_part_odd,
     predict,
 )
 from .diophantine import (

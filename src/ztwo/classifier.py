@@ -32,14 +32,13 @@ from .arith import OddSquarefree, factor_squarefree, odd_squarefree_range
 from .diophantine import (DEFAULT_BOUND, solve_kaplan, solve_legendre, solve_pell_rep,
                           williams_criterion)
 from .errors import (
-    HypothesisNotMet,
     InvalidInput,
     NoSolutionInBound,
     PrecondViolated,
     UnsupportedFamily,
 )
 from .qforms import two_sylow
-from .symbols import jacobi, quartic_2_reciprocal, quartic_residue
+from .symbols import jacobi, quartic_residue
 
 FAMILIES = ("A1", "A2", "B", "C7", "UNCLASSIFIED")
 EXACT_FAMILIES = ("A1", "A2", "B")
@@ -61,10 +60,8 @@ class FamilyTag:
 
     def describe(self):
         parts = [self.tag]
-        if self.tag in ("A2", "B"):
-            parts.append(f"p={self.primes[0]} q={self.primes[1]}")
-        elif self.tag in ("A1", "C7"):
-            parts.append(f"p={self.primes[0]}")
+        if self.tag != "UNCLASSIFIED":
+            parts += [f"{name}={p}" for name, p in zip("pq", self.primes)]
         parts.extend(f"{name}={'+1' if val == 1 else '-1'}" for name, val in self.symbols)
         return " ".join(parts)
 
@@ -349,47 +346,6 @@ def iwasawa_invariants(d, tower: str) -> IwasawaInvariants:
     return analyze(tag).invariants(tower)
 
 
-def lambda_minus(d) -> int:
-    """2a + b - 1, counting prime factors with p mod 16 in {7, 9} (a) and
-    p mod 8 in {3, 5} (b); every factor must fall in one of the classes."""
-    d = _as_oddsf(d)
-    a = sum(1 for p in d.factors if p % 16 in (7, 9))
-    b = sum(1 for p in d.factors if p % 8 in (3, 5))
-    if a + b != len(d.factors):
-        bad = [p for p in d.factors if p % 16 not in (7, 9) and p % 8 not in (3, 5)]
-        raise HypothesisNotMet(f"prime(s) {bad} lie outside the covered congruence classes")
-    return 2 * a + b - 1
-
-
-def plus_part_odd(d) -> bool:
-    """Whether the real layers above sqrt(d) and sqrt(2) have odd class number."""
-    d = _as_oddsf(d)
-    ps = d.factors
-    if len(ps) == 1:
-        p = ps[0]
-        if p % 4 == 3 or p % 8 == 5:
-            return True
-        if p % 8 == 1:
-            return quartic_residue(2, p) * quartic_2_reciprocal(p) == -1
-        return False
-    if len(ps) == 2:
-        q1, q2 = ps
-        return (q1 % 4 == 3 and q2 % 4 == 3
-                and (q1 % 8 == 3 or q2 % 8 == 3))
-    return False
-
-
-def is_cyclic_tower(d) -> bool:
-    """True when every L-layer (n >= 2) has cyclic non-trivial 2-class group."""
-    d = _as_oddsf(d)
-    ps = d.factors
-    if len(ps) == 1:
-        return ps[0] % 16 == 7
-    if len(ps) == 2:
-        return {ps[0] % 8, ps[1] % 8} == {3, 5}
-    return False
-
-
 # ---------------------------------------------------------------------------
 # corollary <-> oracle cross-validation
 # ---------------------------------------------------------------------------
@@ -409,19 +365,18 @@ class CrossCheckEntry:
 class CrossCheckReport:
     d_max: int
     entries: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
 
     @property
     def checked(self):
         return len(self.entries)
 
-    def add(self, entry):
-        self.entries.append(entry)
-        if entry.status == "violation":
-            self.violations.append(entry)
-        elif entry.status == "skipped":
-            self.skipped.append(entry)
+    @property
+    def violations(self):
+        return [e for e in self.entries if e.status == "violation"]
+
+    @property
+    def skipped(self):
+        return [e for e in self.entries if e.status == "skipped"]
 
 
 def cross_check(d_max: int, bound: int = DEFAULT_BOUND) -> CrossCheckReport:
@@ -432,6 +387,7 @@ def cross_check(d_max: int, bound: int = DEFAULT_BOUND) -> CrossCheckReport:
     finds broken is a violation too.
     """
     report = CrossCheckReport(d_max=d_max)
+    add = report.entries.append
     for tag in classified(3, d_max):
         if tag.tag not in EXACT_FAMILIES:
             continue
@@ -439,18 +395,18 @@ def cross_check(d_max: int, bound: int = DEFAULT_BOUND) -> CrossCheckReport:
         try:
             r_oracle = analyze(tag).r
         except PrecondViolated as exc:
-            report.add(CrossCheckEntry(d, tag.tag, tag.primes, -1, RBound.at_least(1),
-                                       "violation", str(exc)))
+            add(CrossCheckEntry(d, tag.tag, tag.primes, -1, RBound.at_least(1),
+                                "violation", str(exc)))
             continue
         try:
             r_cor = exponent_r_corollary(tag, bound=bound)
         except NoSolutionInBound as exc:
-            report.add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, RBound.at_least(1),
-                                       "skipped", f"corollary: {exc}"))
+            add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, RBound.at_least(1),
+                                "skipped", f"corollary: {exc}"))
             continue
         if r_cor.satisfied_by(r_oracle):
-            report.add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, r_cor, "ok"))
+            add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, r_cor, "ok"))
         else:
-            report.add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, r_cor, "violation",
-                                       f"corollary {r_cor} vs oracle {r_oracle}"))
+            add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, r_cor, "violation",
+                                f"corollary {r_cor} vs oracle {r_oracle}"))
     return report

@@ -135,10 +135,8 @@ def _scan_rows(dmin, dmax, family, bound):
         row = dict.fromkeys(SCAN_COLUMNS, "")
         row["d"] = tag.d.value
         row["tag"] = tag.tag
-        if tag.tag in ("A1", "C7"):
-            row["p"] = tag.primes[0]
-        elif tag.tag in ("A2", "B"):
-            row["p"], row["q"] = tag.primes
+        if tag.tag != "UNCLASSIFIED":
+            row.update(zip(("p", "q"), tag.primes))
         if tag.tag == "C7":
             row["shape_L_n1"] = "cyclic-unknown"
         if tag.tag not in classifier.EXACT_FAMILIES:

@@ -395,16 +395,6 @@ def _primitive_pairs(p, m, factors, principal):
     return sorted(found)
 
 
-def _two_k2_factors(k):
-    # the prime factorization {ell: e} of 2 k**2
-    factors = {ell: 2 * e for ell, e in factorize(k).items()}
-    factors[2] = factors.get(2, 0) + 1
-    return factors
-
-
-_TWO_K2_FACTORS = tuple(_two_k2_factors(k) for k in range(1, KAPLAN_K_MAX + 1))
-
-
 def solve_kaplan(p: int, q: int, bound: int | None = DEFAULT_BOUND) -> KaplanParams:
     """First witness in (k, then l, then |Y|) order; bound caps |Y| unless None.
 
@@ -446,7 +436,8 @@ def solve_kaplan(p: int, q: int, bound: int | None = DEFAULT_BOUND) -> KaplanPar
     else:
         k_min, principal = 1, _principal_cycle(p)
     for k in range(k_min, KAPLAN_K_MAX + 1):
-        two_k2, k2 = _TWO_K2_FACTORS[k - 1], k * k
+        k2 = k * k
+        two_k2 = factorize(2 * k2)
         ls = _sqrt_mod(p, two_k2)
         if not ls:
             continue

@@ -57,9 +57,5 @@ class PrecondViolated(ZtwoError):
     """Solver or criterion called outside its congruence/symbol hypotheses."""
 
 
-class HypothesisNotMet(ZtwoError):
-    """A prime factor lies outside the congruence classes a formula covers."""
-
-
 class UnsupportedFamily(ZtwoError):
     """No exact prediction exists for this classification."""

@@ -13,15 +13,11 @@ from ztwo.classifier import (
     cross_check,
     exponent_r_corollary,
     exponent_r_oracle,
-    is_cyclic_tower,
     iwasawa_invariants,
-    lambda_minus,
-    plus_part_odd,
     predict,
 )
 from ztwo.errors import (
     EnumerationBoundExceeded,
-    HypothesisNotMet,
     InvalidInput,
     NoSolutionInBound,
     NotSquarefree,
@@ -407,48 +403,12 @@ def test_analysis_needs_r():
 # closed formulas and predicates
 # ---------------------------------------------------------------------------
 
-def test_lambda_minus_examples():
-    assert lambda_minus(89) == 1          # a=1, b=0
-    assert lambda_minus(105) == 3         # 7 counts in a; 3, 5 in b
-    with pytest.raises(HypothesisNotMet):
-        lambda_minus(31)                  # 31 = 15 (mod 16)
-
-
-def test_lambda_minus_is_one_on_exact_families():
-    for d, tag in classified_range(2000):
-        if tag.tag in ("A1", "A2", "B"):
-            assert lambda_minus(d) == 1
-
-
-def test_plus_part_odd_examples():
-    assert plus_part_odd(89)              # case 4: (2/89)_4 * (89/2)_4 = -1
-    assert plus_part_odd(33)              # case 1: 3*11 with 3 = 3 (mod 8)
-    assert not plus_part_odd(113)         # both quartic symbols are +1
-
-
-def test_plus_part_odd_on_a_families():
-    for d, tag in classified_range(3000):
-        if tag.tag in ("A1", "A2"):
-            assert plus_part_odd(d)
-
-
-def test_is_cyclic_tower():
-    assert is_cyclic_tower(7)
-    assert is_cyclic_tower(15)
-    assert is_cyclic_tower(23)            # 23 = 7 (mod 16)
-    assert not is_cyclic_tower(31)        # 31 = 15 (mod 16)
-    assert not is_cyclic_tower(35)        # 5 * 7: 7 is not 3 (mod 8)
-    assert is_cyclic_tower(247)
-    assert not is_cyclic_tower(89)
-
-
-def test_is_cyclic_tower_matches_the_predicted_shapes():
-    # over every classified d <= 2*10**4: true exactly for B and C7, where
-    # the L-layers are cyclic, and A1 and A2 predict two divisors
+def test_predicted_l_layers_are_cyclic_exactly_for_b():
+    # over every classified d <= 2*10**4: B predicts one divisor for the
+    # L-layers n = 2..4, and A1 and A2 predict two
     count = 0
     for tag in classifier.classified(3, 2 * 10 ** 4):
         count += 1
-        assert is_cyclic_tower(tag.d) == (tag.tag in ("B", "C7")), tag
         if tag.tag in ("A1", "A2", "B"):
             analysis = analyze(tag)
             widths = {len(analysis.predict(n, "L").shape.divisors) for n in (2, 3, 4)}
