@@ -29,8 +29,8 @@ cross_check confronts the two routes over a whole range of d.
 from dataclasses import dataclass, field
 
 from .arith import OddSquarefree, factor_squarefree, odd_squarefree_range
-from .diophantine import (DEFAULT_BOUND, solve_kaplan, solve_legendre, solve_pell_rep,
-                          williams_criterion)
+from .diophantine import (DEFAULT_BOUND, _check_bound, solve_kaplan, solve_legendre,
+                          solve_pell_rep, williams_criterion)
 from .errors import (
     InvalidInput,
     NoSolutionInBound,
@@ -231,7 +231,9 @@ def exponent_r_corollary(tag: FamilyTag, bound: int = DEFAULT_BOUND) -> RBound:
     bound caps only the B search.  The A1 representation comes from a gcd
     in Z[sqrt 2] with no search, and the A2 search has no |Y| cap, so its
     witness may run to thousands of digits; nothing here prints it.
+    InvalidInput for bound < 1, whatever the family.
     """
+    _check_bound(bound)
     if tag.tag not in EXACT_FAMILIES:
         raise PrecondViolated(f"no corollary route for family {tag.tag}")
     if tag.tag == "A1":
@@ -384,8 +386,9 @@ def cross_check(d_max: int, bound: int = DEFAULT_BOUND) -> CrossCheckReport:
 
     Per entry: the corollary's exact r must equal the oracle r, or its
     lower bound must be satisfied; a theorem precondition that analyze
-    finds broken is a violation too.
+    finds broken is a violation too.  InvalidInput for bound < 1.
     """
+    _check_bound(bound)
     report = CrossCheckReport(d_max=d_max)
     add = report.entries.append
     for tag in classified(3, d_max):

@@ -1,8 +1,8 @@
 """Command-line surface: classify, predict, scan, classgroup, symbol,
 witness, verify.
 
-Exit codes: 0 success, 1 invalid input, 2 no exact prediction for the
-family, 3 verification found violations.
+Exit codes: 0 success, 1 invalid input (usage errors too), 2 no exact
+prediction for the family, 3 verification found violations.
 """
 
 import argparse
@@ -270,6 +270,7 @@ def _verify_williams(d_max, bound):
 
 
 def cmd_verify(args):
+    diophantine._check_bound(args.bound)
     suites = ("corollary", "genus", "williams") if args.suite == "all" else (args.suite,)
     violations = 0
     if "corollary" in suites:
@@ -285,8 +286,15 @@ def cmd_verify(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error is invalid input: argparse's text, with exit 1, not 2
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ztwo",
         description="Classify odd squarefree d and predict 2-class groups "
                     "along the 2-power cyclotomic towers over Q(sqrt(d), i) "

@@ -551,23 +551,20 @@ def _structure_of(D: Discriminant, table: _RootTable = None) -> ClassGroupStruct
     return ClassGroupStructure.from_chain(D, len(forms), _structure_from_forms(D.D, forms))
 
 
-CLASS_GROUP_MEMO = {}  # D -> ClassGroupStructure; single writer at a time
+# always empty; only the benchmark harness reads it, and its next change deletes it
+CLASS_GROUP_MEMO = {}
 
 
 def class_group(D) -> ClassGroupStructure:
     """Exact structure of Cl(D) for a fundamental discriminant, |D| <= 2**32.
 
-    Memoized in CLASS_GROUP_MEMO; the exponent r of the classifier reads
-    two_sylow instead and never this function.
+    Built anew on every call from the forms of D; the exponent r of the
+    classifier reads two_sylow instead and never this function.
     """
-    Dv = _as_disc(D)
-    hit = CLASS_GROUP_MEMO.get(Dv)
-    if hit is not None:
-        return hit
-    if -Dv > ENUMERATION_BOUND:
-        raise EnumerationBoundExceeded(f"|D| = {-Dv} exceeds 2**32")
-    structure = CLASS_GROUP_MEMO[Dv] = _structure_of(_as_discriminant(D))
-    return structure
+    n = -_as_disc(D)
+    if n > ENUMERATION_BOUND:
+        raise EnumerationBoundExceeded(f"|D| = {n} exceeds 2**32")
+    return _structure_of(_as_discriminant(D))
 
 
 def genus_two_rank(D) -> int:
@@ -581,7 +578,7 @@ def class_group_sweep(limit: int):
     Each structure comes from the builder class_group uses, and every D
     reads its roots from one _RootTable of top isqrt(limit // 3), built
     for this call; it holds at most sum(4q) entries over the prime powers
-    q <= top.  The sweep neither reads nor writes CLASS_GROUP_MEMO.
+    q <= top.
     """
     if limit > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(f"sweep limit {limit} exceeds 2**32")

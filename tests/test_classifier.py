@@ -158,9 +158,9 @@ def test_oracle_checks_its_discriminant_once(monkeypatch):
 
 
 def test_oracle_factors_no_discriminant(monkeypatch):
-    # the oracle keeps no memo, and no call factors D, d or 2d: the primes
-    # come from the tag, and only the small coefficients of the descent
-    # are factored
+    # no call builds a Discriminant (so no class_group) or factors D, d or
+    # 2d: the primes come from the tag, and only the small coefficients of
+    # the descent are factored
     tag = classify(89)
     factored, squarefree = [], []
 
@@ -174,10 +174,9 @@ def test_oracle_factors_no_discriminant(monkeypatch):
     monkeypatch.setattr(qforms, "factorize", counting_factorize)
     monkeypatch.setattr(diophantine, "factorize", counting_factorize)
     monkeypatch.setattr(qforms, "is_squarefree", counting_is_squarefree)
-    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
     assert exponent_r_oracle(tag) == exponent_r_oracle(tag) == 3
     assert factored and not {712, 178, 89} & set(factored)
-    assert squarefree == [] and qforms.CLASS_GROUP_MEMO == {}
+    assert squarefree == []
 
 
 def classify_each(dmin, dmax):
@@ -230,10 +229,9 @@ def test_oracle_never_counts_forms(monkeypatch):
 
 
 @pytest.mark.parametrize("dmin, dmax", [(998001, 10 ** 6), (9999001, 10 ** 7), (99999001, 10 ** 8)])
-def test_oracle_matches_the_form_count_on_high_windows(dmin, dmax, monkeypatch):
+def test_oracle_matches_the_form_count_on_high_windows(dmin, dmax):
     # the scan-high window and the 1,000 d below 1e7 and 1e8: r from the
     # certified 2-Sylow basis equals r from the counted class group
-    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
     checked = 0
     for tag in classifier.classified(dmin, dmax):
         if tag.tag not in classifier.EXACT_FAMILIES:
@@ -460,6 +458,15 @@ def test_cross_check_family_filter():
 
 def test_cross_check_empty():
     assert cross_check(3).entries == []
+
+
+def test_a_non_positive_bound_is_refused_on_entry():
+    # refused whatever the family, not only where a B search runs
+    with pytest.raises(InvalidInput, match="bound must be >= 1, got 0"):
+        cross_check(3, bound=0)
+    for d in (89, 209, 55, 95):  # A1, A2, B by symbols, B by the Legendre search
+        with pytest.raises(InvalidInput, match="bound must be >= 1, got 0"):
+            exponent_r_corollary(classify(d), bound=0)
 
 
 def test_with_oddsquarefree_inputs():

@@ -222,7 +222,7 @@ def test_cache_forged_consistent_record_is_refused(tmp_path, capsys, monkeypatch
     # no file can carry the record in: --cache is unknown and ZTWO_CACHE unread
     with pytest.raises(SystemExit) as exc:
         cli.main(["--cache", str(cache), "predict", "89", "--tower", "L"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     capsys.readouterr()
     monkeypatch.setenv("ZTWO_CACHE", str(cache))
     assert run(capsys, "predict", "89", "--tower", "L") == (0, honest, "")
@@ -265,12 +265,41 @@ def test_scan_min_above_max_is_invalid_input(capsys):
     ("witness", "--kaplan", "11", "19"),
     ("witness", "--pell", "89"),
     ("witness", "--legendre", "5", "19"),
+    # --max 10 has no B pair: each suite refuses before it runs
+    ("verify", "--max", "10", "--suite", "corollary"),
+    ("verify", "--max", "10", "--suite", "genus"),
+    ("verify", "--max", "10", "--suite", "williams"),
+    ("verify", "--max", "10", "--suite", "all"),
 ])
 def test_non_positive_bound_is_invalid_input(capsys, argv, bound):
     # refused, not reported as a search that found nothing
     code, out, err = run(capsys, *argv, "--bound", bound)
     assert (code, out) == (1, "")
     assert err == f"error: bound must be >= 1, got {bound}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("predict", "55", "--n", "abc"),
+    ("scan", "--max"),
+    ("scan", "--max", "10", "--family", "Z"),
+    ("classify",),
+    ("witness", "--pell", "abc"),
+    ("verify", "--suite", "nope"),
+])
+def test_malformed_argv_is_invalid_input(capsys, argv):
+    # exit 2 is kept for "no exact prediction"; argparse's own text stays
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert f"ztwo {argv[0]}: error: " in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ztwo scan")
 
 
 @pytest.mark.parametrize("bound", [0, -3])

@@ -404,7 +404,7 @@ def test_sweep_neither_reads_nor_writes_the_memo(monkeypatch):
     assert qforms.CLASS_GROUP_MEMO == {}
     forged = ClassGroupStructure.from_chain(-23, 1, [])
     qforms.CLASS_GROUP_MEMO[-23] = forged
-    assert class_group(-23) is forged
+    assert class_group(-23).h == 3
     assert [s.h for s in class_group_sweep(23) if s.D.D == -23] == [3]
 
 
@@ -545,19 +545,17 @@ def test_one_root_table_serves_every_discriminant():
         assert forms == divisor_scan_reduced_forms(D), D
 
 
-def test_sweep_table_matches_fresh_class_groups(monkeypatch):
-    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
+def test_sweep_table_matches_fresh_class_groups():
     for swept in class_group_sweep(5000):
         single = class_group(swept.D.D)
         assert (swept.h, swept.divisors) == (single.h, single.divisors), swept.D
 
 
 @pytest.mark.parametrize("top", [-10 ** 6, -8 * 10 ** 6])
-def test_counted_class_number_matches_the_form_list(top, monkeypatch):
+def test_counted_class_number_matches_the_form_list(top):
     # class_group counts the forms with 4a**2 < |D| from their root lists
     # without testing them; reduced_forms tests every one.  Near these |D|
     # most roots lie below that split.
-    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
     window = [D for D in range(top, top - 500, -1) if is_fundamental_discriminant(D)]
     assert len(window) > 100
     for D in window:
@@ -631,9 +629,8 @@ def test_two_sylow_exponents_match_the_chain_to_5000():
         assert sorted(2 ** e for e in exps) == sorted(d & -d for d in s.divisors if d % 2 == 0), s
 
 
-def test_check_two_sylow_refuses_forged_certificates(monkeypatch):
+def test_check_two_sylow_refuses_forged_certificates():
     # Cl(-1416) = Z/2 x Z/8; each forgery below is refused
-    monkeypatch.setattr(qforms, "CLASS_GROUP_MEMO", {})
     D, primes = -1416, [2, 3, 59]
     assert class_group(D).divisors == (2, 8)
     (g1, g2), exps = two_sylow(D, primes)
