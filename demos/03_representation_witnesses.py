@@ -41,10 +41,11 @@ print(f"  2q = {wit.k ** 2 * wit.X ** 2 + 2 * wit.l * wit.X * wit.Y + 2 * wit.m 
 u = abs(wit.norm_value)
 print(f"  criterion value (-2/{u}) = {jacobi(-2, u):+d}   ->  fires: r = 3")
 
-# Some pairs only have witnesses with k > 1; the criterion then reads the
-# invariant |k^2 X + l Y| instead of |X + l Y|:
+# The witness comes from one Legendre descent, so its k need not be 1; the
+# criterion then reads |k^2 X + l Y| instead of |X + l Y|.  This pair has
+# no witness with k < 13:
 wit = solve_kaplan(2467, 3)
-print(f"\nKaplan witness for (2467, 3) needs k = {wit.k}: "
+print(f"\nKaplan witness for (2467, 3) has k = {wit.k}: "
       f"(k,l,m,X,Y) = ({wit.k},{wit.l},{wit.m},{wit.X},{wit.Y})")
 print(f"  criterion value (-2/{abs(wit.norm_value)}) = {jacobi(-2, abs(wit.norm_value)):+d}"
       "   ->  does not fire: r >= 4")

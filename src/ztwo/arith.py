@@ -17,11 +17,10 @@ the sieve or by factorize, and not again by Miller-Rabin.
 
 Every quadratic congruence of the package is solved here: a square root
 modulo a prime in one pass, lifted one base-p digit at a time to a prime
-power (_sqrt_mod_prime_power), joined by CRT modulo any n (_sqrt_mod),
-or just one root joined modulo a squarefree n (_sqrt_mod_squarefree).
-The lift tries all p digits, so it is only for small p: the callers
-lift at p <= 194 (the reduced-form root table) and at the primes of
-2k**2, k <= 64 (the Kaplan solver).
+power (_sqrt_mod_prime_power), or just one root joined by CRT modulo a
+squarefree n (_sqrt_mod_squarefree).  The lift tries all p digits, so
+it is only for small p: its one caller lifts at p <= 194 (the
+reduced-form root table).
 """
 
 from dataclasses import dataclass
@@ -357,19 +356,6 @@ def _sqrt_mod_prime_power(a, p, q):
         roots = [z for r in roots for z in range(r, nxt, mod) if (z * z - a) % nxt == 0]
         mod = nxt
     return roots
-
-
-def _sqrt_mod(a, factors):
-    """Every z in [0, n) with z**2 = a (mod n), ascending, for the n with
-    prime factorization {p: e}; prime-power roots are joined by CRT."""
-    roots, mod = [0], 1
-    for p, e in factors.items():
-        pe = p ** e
-        inv = pow(mod, -1, pe)
-        roots = [r + mod * ((z - r) * inv % pe)
-                 for r in roots for z in _sqrt_mod_prime_power(a, p, pe)]
-        mod *= pe
-    return sorted(roots)
 
 
 def _sqrt_mod_squarefree(a, primes):

@@ -228,9 +228,19 @@ def exponent_r_corollary(tag: FamilyTag, bound: int = DEFAULT_BOUND) -> RBound:
         normalized solution of p X'^2 + q Y'^2 = Z^2 decides between
         r = 4 and r >= 5 via (Z/p)_4 vs (2X'/Z).
 
+    The A2 witness is a primitive s**2 = p Y**2 + 2 q k**2 from one
+    Lagrange descent (solve_kaplan), and its norm_value is s.  Kaplan's
+    theorem, as the paper uses it, reads r off a witness; that (-2/s)
+    takes one value on every witness is not proved here.  The evidence
+    is test_kaplan_criterion_takes_one_value_per_pair
+    (tests/test_diophantine.py), which lists by isqrt every primitive
+    solution with k < 120 and Y < 400 for each A2 pair with d <= 10**4
+    and finds one value per pair, -1 exactly where the oracle reads
+    r = 3, and cross_check, which confronts the descent witness with the
+    oracle over any range of d.
+
     bound caps only the B search.  The A1 representation comes from a gcd
-    in Z[sqrt 2] with no search, and the A2 search has no |Y| cap, so its
-    witness may run to thousands of digits; nothing here prints it.
+    in Z[sqrt 2] and the A2 witness from a descent, neither with a search.
     InvalidInput for bound < 1, whatever the family.
     """
     _check_bound(bound)
@@ -242,7 +252,7 @@ def exponent_r_corollary(tag: FamilyTag, bound: int = DEFAULT_BOUND) -> RBound:
         return RBound.exact(3) if fires else RBound.at_least(4)
     if tag.tag == "A2":
         p, q = tag.primes
-        wit = solve_kaplan(p, q, bound=None)
+        wit = solve_kaplan(p, q)
         fires = jacobi(-2, abs(wit.norm_value)) == -1
         return RBound.exact(3) if fires else RBound.at_least(4)
     p, q = tag.primes

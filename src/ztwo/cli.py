@@ -208,12 +208,13 @@ def cmd_symbol(args):
 
 
 def cmd_witness(args):
+    diophantine._check_bound(args.bound)
     if args.pell is not None:
         rep = diophantine.solve_pell_rep(args.pell, bound=args.bound)
         out = {"schema": SCHEMA, "kind": "pell", "p": rep.p, "u": rep.u, "v": rep.v}
     elif args.kaplan:
         p, q = args.kaplan
-        wit = diophantine.solve_kaplan(p, q, bound=args.bound)
+        wit = diophantine.solve_kaplan(p, q)
         out = {"schema": SCHEMA, "kind": "kaplan", "p": wit.p, "q": wit.q,
                "k": wit.k, "l": wit.l, "m": wit.m, "X": wit.X, "Y": wit.Y}
     else:

@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,14 @@ def test_classify_human(capsys):
     code, out, _ = run(capsys, "classify", "209")
     assert code == 0
     assert out.strip() == "A2 p=11 q=19 (p/q)=+1"
+
+
+def test_python_m_ztwo_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "ztwo", "classify", "209"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "A2 p=11 q=19 (p/q)=+1\n"), proc.stderr
 
 
 def test_classify_unclassified(capsys):
@@ -137,6 +149,15 @@ def test_witness_commands(capsys):
     code, out, _ = run(capsys, "witness", "--legendre", "5", "19")
     rec = json.loads(out)
     assert (rec["Xp"], rec["Yp"], rec["Z"]) == (1, 2, 9) and rec["criterion"] == 1
+
+
+@pytest.mark.parametrize("bound", [(), ("--bound", "1"), ("--bound", "10")])
+def test_witness_kaplan_is_the_descent_witness(capsys, bound):
+    # the witness from one descent: the least k of (332851, 3) is 1, with a
+    # 68-digit Y; --bound is checked, but caps nothing here
+    code, out, _ = run(capsys, "witness", "--kaplan", "332851", "3", *bound)
+    assert (code, out) == (0, '{"schema": "ztwo/1", "kind": "kaplan", "p": 332851, "q": 3, '
+                              '"k": 195, "l": 749, "m": 3, "X": 0, "Y": 1}\n')
 
 
 def test_witness_pell_zero_is_invalid_input(capsys):
