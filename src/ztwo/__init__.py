@@ -33,6 +33,7 @@ from .diophantine import (
     solve_legendre,
     solve_pell_rep,
     williams_criterion,
+    williams_witness,
 )
 from .qforms import (
     ClassGroupStructure,

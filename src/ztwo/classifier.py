@@ -29,8 +29,7 @@ cross_check confronts the two routes over a whole range of d.
 from dataclasses import dataclass, field
 
 from .arith import OddSquarefree, factor_squarefree, odd_squarefree_range
-from .diophantine import (DEFAULT_BOUND, _check_bound, solve_kaplan, solve_legendre,
-                          solve_pell_rep, williams_criterion)
+from .diophantine import solve_kaplan, solve_pell_rep, williams_criterion, williams_witness
 from .errors import (
     InvalidInput,
     NoSolutionInBound,
@@ -218,7 +217,7 @@ def b_symbol_r(p: int, q: int):
     return None
 
 
-def exponent_r_corollary(tag: FamilyTag, bound: int = DEFAULT_BOUND) -> RBound:
+def exponent_r_corollary(tag: FamilyTag) -> RBound:
     """r (or a lower bound) from representation witnesses and symbols alone.
 
     A1: (u/p)_4 = -1 for the u of p = u^2 - 2v^2  <=>  r = 3.
@@ -239,11 +238,22 @@ def exponent_r_corollary(tag: FamilyTag, bound: int = DEFAULT_BOUND) -> RBound:
     r = 3, and cross_check, which confronts the descent witness with the
     oracle over any range of d.
 
-    bound caps only the B search.  The A1 representation comes from a gcd
-    in Z[sqrt 2] and the A2 witness from a descent, neither with a search.
-    InvalidInput for bound < 1, whatever the family.
+    The B solution is read off one Lagrange descent too
+    (williams_witness): the descent point, or the second point of a line
+    through it.  Williams' theorem reads r off a solution; that the
+    criterion takes one value on every admissible solution is not proved
+    here either.  The evidence is verify --suite williams, which lists
+    every admissible solution below its bound for each B pair with
+    d <= --max, adds the descent solution and checks that all agree (0
+    violations with --max 10**4), test_williams_witness_agrees_with_the_z_scan,
+    which confronts the descent solution with solve_legendre's least-Z one
+    on every pair that needs one with d <= 2*10**5, and cross_check.
+
+    No route takes a bound: the A1 representation comes from a gcd in
+    Z[sqrt 2] and the A2 and B witnesses from a descent.  The one refusal
+    left is NoSolutionInBound, raised when williams_witness's direction
+    box holds no admissible point; no pair is known to reach it.
     """
-    _check_bound(bound)
     if tag.tag not in EXACT_FAMILIES:
         raise PrecondViolated(f"no corollary route for family {tag.tag}")
     if tag.tag == "A1":
@@ -259,8 +269,7 @@ def exponent_r_corollary(tag: FamilyTag, bound: int = DEFAULT_BOUND) -> RBound:
     r = b_symbol_r(p, q)
     if r is not None:
         return RBound.exact(r)
-    sol = solve_legendre(p, q, bound=bound)
-    if williams_criterion(sol) == 1:
+    if williams_criterion(williams_witness(p, q)) == 1:
         return RBound.exact(4)
     return RBound.at_least(5)
 
@@ -391,14 +400,14 @@ class CrossCheckReport:
         return [e for e in self.entries if e.status == "skipped"]
 
 
-def cross_check(d_max: int, bound: int = DEFAULT_BOUND) -> CrossCheckReport:
+def cross_check(d_max: int) -> CrossCheckReport:
     """Confront the corollary exponent with the oracle for every classified d <= d_max.
 
     Per entry: the corollary's exact r must equal the oracle r, or its
     lower bound must be satisfied; a theorem precondition that analyze
-    finds broken is a violation too.  InvalidInput for bound < 1.
+    finds broken is a violation too.  A corollary refusal
+    (NoSolutionInBound) is recorded as skipped.
     """
-    _check_bound(bound)
     report = CrossCheckReport(d_max=d_max)
     add = report.entries.append
     for tag in classified(3, d_max):
@@ -412,7 +421,7 @@ def cross_check(d_max: int, bound: int = DEFAULT_BOUND) -> CrossCheckReport:
                                 "violation", str(exc)))
             continue
         try:
-            r_cor = exponent_r_corollary(tag, bound=bound)
+            r_cor = exponent_r_corollary(tag)
         except NoSolutionInBound as exc:
             add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, RBound.at_least(1),
                                 "skipped", f"corollary: {exc}"))

@@ -11,7 +11,7 @@ import sys
 
 from . import classifier, diophantine, qforms, symbols
 from .arith import factor_squarefree
-from .errors import InvalidInput, UnsupportedFamily, ZtwoError
+from .errors import InvalidInput, NoSolutionInBound, UnsupportedFamily, ZtwoError
 
 SCHEMA = "ztwo/1"
 
@@ -116,19 +116,13 @@ def _shape_str(divisors) -> str:
     return "x".join(str(x) for x in divisors)
 
 
-def scan_rows(dmin, dmax, family=None, bound=diophantine.DEFAULT_BOUND):
+def scan_rows(dmin, dmax, family=None):
     """One row dict per odd squarefree d in [dmin, dmax], ascending.
 
-    bound caps only the family-B search of the r_corollary column (see
-    classifier.exponent_r_corollary).  InvalidInput for bound < 1, raised
-    by the call itself; a solver refusal at a row is written as "skipped".
+    A refusal at a row (a certificate that fails, or the B direction box of
+    classifier.exponent_r_corollary without an admissible point) is
+    written as "skipped".
     """
-    diophantine._check_bound(bound)
-    return _scan_rows(dmin, dmax, family, bound)
-
-
-def _scan_rows(dmin, dmax, family, bound):
-    # the rows of scan_rows, for a bound it has checked
     for tag in classifier.classified(dmin, dmax):
         if family and tag.tag != family:
             continue
@@ -150,7 +144,7 @@ def _scan_rows(dmin, dmax, family, bound):
             continue
         row["r_oracle"] = analysis.r
         try:
-            row["r_corollary"] = str(classifier.exponent_r_corollary(tag, bound=bound))
+            row["r_corollary"] = str(classifier.exponent_r_corollary(tag))
         except ZtwoError:
             row["r_corollary"] = "skipped"
         row["shape_L_n1"] = _shape_str(analysis.predict(1, "L").shape.divisors)
@@ -165,7 +159,7 @@ def _scan_rows(dmin, dmax, family, bound):
 def cmd_scan(args):
     if args.min > args.max or args.max > 10 ** 6:
         raise InvalidInput("need min <= max <= 10**6")
-    rows = scan_rows(args.min, args.max, family=args.family, bound=args.bound)
+    rows = scan_rows(args.min, args.max, family=args.family)
     if args.format == "csv":
         print(",".join(SCAN_COLUMNS))
         for row in rows:
@@ -227,8 +221,8 @@ def cmd_witness(args):
     return EXIT_OK
 
 
-def _verify_corollary(d_max, bound):
-    report = classifier.cross_check(d_max, bound=bound)
+def _verify_corollary(d_max):
+    report = classifier.cross_check(d_max)
     print(f"corollary suite: {report.checked} classified d <= {d_max}; "
           f"{len(report.violations)} violations, {len(report.skipped)} skipped")
     for v in report.violations:
@@ -251,7 +245,8 @@ def _verify_genus(d_max):
 
 
 def _verify_williams(d_max, bound):
-    """Criterion invariance across every admissible solution below the bound."""
+    """Criterion invariance across every admissible solution below the bound
+    and the descent solution that scan reads (diophantine.williams_witness)."""
     bad = 0
     pairs = 0
     for tag in classifier.classified(3, d_max):
@@ -261,10 +256,16 @@ def _verify_williams(d_max, bound):
         if classifier.b_symbol_r(p, q) is not None:
             continue
         sols = diophantine.enumerate_legendre_solutions(p, q, bound)
-        values = {diophantine.williams_criterion(s) for s in sols}
+        try:
+            descent = [diophantine.williams_witness(p, q)]
+        except NoSolutionInBound as exc:
+            descent = []
+            print(f"  skipped d={tag.d}: {exc}")
+        values = {diophantine.williams_criterion(s) for s in sols + descent}
         if len(values) > 1:
             bad += 1
-            print(f"  VIOLATION d={tag.d}: criterion not solution-invariant over {len(sols)} solutions")
+            print(f"  VIOLATION d={tag.d}: criterion not solution-invariant over "
+                  f"{len(sols)} solutions and {len(descent)} descent solution")
         pairs += 1
     print(f"williams suite: {pairs} pairs, all admissible solutions with Z <= {bound}; {bad} violations")
     return bad
@@ -275,7 +276,7 @@ def cmd_verify(args):
     suites = ("corollary", "genus", "williams") if args.suite == "all" else (args.suite,)
     violations = 0
     if "corollary" in suites:
-        violations += _verify_corollary(args.max, args.bound)
+        violations += _verify_corollary(args.max)
     if "genus" in suites:
         violations += _verify_genus(min(args.max * 10, 10 ** 5))
     if "williams" in suites:
@@ -319,7 +320,6 @@ def build_parser():
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--family", choices=classifier.FAMILIES)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--bound", type=int, default=diophantine.DEFAULT_BOUND)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("classgroup", help="exact structure of Cl(D)")

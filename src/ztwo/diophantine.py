@@ -4,11 +4,18 @@ Every solver is deterministic, and a witness beyond a bound surfaces as
 NoRepresentationInBound or NoSolutionInBound, never as a wrong answer.
 solve_pell_rep reads the least-v representation off the prime above p in
 Z[sqrt 2], one gcd and a unit walk of a few steps, with no search; its
-bound only refuses a least v above it.  solve_legendre searches Z in
-increasing order up to its bound.  solve_kaplan takes no bound: its
-witness is a primitive solution of s**2 = p Y**2 + 2 q k**2 from one
-Lagrange descent (_legendre_descent; Cremona and Rusin, Math. Comp. 72,
-2003), the descent that also serves the class-group oracle.
+bound only refuses a least v above it.  solve_kaplan and williams_witness
+take no bound: each reads its witness off one Lagrange descent
+(_legendre_descent; Cremona and Rusin, Math. Comp. 72, 2003), the descent
+that also serves the class-group oracle.  solve_kaplan's is a primitive
+solution of s**2 = p Y**2 + 2 q k**2; williams_witness's is the
+descent point of p X'**2 + q Y'**2 = Z**2 or the second point of a line
+through it, from a fixed box of directions.  solve_legendre searches Z
+in increasing order up to its bound, for the least-Z solution that
+witness --legendre prints and the williams suite enumerates.
+That the Kaplan and Williams criteria take one value on every witness
+is not proved here; the evidence is in the tests and verify suites that
+the exponent_r_corollary docstring names.
 Returned objects re-validate their defining identities on construction,
 independently of the search path.
 """
@@ -27,6 +34,8 @@ from .errors import (
 from .symbols import jacobi, quartic_residue
 
 DEFAULT_BOUND = 10 ** 6
+# the directions williams_witness tries: |a|, |b|, |c| <= WILLIAMS_BOX
+WILLIAMS_BOX = 6
 
 
 @dataclass(frozen=True)
@@ -360,8 +369,87 @@ def enumerate_legendre_solutions(p: int, q: int, bound: int) -> list:
     return list(_legendre_candidates(p, q, bound))
 
 
+def _directions(box):
+    """Each primitive (a, b, c) with |a|, |b|, |c| <= box and its first nonzero
+    coordinate positive, by increasing |a| + |b| + |c| >= 2 (generator).
+
+    w and -w, or any multiple of w, give the same line through a point,
+    and a coordinate axis (|a| + |b| + |c| = 1) gives that point again with
+    two of its signs changed.
+    """
+    for n in range(2, 3 * box + 1):
+        for a in range(min(n, box) + 1):
+            for b in range(max(0, n - a - box), min(n - a, box) + 1):
+                c = n - a - b
+                if gcd(a, b, c) != 1:
+                    continue
+                for sb in ((1, -1) if a and b else (1,)):
+                    for sc in ((1, -1) if (a or b) and c else (1,)):
+                        yield a, sb * b, sc * c
+
+
+def _points_through(p, q, X0, Y0, Z0):
+    # (X0, Y0, Z0), then the second point of each line through it in
+    # _directions(WILLIAMS_BOX)
+    yield X0, Y0, Z0
+    for a, b, c in _directions(WILLIAMS_BOX):
+        f = p * a * a + q * b * b - c * c
+        t = 2 * (p * X0 * a + q * Y0 * b - Z0 * c)
+        yield f * X0 - t * a, f * Y0 - t * b, f * Z0 - t * c
+
+
+def williams_witness(p: int, q: int) -> LegendreSolution:
+    """An admissible solution of p X'**2 + q Y'**2 = Z**2 from one Legendre
+    descent, with no search over Z and no bound.
+
+    _legendre_descent(p, [p], q, [q]) gives a point v0 = (X0, Y0, Z0),
+    divided by its gcd.  Each line through v0 with direction w = (a, b, c)
+    meets the conic again at Q(w) v0 - B(v0, w) w, with
+    Q(w) = p a**2 + q b**2 - c**2 and B(v0, w) = 2 (p X0 a + q Y0 b - Z0 c).
+    v0 is tried first, then those points for the w of _directions(
+    WILLIAMS_BOX); each is divided by its gcd and taken positive, and the
+    first admissible one is returned.
+
+    A primitive point is pairwise coprime: a prime dividing two of X', Y',
+    Z has its square dividing the third term, and p, q are squarefree, so
+    it divides the third coordinate too.  p | Y' would make p | Z and then
+    p | X', and p | Z would make p | Y'; so p does not divide Y' Z, and q
+    does not divide X' Z in the same way.  Mod 8, p = 5 and q = 3: an even
+    X' makes Y' odd and Z**2 = 3 or 7, not a square, so X' is odd.  So
+    only the 2-adic conditions select, Y' even and Z = 1 (mod 4), and
+    each fails on some primitive points: an odd Y' makes Z**2 = 5 + 3 = 0
+    (mod 8), and some points have Z = 3 (mod 4).  Nothing here proves
+    that the box holds a point meeting both; a box that holds none raises
+    NoSolutionInBound naming it, never a silent skip.  The evidence is
+    test_williams_witness_agrees_with_the_z_scan (tests/test_diophantine.py),
+    over every pair that needs a solution with d <= 2*10**5, and the
+    scan_rows window just below 2**40 in tests/test_cli.py.  The point
+    need not be solve_legendre's.
+    """
+    _check_legendre_preconds(p, q)
+    Z0, X0, Y0 = _legendre_descent(p, [p], q, [q])
+    g = gcd(X0, Y0, Z0)
+    for X, Y, Z in _points_through(p, q, X0 // g, Y0 // g, Z0 // g):
+        g = gcd(X, Y, Z)
+        if not g:  # w along v0 itself
+            continue
+        Y, Z = abs(Y) // g, abs(Z) // g
+        if Y % 2 == 0 and Z % 4 == 1:
+            return LegendreSolution(p, q, abs(X) // g, Y, Z)
+    raise NoSolutionInBound(f"no admissible point for ({p}, {q}) on the lines through "
+                            f"the descent point with |a|, |b|, |c| <= {WILLIAMS_BOX}")
+
+
 def williams_criterion(sol: LegendreSolution) -> int:
-    """+1 when (Z/p)_4 differs from (2X'/Z); -1 when they agree."""
+    """+1 when (Z/p)_4 differs from (2X'/Z); -1 when they agree.
+
+    Williams' theorem, as the paper uses it, reads r = 4 against r >= 5
+    off one admissible solution; that the value is the same on every one
+    is not proved here.  verify --suite williams lists every admissible
+    solution with Z up to its bound for each pair, williams_witness's
+    among them, and checks that they agree; cross_check confronts the
+    value with the class-group oracle.
+    """
     quartic = quartic_residue(sol.Z % sol.p, sol.p)
     jac = jacobi(2 * sol.Xp, sol.Z)
     return 1 if quartic != jac else -1

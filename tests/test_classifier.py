@@ -460,15 +460,6 @@ def test_cross_check_empty():
     assert cross_check(3).entries == []
 
 
-def test_a_non_positive_bound_is_refused_on_entry():
-    # refused whatever the family, not only where a B search runs
-    with pytest.raises(InvalidInput, match="bound must be >= 1, got 0"):
-        cross_check(3, bound=0)
-    for d in (89, 209, 55, 95):  # A1, A2, B by symbols, B by the Legendre search
-        with pytest.raises(InvalidInput, match="bound must be >= 1, got 0"):
-            exponent_r_corollary(classify(d), bound=0)
-
-
 def test_with_oddsquarefree_inputs():
     d = factor_squarefree(209)
     assert classify(d).tag == "A2"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ztwo import cli, qforms
+from ztwo import cli, diophantine, qforms
 from ztwo.classifier import RBound
 from ztwo.errors import InvalidInput
 
@@ -176,10 +176,14 @@ def test_witness_pell_refusals(capsys, argv, err):
     assert run(capsys, "witness", *argv) == (1, "", err)
 
 
-def test_scan_bound_caps_no_a1_row():
-    # --bound caps only the family-B search: at bound 1 every A1 row of
-    # the window still gets a corollary value, which the oracle satisfies
-    rows = list(cli.scan_rows(998001, 10 ** 6, family="A1", bound=1))
+def test_scan_bound_caps_no_a1_row(capsys):
+    # scan takes no --bound, as no corollary route searches: every A1 row
+    # of the window gets a corollary value, which the oracle satisfies
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--min", "1", "--max", "300", "--bound", "1"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --bound 1" in capsys.readouterr().err
+    rows = list(cli.scan_rows(998001, 10 ** 6, family="A1"))
     assert len(rows) == 9
     for row in rows:
         assert RBound.parse(row["r_corollary"]).satisfied_by(row["r_oracle"]), row["d"]
@@ -195,6 +199,25 @@ def test_verify_williams_suite(capsys):
     code, out, _ = run(capsys, "verify", "--max", "120", "--suite", "williams",
                        "--bound", "3000")
     assert code == 0
+
+
+def test_verify_williams_suite_checks_the_descent_solution(capsys, monkeypatch):
+    # the solution scan reads joins each pair's enumerated ones: one of the
+    # other branch is a violation, and an empty direction box a skip
+    argv = ("verify", "--max", "120", "--suite", "williams", "--bound", "3000")
+    witness = diophantine.williams_witness
+    monkeypatch.setattr(diophantine, "williams_witness",
+                        lambda p, q: witness(37, 11) if (p, q) == (5, 19) else witness(p, q))
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out.splitlines()[0] == ("  VIOLATION d=95: criterion not solution-invariant over "
+                                   "77 solutions and 1 descent solution")
+    monkeypatch.setattr(diophantine, "williams_witness", witness)
+    monkeypatch.setattr(diophantine, "WILLIAMS_BOX", 0)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0].startswith("  skipped d=95: no admissible point for (5, 19)")
+    assert out.splitlines()[-1].endswith("; 0 violations")
 
 
 def test_json_serialization_roundtrips():
@@ -273,14 +296,14 @@ def test_scan_min_above_max_is_invalid_input(capsys):
     code, out, err = run(capsys, "scan", "--min", "10", "--max", "5")
     assert (code, out) == (1, "")
     assert err.strip() == "error: need min <= max <= 10**6"
-    args = argparse.Namespace(min=10, max=5, family=None, bound=10 ** 6, format="csv")
+    args = argparse.Namespace(min=10, max=5, family=None, format="csv")
     with pytest.raises(InvalidInput):
         cli.cmd_scan(args)
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
 @pytest.mark.parametrize("argv", [
-    ("scan", "--min", "1", "--max", "300"),
+    ("verify", "--max", "100"),
     ("verify", "--max", "100", "--suite", "corollary"),
     ("verify", "--max", "120", "--suite", "williams"),
     ("witness", "--kaplan", "11", "19"),
@@ -323,13 +346,6 @@ def test_help_still_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: ztwo scan")
 
 
-@pytest.mark.parametrize("bound", [0, -3])
-def test_scan_rows_refuses_a_non_positive_bound(bound):
-    # the library generator refuses too, rather than writing "skipped" rows
-    with pytest.raises(InvalidInput, match=f"bound must be >= 1, got {bound}"):
-        next(cli.scan_rows(3, 300, bound=bound))
-
-
 @pytest.mark.parametrize("dmin, dmax, fmt, sha1", [
     ("3", "3000", "csv", "6d4394b87916d77228a157db9368e0247c0db633"),
     ("3", "3000", "json", "e8fd9b6851c4ddc09c27ca73c84c82368899bf95"),
@@ -356,3 +372,16 @@ def test_scan_rows_past_the_cli_cap_pinned(dmin, rows, sha1):
     out = "".join(",".join(line) + "\n" for line in lines)
     assert len(found) == rows
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+def test_scan_rows_below_2_40_skip_nothing():
+    # the B rows read the descent solution, which needs no Z bound: the
+    # 4,000 d from 1,099,511,000,001 have no skipped cell, and the oracle
+    # satisfies every corollary value (a Z <= 10**6 scan skipped 15 B rows)
+    rows = list(cli.scan_rows(1099511000001, 1099511004000))
+    exact = [row for row in rows if row["r_oracle"] != ""]
+    assert len(rows) == 1614 and len(exact) == 125
+    assert sum(row["tag"] == "B" for row in exact) == 75
+    assert not [row["d"] for row in rows if "skipped" in row.values()]
+    for row in exact:
+        assert RBound.parse(row["r_corollary"]).satisfied_by(row["r_oracle"]), row["d"]

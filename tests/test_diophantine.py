@@ -2,6 +2,7 @@ from math import gcd, isqrt, prod
 
 import pytest
 
+from ztwo import classifier, diophantine
 from ztwo.arith import (
     _sqrt_mod_prime,
     _sqrt_mod_prime_power,
@@ -23,10 +24,12 @@ from ztwo.diophantine import (
     solve_legendre,
     solve_pell_rep,
     williams_criterion,
+    williams_witness,
 )
 from ztwo.errors import (
     BadPrimeClass,
     InvalidInput,
+    NoSolutionInBound,
     NotQuadraticResidue,
     NotSquarefree,
     PrecondViolated,
@@ -385,6 +388,27 @@ def test_williams_criterion_invariant_across_solutions():
         sols = enumerate_legendre_solutions(p, q, 5000)
         assert len(sols) >= 10
         assert {williams_criterion(s) for s in sols} == {value}
+
+
+def test_williams_witness_agrees_with_the_z_scan():
+    # the descent solution and the least-Z one give the same branch on every
+    # B pair that needs a solution with d <= 2*10**5
+    pairs = [t.primes for t in classifier.classified(3, 2 * 10 ** 5)
+             if t.tag == "B" and classifier.b_symbol_r(*t.primes) is None]
+    assert len(pairs) == 1469
+    for p, q in pairs:
+        assert williams_criterion(williams_witness(p, q)) == williams_criterion(solve_legendre(p, q)), (p, q)
+    assert williams_witness(5, 19) == LegendreSolution(5, 19, 1, 2, 9)
+
+
+def test_williams_witness_refuses_an_empty_box(monkeypatch):
+    # (5, 19) descends to (3, 2, 11), with Z = 3 (mod 4): with no line to
+    # try, the refusal names the box, and the scan row reads skipped
+    monkeypatch.setattr(diophantine, "WILLIAMS_BOX", 0)
+    with pytest.raises(NoSolutionInBound, match=r"\(5, 19\) .* \|a\|, \|b\|, \|c\| <= 0"):
+        williams_witness(5, 19)
+    row, = scan_rows(95, 95)
+    assert (row["tag"], row["r_oracle"], row["r_corollary"]) == ("B", 4, "skipped")
 
 
 def test_legendre_validator():
