@@ -13,7 +13,8 @@ odd_squarefree_range: a segmented sieve of Eratosthenes in blocks of
 once per call, over the same [3, 2**40) domain as factor_squarefree.
 Both build their OddSquarefree through OddSquarefree._proven, which
 skips the constructor's checks: each factor is proved prime once, by
-the sieve or by factorize, and not again by Miller-Rabin.
+the sieve or by factorize, and not again by Miller-Rabin.  is_squarefree
+factors nothing: trial division to the cube root, then one isqrt.
 
 Every quadratic congruence of the package is solved here: a square root
 modulo a prime in one pass, lifted one base-p digit at a time to a prime
@@ -55,6 +56,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _TRIAL_LIMIT = 1 << 16
 
 _SIEVE_BLOCK = 2048  # odd d per block of odd_squarefree_range
+
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # steps over the residues coprime to 30, from 7
 
 
 @dataclass(frozen=True)
@@ -161,8 +164,7 @@ def factorize(n: int) -> dict:
             fac[p] = fac.get(p, 0) + 1
             n //= p
     f = 7
-    # wheel over residues coprime to 30
-    steps = (4, 2, 4, 2, 4, 6, 2, 6)
+    steps = _WHEEL
     i = 0
     while f * f <= n and f < _TRIAL_LIMIT:
         if n % f == 0:
@@ -279,8 +281,33 @@ def odd_squarefree_range(dmin: int, dmax: int):
 
 
 def is_squarefree(n: int) -> bool:
-    """True iff no square > 1 divides n (1 <= n < 2**40)."""
-    return all(e == 1 for e in factorize(n).values())
+    """True iff no square > 1 divides n (1 <= n < 2**40), without factoring.
+
+    Trial division on factorize's wheel runs only while f**3 <= n, each
+    divisor divided out once; one that divides again is a square factor.
+    The cofactor n left then has no prime factor below its cube root, so
+    it is 1, a prime, a product of two primes or a prime square, and is
+    squarefree iff it is 1 or not a perfect square.
+    """
+    if not 1 <= n < FACTOR_BOUND:
+        raise InvalidInput(f"is_squarefree defined for 1 <= n < 2**40, got {n}")
+    for p in (2, 3, 5):
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+    f = 7
+    steps = _WHEEL
+    i = 0
+    while f * f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return False
+        f += steps[i]
+        i = (i + 1) % 8
+    r = isqrt(n)
+    return n == 1 or r * r != n
 
 
 def _sqrt_mod_prime(n, p):

@@ -273,6 +273,8 @@ def _verify_williams(d_max, bound):
 
 def cmd_verify(args):
     diophantine._check_bound(args.bound)
+    if args.max < 1:
+        raise InvalidInput(f"need max >= 1, got {args.max}")
     suites = ("corollary", "genus", "williams") if args.suite == "all" else (args.suite,)
     violations = 0
     if "corollary" in suites:

@@ -196,9 +196,10 @@ def solve_pell_rep(p: int, bound: int | None = DEFAULT_BOUND) -> PellRepresentat
     while 2 * u + 3 * v < 0:  # up, to the last member with v < 0
         u, v = 3 * u + 4 * v, 2 * u + 3 * v
     u, v = (u, -v) if u % 8 == 1 else (3 * u + 4 * v, 2 * u + 3 * v)
-    if u % 8 != 1 or (bound is not None and v > bound):
-        cap = "" if bound is None else f" with v <= {bound}"
-        raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p}{cap}")
+    if u % 8 != 1:  # none exists, whatever the bound
+        raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p}")
+    if bound is not None and v > bound:
+        raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p} with v <= {bound}")
     return PellRepresentation(p, u, v)
 
 
@@ -226,6 +227,8 @@ def solve_kaplan(p: int, q: int) -> KaplanParams:
     """
     if not (is_prime(p) and is_prime(q)):
         raise InvalidInput(f"{p}, {q} must both be prime")
+    if p == q:
+        raise PrecondViolated(f"need distinct primes p, q, got p = q = {p}")
     if p % 8 != 3 or q % 8 != 3:
         raise PrecondViolated(f"need p = q = 3 (mod 8), got {p}, {q}")
     if jacobi(p, q) != 1:

@@ -16,14 +16,17 @@ check their input and return FormClass.  Enumeration reads the roots of
 a quadratic congruence modulo every prime power q from one _RootTable per
 call, keyed by (q, D mod 4q) and so shared by all the discriminants of a
 sweep; each root yields at most one reduced form (_forms).  class_group
-counts its forms as products of prime-power root counts, testing only the
-roots that can fail, and joins by CRT just the root lists its generator
-scans reach (_FormList).  A Sylow subgroup of order p**e > p is closed
-under composition up to its last generator, which needs only two powers
-to prove that it completes the subgroup; the shape is the Smith form of
-the relations the generators satisfy (Teske, Math. Comp. 67, 1998), at
-no further composition.  For odd p the ambiguous forms, of order at most
-2, are never tried as generators.
+counts its forms as products of prime-power root counts, on a schedule
+the table lists once (the prime powers, then one product per composite),
+testing only the roots that can fail, and joins by CRT just the root lists
+its generator scans reach (_FormList).  A Sylow subgroup of order p**e > p
+is closed under composition up to its last generator: successive p-th
+powers of a new generator y find the least y**(p**i) in the span H of the
+earlier ones, and when that takes the full index of H, y is last and adds
+no cosets.  The shape is the Smith form of the relations the generators
+satisfy (Teske, Math. Comp. 67, 1998), at no further composition, and a
+diagonal relation matrix is read directly.  For odd p the ambiguous forms,
+of order at most 2, are never tried as generators.
 
 two_sylow builds the 2-Sylow subgroup alone, counting no form: from the
 ambiguous classes of the known prime divisors of D it halves square
@@ -33,6 +36,7 @@ certifies the result independently of that construction.
 """
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -306,8 +310,11 @@ class _RootTable:
     at p = 2.  The dict holds at most sum(4q) entries over the prime
     powers q <= top.  A sieve splits each a <= top once as
     a = p**k * m, p its least prime: least[a] = p and part[a] = p**k, kept
-    in arrays.  The roots of any other a are joined by CRT from its prime
-    powers, and built only when asked for (roots).
+    in arrays.  From them the table lists, once, the schedule that counts
+    follows for every D: the prime powers with the key base and modulus
+    of their root lists, then every other a with its CRT factors
+    (a // part[a], part[a]).  The roots of any other a are joined by CRT
+    from its prime powers, and built only when asked for (roots).
     """
 
     def __init__(self, top: int):
@@ -326,6 +333,9 @@ class _RootTable:
                     q *= p
         self.least = least
         self.part = part
+        # the schedule of counts, each part ascending in a
+        self.powers = [(a, 4 * a * a, 4 * a) for a, q in enumerate(part) if q == a > 1]
+        self.composites = [(a, a // q, q) for a, q in enumerate(part) if q < a]
         self.lists = {}
 
     def _prime_power_roots(self, q: int, D: int) -> tuple:
@@ -349,18 +359,19 @@ class _RootTable:
 
         A prime power's count is its root list's length, and every other
         a = p**k * m multiplies the counts of its two CRT factors, so a
-        root-less prime power zeroes all its multiples.
+        root-less prime power zeroes all its multiples.  The schedule
+        fills the prime powers first, then the other a in ascending order,
+        so both factors of each are ready when it is reached.
         """
         top = isqrt(-D // 3)
         count = [0, 1] + [0] * (top - 1)
-        part, lists = self.part, self.lists
-        for a in range(2, top + 1):
-            q = part[a]
-            if q < a:
-                count[a] = count[a // q] * count[q]
-            else:  # _prime_power_roots's lookup inlined, as it runs for every D
-                ts = lists.get(4 * a * a + D % (4 * a))
-                count[a] = len(self._prime_power_roots(a, D) if ts is None else ts)
+        lists, cut = self.lists, (top + 1,)
+        for q, base, mod in self.powers[:bisect_left(self.powers, cut)]:
+            # _prime_power_roots's lookup inlined, as it runs for every D
+            ts = lists.get(base + D % mod)
+            count[q] = len(self._prime_power_roots(q, D) if ts is None else ts)
+        for a, m, q in self.composites[:bisect_left(self.composites, cut)]:
+            count[a] = count[m] * count[q]
         return count
 
     def roots(self, a: int, D: int):
@@ -437,12 +448,15 @@ def _sylow_subgroup(forms, ident, p, size):
     x -> x**(h / p**e) maps the group onto its Sylow p-part, so scanning
     the full form list is guaranteed to generate it; in practice the first
     few candidates already do.  A new generator y has an order modulo H
-    that divides k = size / |H|.  When t = y**(k/p) is not in H that order
-    is k, so H and y span the whole subgroup, and y is the last generator:
-    its relation is y**k = t**p.  Otherwise y adds s*y**j with log
-    log(s) + j*|H| for 0 < j < k, the least k with y**k = s in H: logs are
-    exponents in mixed radix, and the relation is the row (-digits of
-    log(s), k) of a lower-triangular matrix of determinant p**e.
+    that divides k = size / |H|, a power of p, so it is the least j among
+    p, p**2, ..., k with y**j in H; these powers come by raising y to the
+    p-th power again and again, stopping at the first in H.  When j = k,
+    H and y span the whole subgroup and y is the last generator, whose
+    relation is y**k = s with s in H (y**k outside H means y's order
+    modulo H passes k).  Otherwise y adds s*y**i with log log(s) + i*|H|
+    for 0 < i < j, and its relation is y**j = s in H: logs are exponents
+    in mixed radix, and the relation is the row (-digits of log(s), j) of
+    a lower-triangular matrix of determinant p**e.
     """
     cofactor = len(forms) // size
     log = {ident: 0}
@@ -452,29 +466,28 @@ def _sylow_subgroup(forms, ident, p, size):
         if y in log:
             continue
         k = size // len(log)
-        t = _pow(y, k // p)
-        last = t not in log
-        if last:
-            step = _pow(t, p)
-            if step not in log:  # y's order modulo H passes k
-                break
-        else:  # the cosets H * y**k until y**k falls back into H
+        step, j = y, 1
+        while j < k and step not in log:  # y**j for j = p, p**2, ... up to k
+            step, j = _pow(step, p), j * p
+        last = j == k
+        if last and step not in log:  # y's order modulo H passes k
+            break
+        if not last:  # the cosets H * y**i for 0 < i < j, y**j being in H
             rest = list(log)[1:]
-            step, k = y, 1
-            while step not in log:
-                log[step] = len(log)
+            g = y
+            while g != step:
+                log[g] = len(log)
                 for s in rest:
-                    log[_compose(s, step)] = len(log)
-                step = _compose(step, y)
-                k += 1
+                    log[_compose(s, g)] = len(log)
+                g = _compose(g, y)
         i, row = log[step], []
         for old in rows:
             i, digit = divmod(i, old[-1])
             row.append(-digit)
-        rows.append(row + [k])
+        rows.append(row + [j])
         if last:
             return log, rows
-        if size % (p * len(log)):  # |H| is no p**j with j < e
+        if size % (p * len(log)):  # |H| is no power of p below size
             break
     raise AssertionError(f"no Sylow {p}-subgroup of order {size} among {len(forms)} forms")
 
@@ -486,7 +499,11 @@ def _smith_partition(rows, p):
     diagonal of product p**e, so every Smith invariant divides p**e and the
     Smith form may be taken over Z/p**(e+1) (Cohen, GTM 138, 2.4.3): an
     entry of least p-adic valuation v clears its column and leaves Z/p**v.
+    With no entry off the diagonal, the group is the sum of the Z/p**v
+    for the diagonal's valuations v > 0, read with no elimination.
     """
+    if not any(any(row[:-1]) for row in rows):  # diagonal: Z/p**v per row
+        return sorted((v for row in rows if (v := _valuation(row[-1], p))), reverse=True)
     m = p * prod(row[-1] for row in rows)
     a = [[x % m for x in row] + [0] * (len(rows) - len(row)) for row in rows]
     exps = []

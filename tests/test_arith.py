@@ -8,6 +8,7 @@ from ztwo.arith import (
     factor_squarefree,
     factorize,
     is_prime,
+    is_squarefree,
     odd_squarefree_range,
 )
 from ztwo.errors import InvalidInput, NotSquarefree
@@ -181,3 +182,33 @@ def test_oddsquarefree_validates():
         OddSquarefree(9, (9,))
 
 
+
+
+def _squarefree_by_factoring(n):
+    return all(e == 1 for e in factorize(n).values())
+
+
+def test_is_squarefree_agrees_with_factorize():
+    # trial division stops at the cube root and one isqrt decides the
+    # cofactor.  Cases: every n below 3*10**5; p**2, p**3, p**2 * q and
+    # p*q*r for consecutive primes q < p (r < q), which put a prime or a
+    # prime square right at the cut; 2**40 - 1 (5**2 divides it); and
+    # random n below 2**40
+    for n in range(1, 3 * 10 ** 5):
+        assert is_squarefree(n) == _squarefree_by_factoring(n), n
+    primes = [p for p in range(2, 3000) if is_prime(p)] + [1000003, 1048573]
+    cases = [(1 << 40) - 1]
+    for r, q, p in zip(primes, primes[1:], primes[2:]):
+        cases += [p * p, p ** 3, p * p * q, p * q * r]
+    rng = random.Random(28)
+    cases += [rng.randrange(1, 1 << 40) for _ in range(500)]
+    for n in cases:
+        if n < 1 << 40:
+            assert is_squarefree(n) == _squarefree_by_factoring(n), n
+    assert not is_squarefree((1 << 40) - 1)
+
+
+@pytest.mark.parametrize("bad", [0, -1, -30, 1 << 40])
+def test_is_squarefree_range(bad):
+    with pytest.raises(InvalidInput):
+        is_squarefree(bad)

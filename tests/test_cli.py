@@ -169,11 +169,20 @@ def test_witness_pell_zero_is_invalid_input(capsys):
 
 @pytest.mark.parametrize("argv, err", [
     (("--pell", "89", "--bound", "9"), "error: no u = 1 (mod 8) representation of 89 with v <= 9\n"),
-    (("--pell", "17"), "error: no u = 1 (mod 8) representation of 17 with v <= 1000000\n"),
+    (("--pell", "17"), "error: no u = 1 (mod 8) representation of 17\n"),
+    (("--pell", "17", "--bound", "9"), "error: no u = 1 (mod 8) representation of 17\n"),
 ])
 def test_witness_pell_refusals(capsys, argv, err):
-    # 89's least v is 10; 17 has no representation, as (2/17)_4 = -1
+    # 89's least v is 10; 17 has no representation for any bound, as
+    # (2/17)_4 = -1
     assert run(capsys, "witness", *argv) == (1, "", err)
+
+
+@pytest.mark.parametrize("p", ["3", "11"])
+def test_witness_kaplan_refuses_equal_primes(capsys, p):
+    # by name, before the Jacobi symbol (p/p) = 0 is evaluated
+    err = f"error: need distinct primes p, q, got p = q = {p}\n"
+    assert run(capsys, "witness", "--kaplan", p, p) == (1, "", err)
 
 
 def test_scan_bound_caps_no_a1_row(capsys):
@@ -290,6 +299,18 @@ def test_predict_layer_cap(capsys, monkeypatch):
     assert code == 0
     for rec in map(json.loads, out.splitlines()):
         assert rec["shape"] == [2 ** (10000 + rec["r"] - 1)]  # family B: Z/2^(n+r-1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--max", "-5", "--suite", "genus"),
+    ("--max", "0"),
+    ("--max", "0", "--suite", "corollary"),
+])
+def test_empty_verify_range_is_invalid_input(capsys, argv):
+    # refused like scan's bad range, not reported as a pass over no d
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: need max >= 1, got {argv[1]}\n"
 
 
 def test_scan_min_above_max_is_invalid_input(capsys):

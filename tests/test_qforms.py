@@ -482,7 +482,8 @@ def test_forged_form_list_trips_the_last_generator():
 
 def test_last_generator_adds_no_cosets(monkeypatch):
     # Cl(-19711) = Z/128: the generator that completes the Sylow subgroup
-    # is checked by two powers, not by listing its 127 powers
+    # is checked by its seven successive squares, not by listing its 127
+    # powers
     compositions = []
     compose_forms = qforms._compose
 
@@ -495,10 +496,28 @@ def test_last_generator_adds_no_cosets(monkeypatch):
     assert len(compositions) <= 40
 
 
+def test_sweep_composition_count_is_pinned(monkeypatch):
+    # the closure raises each new generator to successive p-th powers until
+    # one falls into the span of the earlier ones, so no power is computed
+    # past the one that decides whether the generator is the last
+    compositions = []
+    compose_forms = qforms._compose
+
+    def counted(f, g):
+        compositions.append(1)
+        return compose_forms(f, g)
+
+    monkeypatch.setattr(qforms, "_compose", counted)
+    assert sum(1 for _ in class_group_sweep(10 ** 4)) == 3043
+    assert len(compositions) == 42168
+
+
 @pytest.mark.parametrize("rows, partition", [
     ([[2], [-1, 4]], [3]),                     # Z/8
     ([[4], [-2, 2]], [2, 1]),                  # Z/2 x Z/4
     ([[2], [0, 2], [-1, -1, 4]], [3, 1]),      # Z/2 x Z/8
+    ([[4], [0, 1], [0, 0, 2]], [2, 1]),        # diagonal, with a p**0 entry
+    ([[1]], []),                               # the trivial group
 ])
 def test_smith_partition_of_hand_made_relations(rows, partition):
     assert qforms._smith_partition(rows, 2) == partition
