@@ -55,7 +55,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _TRIAL_LIMIT = 1 << 16
 
-_SIEVE_BLOCK = 2048  # odd d per block of odd_squarefree_range
+_SIEVE_BLOCK = 2048  # the least number of odd d per block of odd_squarefree_range
 
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # steps over the residues coprime to 30, from 7
 
@@ -225,16 +225,25 @@ def _odd_primes_to(n):
     return list(compress(range(1, n + 1, 2), prime))
 
 
+def _sieve_block(hi: int) -> int:
+    # odd d per block on a window ending at hi: each block loops over the
+    # odd primes up to isqrt(hi), most of which miss it, so the block grows
+    # with that loop, as isqrt(hi) // 16; it is _SIEVE_BLOCK up to
+    # hi = 1.07*10**9 and at most 65,535 below 2**40
+    return max(_SIEVE_BLOCK, isqrt(hi) // 16)
+
+
 def odd_squarefree_range(dmin: int, dmax: int):
     """OddSquarefree for every odd squarefree d in [dmin, dmax] with
     3 <= d < 2**40, ascending (generator).
 
-    A segmented sieve of Eratosthenes over the odd d, _SIEVE_BLOCK
-    (2,048) of them at a time, so memory stays bounded on any window.
-    The odd primes up to isqrt(min(dmax, 2**40 - 1)) are sieved once per
-    call; a block divides out the primes p with p**2 at most its last d,
-    end, drops every d with a prime square among them, and keeps the
-    cofactor above 1 that is left as the last prime.
+    A segmented sieve of Eratosthenes over the odd d, _sieve_block(hi)
+    of them at a time for the window's last d, hi, so memory stays
+    bounded on any window.  The odd primes up to isqrt(hi), with
+    hi = min(dmax, 2**40 - 1), are sieved once per call; a block divides
+    out the primes p with p**2 at most its last d, end, drops every d
+    with a prime square among them, and keeps the cofactor above 1 that
+    is left as the last prime.
 
     Each d is built by OddSquarefree._proven, without the constructor's
     checks, because the sieve is itself the proof:
@@ -254,8 +263,9 @@ def odd_squarefree_range(dmin: int, dmax: int):
     if lo > hi:
         return
     primes = _odd_primes_to(isqrt(hi))
-    for start in range(lo, hi + 1, 2 * _SIEVE_BLOCK):
-        end = min(start + 2 * _SIEVE_BLOCK - 2, hi)  # last odd d of the block
+    block = _sieve_block(hi)
+    for start in range(lo, hi + 1, 2 * block):
+        end = min(start + 2 * block - 2, hi)  # last odd d of the block
         size = (end - start) // 2 + 1
         rest = list(range(start, end + 1, 2))
         factors = [[] for _ in range(size)]

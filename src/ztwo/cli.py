@@ -91,15 +91,15 @@ def cmd_classify(args):
 
 def cmd_predict(args):
     d = _parse_d(args.d)
+    towers = ("L", "K") if args.tower == "both" else (args.tower,)
+    for tower in towers:  # a bad layer is refused whatever the family
+        classifier.check_args(tower, args.n)
     tag = classifier.classify(d)
     if tag.tag not in classifier.EXACT_FAMILIES:
         detail = ("2-class groups are cyclic non-trivial but no order formula exists"
                   if tag.tag == "C7" else "d matches no family with a prediction")
         print(f"no exact prediction for {d} [{tag.tag}]: {detail}", file=sys.stderr)
         return EXIT_NO_PREDICTION
-    towers = ("L", "K") if args.tower == "both" else (args.tower,)
-    for tower in towers:
-        classifier.check_args(tower, args.n)
     analysis = classifier.analyze(tag)
     out = [analysis.predict(args.n, tower) for tower in towers]
     if args.json:

@@ -21,7 +21,7 @@ independently of the search path.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 from .arith import _sqrt_mod_prime, _sqrt_mod_squarefree, factorize, is_prime
 from .errors import (
@@ -276,29 +276,37 @@ def _legendre_descent(A, fa, B, fb):
     Norms from Q(sqrt B) multiply, so a solution for (Q0, B), Q0 the
     squarefree part of Q, times X0 + W0 sqrt B solves the one for (A, B).
     Each step shrinks |A| + |B|, and only the small Q is factored.
+    One loop runs the descent down to A = 1 or B = 1 and stacks each
+    level's (X0, W0, B, Q0 f) with whether |A| < |B| swapped A and B
+    before it; the solution found there is carried back up the stack,
+    each swap exchanging Y and W.
     """
-    if A == 1:
-        return 1, 1, 0
-    if B == 1:
-        return 1, 0, 1
-    if abs(A) < abs(B):
-        sol = _legendre_descent(B, fb, A, fa)
-        return sol and (sol[0], sol[2], sol[1])
-    if A == -1:  # and B == -1: X**2 + Y**2 + W**2 = 0
-        return None
-    root = _sqrt_mod_squarefree(B, fa)
-    if root is None:
-        return None
-    X0, W0 = _short_vector(abs(A), root, abs(B))
-    Q = (X0 * X0 - B * W0 * W0) // A
-    fq = factorize(abs(Q))
-    f = prod(ell ** (e // 2) for ell, e in fq.items())
-    Q0 = Q // (f * f)
-    sol = _legendre_descent(Q0, [ell for ell, e in fq.items() if e % 2], B, fb)
-    if sol is None:
-        return None
-    X1, Y1, W1 = sol
-    return X1 * X0 + B * W1 * W0, Q0 * f * Y1, X1 * W0 + W1 * X0
+    levels = []
+    while A != 1 and B != 1:
+        swap = abs(A) < abs(B)
+        if swap:
+            A, fa, B, fb = B, fb, A, fa
+        elif A == -1:  # and B == -1: X**2 + Y**2 + W**2 = 0
+            return None
+        root = _sqrt_mod_squarefree(B, fa)
+        if root is None:
+            return None
+        X0, W0 = _short_vector(abs(A), root, abs(B))
+        Q = (X0 * X0 - B * W0 * W0) // A
+        f, fa = 1, []  # Q = Q0 f**2 with Q0 squarefree, of the primes fa
+        for ell, e in factorize(abs(Q)).items():
+            f *= ell ** (e >> 1)
+            if e & 1:
+                fa.append(ell)
+        A = Q // (f * f)
+        levels.append((X0, W0, B, A * f, swap))
+    X, Y, W = (1, 1, 0) if A == 1 else (1, 0, 1)
+    while levels:
+        X0, W0, B, g, swap = levels.pop()
+        X, Y, W = X * X0 + B * W * W0, g * Y, X * W0 + W * X0
+        if swap:
+            Y, W = W, Y
+    return X, Y, W
 
 
 def _check_legendre_preconds(p, q):

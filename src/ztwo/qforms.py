@@ -32,7 +32,12 @@ two_sylow builds the 2-Sylow subgroup alone, counting no form: from the
 ambiguous classes of the known prime divisors of D it halves square
 classes (genus characters, then a square root from Lagrange's descent)
 until no product of its generators is a square, and check_two_sylow
-certifies the result independently of that construction.
+certifies the result independently of that construction.  The descent's
+data for D (its squarefree part A, the primes of A and sqrt(D / A)) is
+computed once per D and serves every square root.  At rank one, the
+2-rank of Cl(-8p) and Cl(-pq), the only nonempty product of a basis is
+its generator, so neither the halving nor the certificate forms subset
+products; every check still runs.
 """
 
 from array import array
@@ -647,27 +652,29 @@ def _is_square_class(f, odd_primes) -> bool:
     # fundamental D has at most one 2-adic character, and all characters
     # multiply to 1 on a class, so the odd ones decide.
     a, _, c = f
-    return all(jacobi(a if a % ell else c, ell) == 1 for ell in odd_primes)
+    for ell in odd_primes:
+        if jacobi(a if a % ell else c, ell) != 1:
+            return False
+    return True
 
 
-def _sqrt_class(D: int, primes, f) -> tuple:
+def _sqrt_class(D: int, A: int, fa, s1: int, f) -> tuple:
     # a reduced G with G**2 = f, for a reduced f = (a, b, c) in the principal
-    # genus.  Since 4a f(x, y) = (2ax + by)**2 - D y**2, a solution of
+    # genus; D = s1**2 A with A squarefree, and fa lists the primes of A.
+    # Since 4a f(x, y) = (2ax + by)**2 - D y**2, a solution of
     # X**2 = D Y**2 + a W**2 gives f(X - bY, 2aY) = (aW)**2; divided by
     # their gcd g they properly represent z**2 with z = |aW|/g, and z is
     # prime to D when D is fundamental.  Moving f to (z**2, B, C), the
     # united form (z, B, zC) squares to it.
     a, b, c = f
-    A = D
-    while A % 4 == 0:
-        A //= 4
-    fac = factorize(a)
-    s2 = prod(ell ** (e // 2) for ell, e in fac.items())
-    sol = _legendre_descent(A, [ell for ell in primes if A % ell == 0],
-                            a // (s2 * s2), [ell for ell, e in fac.items() if e % 2])
+    s2, odd = 1, []  # a = s2**2 times the product of odd
+    for ell, e in factorize(a).items():
+        s2 *= ell ** (e >> 1)
+        if e & 1:
+            odd.append(ell)
+    sol = _legendre_descent(A, fa, a // (s2 * s2), odd)
     if sol is None:
         raise PrecondViolated(f"{f} of discriminant {D} is not a square class")
-    s1 = isqrt(D // A)
     X, Y, W = sol[0] * s1 * s2, sol[1] * s2, sol[2] * s1  # X**2 = D Y**2 + a W**2
     x, y = X - b * Y, 2 * a * Y
     g = gcd(x, y)
@@ -694,14 +701,27 @@ def _halving_basis(D: int, primes) -> tuple:
     the principal genus, the factor of w of largest order gives way to a
     square root of w, whose exponent is one higher; each step doubles the
     subgroup H the basis spans, and none is left once H = S (Shanks, Math.
-    Comp. 25, 1971; Bosma and Stevenhagen, JTNB 8, 1996).  Unchecked:
-    two_sylow certifies the result.
+    Comp. 25, 1971; Bosma and Stevenhagen, JTNB 8, 1996).  At rank one
+    (two prime divisors) the only nonempty product is the generator g
+    itself, so g gives way to its square root while it is a square, with
+    no subset products.  The descent's data for D, its squarefree part A
+    with the primes of A and s1 = sqrt(D / A), is computed once and serves
+    every square root.  Unchecked: two_sylow certifies the result.
     """
     odd = [ell for ell in primes if ell > 2]
+    A = D
+    while A % 4 == 0:
+        A //= 4
+    fa, s1 = [ell for ell in primes if A % ell == 0], isqrt(D // A)
     basis = []
     for ell in primes[:-1]:
         b = 0 if D % (4 * ell) == 0 else ell
         basis.append(_reduce(ell, b, (b * b - D) // (4 * ell)))
+    if len(basis) == 1:
+        g, e = basis[0], 1
+        while _is_square_class(g, odd):
+            g, e = _sqrt_class(D, A, fa, s1, g), e + 1
+        return [g], [e]
     exps = [1] * len(basis)
     while True:
         w = next(((S, f) for S, f in _subset_products(basis) if _is_square_class(f, odd)), None)
@@ -709,7 +729,7 @@ def _halving_basis(D: int, primes) -> tuple:
             return basis, exps
         S, f = w
         top = max(S, key=exps.__getitem__)
-        basis[top] = _sqrt_class(D, primes, f)
+        basis[top] = _sqrt_class(D, A, fa, s1, f)
         exps[top] += 1
 
 
@@ -731,7 +751,9 @@ def check_two_sylow(D: int, primes, basis, exps):
 
 
 def _check_basis(D: int, primes, basis, exps):
-    # check_two_sylow for primes that _check_primes has passed
+    # check_two_sylow for primes that _check_primes has passed; at rank one
+    # the socle's only nonempty product is u and the basis's is g, so the
+    # socle check is the u != ident test and the genus test runs on g
     t = len(primes) - 1
     if len(basis) != t or len(exps) != t:
         raise PrecondViolated(f"Cl({D}) certificate has rank {len(basis)}, genus theory says {t}")
@@ -748,10 +770,14 @@ def _check_basis(D: int, primes, basis, exps):
         if u == ident or _compose(u, u) != ident:
             raise PrecondViolated(f"{g} does not have order 2**{e} in Cl({D})")
         socle.append(u)
-    if any(f == ident for _, f in _subset_products(socle)):
-        raise PrecondViolated(f"Cl({D}) certificate has a dependent socle")
+    if t == 1:
+        products = [((0,), basis[0])]
+    else:
+        if any(f == ident for _, f in _subset_products(socle)):
+            raise PrecondViolated(f"Cl({D}) certificate has a dependent socle")
+        products = _subset_products(basis)
     odd = [ell for ell in primes if ell > 2]
-    for S, f in _subset_products(basis):
+    for S, f in products:
         if _is_square_class(f, odd):
             raise PrecondViolated(f"Cl({D}) certificate: the product of generators {list(S)} "
                                   "is in the principal genus")

@@ -211,11 +211,22 @@ def test_classified_matches_the_per_d_path(dmin, dmax):
 def test_classified_across_sieve_blocks(block, monkeypatch):
     # small blocks put many block boundaries in each window, and each
     # block sieves only the primes up to the square root of its last d
-    monkeypatch.setattr(arith, "_SIEVE_BLOCK", block)
-    want = classify_each(2001, 3000) + classify_each(998001, 998300)
-    got = [(t.tag, t.d, t.primes) for t in classifier.classified(2001, 3000)]
-    got += [(t.tag, t.d, t.primes) for t in classifier.classified(998001, 998300)]
-    assert got == want
+    monkeypatch.setattr(arith, "_sieve_block", lambda hi: block)
+    windows = [(2001, 3000), (998001, 998300), (2 ** 40 - 30, 2 ** 40 - 1)]
+    for dmin, dmax in windows:
+        got = [(t.tag, t.d, t.primes) for t in classifier.classified(dmin, dmax)]
+        assert got == classify_each(dmin, dmax), (dmin, dmax)
+
+
+@pytest.mark.parametrize("hi, block", [
+    (3, 2048), (10 ** 6, 2048), (10 ** 9, 2048),
+    ((2049 * 16) ** 2 - 1, 2048), ((2049 * 16) ** 2, 2049),
+    (10 ** 11, 19764), (2 ** 40 - 1, 65535),
+])
+def test_sieve_block_grows_with_the_window(hi, block):
+    # every window up to 10**9 sieves 2,048 odd d per block, and no block
+    # holds more than 65,535 below 2**40
+    assert arith._sieve_block(hi) == block
 
 
 def test_oracle_never_counts_forms(monkeypatch):

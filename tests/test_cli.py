@@ -80,6 +80,20 @@ def test_predict_no_prediction_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("d, n", [
+    ("1105", "0"),      # UNCLASSIFIED, 5 * 13 * 17
+    ("1105", "10001"),
+    ("23", "0"),        # C7
+    ("23", "10001"),
+    ("73", "0"),        # A1
+])
+def test_predict_refuses_a_bad_layer_before_the_family(capsys, d, n):
+    # the layer is refused whatever family d has, as classifier.predict does
+    code, out, err = run(capsys, "predict", d, "--n", n)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: layer index must be ") and err.endswith(f", got {n}\n")
+
+
 def test_scan_family_b(capsys):
     code, out, _ = run(capsys, "scan", "--min", "3", "--max", "100",
                        "--family", "B", "--format", "csv")

@@ -1,3 +1,4 @@
+import hashlib
 from math import gcd, isqrt, prod
 
 import pytest
@@ -449,6 +450,20 @@ def test_legendre_descent_solves_or_finds_none():
                 assert X * X == A * Y * Y + B * W * W and (Y, W) != (0, 0), (A, B, sol)
                 solved += 1
     assert solved > 200
+
+
+def test_legendre_descent_is_pinned():
+    # the point the descent returns, or None, for every squarefree
+    # |A|, |B| <= 150 (33,856 pairs), A outer and B inner: the loop that
+    # replaced the recursion returns the recursion's points
+    ns = [n for n in range(-150, 151) if n and is_squarefree(abs(n))]
+    digest = hashlib.sha1()
+    for A in ns:
+        for B in ns:
+            sol = _legendre_descent(A, sorted(factorize(abs(A))), B, sorted(factorize(abs(B))))
+            digest.update(repr(sol).encode())
+    assert len(ns) ** 2 == 33856
+    assert digest.hexdigest() == "a783dad3f67de9acbff7a127f6b52cc511371aa3"
 
 
 def test_legendre_descent_agrees_with_sympy():

@@ -671,10 +671,56 @@ def test_check_two_sylow_refuses_forged_certificates():
         "a composite prime": (D, [2, 177], [g2], [3]),
         "a non-fundamental discriminant": (4 * D, primes, [g1, g2], [1, 3]),
     }
+    # rank one, where the halving and the certificate form no subset
+    # products: Cl(-584) = Z/16 (A1, d = 73) and Cl(-1391) = Z/44 (B, 13 * 107)
+    for D, primes, g, e, chain in [(-584, [2, 73], (7, 2, 21), 4, (16,)),
+                                   (-1391, [13, 107], (20, 17, 21), 2, (44,))]:
+        assert class_group(D).divisors == chain
+        assert two_sylow(D, primes) == ([g], [e])
+        check_two_sylow(D, primes, [g], [e])
+        a, b, c = g
+        square = qforms._compose(g, g)
+        forgeries.update({
+            f"{D}: an exponent too high": (D, primes, [g], [e + 1]),
+            f"{D}: an exponent too low": (D, primes, [g], [e - 1]),
+            f"{D}: the generator squared": (D, primes, [square], [e]),
+            f"{D}: the generator squared, one exponent lower": (D, primes, [square], [e - 1]),
+            f"{D}: the identity": (D, primes, [tuple(principal_form(D))], [e]),
+            f"{D}: an unreduced form": (D, primes, [(a, b + 2 * a, a + b + c)], [e]),
+            f"{D}: a form of another discriminant": (D, primes, [(1, 0, 5)], [e]),
+        })
     for name, args in forgeries.items():
         with pytest.raises(PrecondViolated):
             check_two_sylow(*args)
             pytest.fail(f"accepted {name}")
+
+
+def test_two_sylow_work_is_pinned(monkeypatch):
+    # the compositions and square roots of the oracle on the 631 exact rows
+    # of classified(3, 10**4), the scan-low window: every halving step and
+    # certificate check runs, at rank one too
+    compositions, roots = [], []
+    compose_forms, sqrt_class = qforms._compose, qforms._sqrt_class
+
+    def counted_compose(f, g):
+        compositions.append(1)
+        return compose_forms(f, g)
+
+    def counted_sqrt(*args):
+        roots.append(1)
+        return sqrt_class(*args)
+
+    monkeypatch.setattr(qforms, "_compose", counted_compose)
+    monkeypatch.setattr(qforms, "_sqrt_class", counted_sqrt)
+    rows = 0
+    for tag in classified(3, 10 ** 4):
+        if tag.tag in EXACT_FAMILIES:
+            d = tag.d
+            D, primes = (-d.value, d.factors) if tag.tag == "B" else (-8 * d.value, (2,) + d.factors)
+            two_sylow(D, primes)
+            rows += 1
+    assert rows == 631
+    assert (len(compositions), len(roots)) == (3642, 913)
 
 
 @pytest.mark.parametrize("D", [-3, -4, -8, -23, -71])
