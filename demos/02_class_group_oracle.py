@@ -1,13 +1,17 @@
 """
-The class-group oracle: counting and composing reduced forms
-============================================================
+Class groups from reduced forms, and the oracle that needs only their 2-part
+============================================================================
 
 Everything the tower predictions need from an imaginary quadratic field
-is the 2-part of its class group, and this package computes class groups
+is the 2-part of its class group.  class_group computes the whole group
 the pedestrian way: enumerate every reduced binary quadratic form of the
 discriminant, compose them with the Gauss group law, and read off the
-cyclic decomposition.  This demo shows the machinery on small cases and
-cross-checks it against genus theory.
+cyclic decomposition.  The oracle that predict and scan read r from
+enumerates nothing: it halves the ambiguous classes of the primes of d
+into a basis of the 2-Sylow subgroup alone and certifies that basis
+(qforms.two_sylow).  This demo shows the enumeration on small cases,
+among them the discriminants the oracle reads, and cross-checks it
+against genus theory.
 """
 
 from ztwo import (

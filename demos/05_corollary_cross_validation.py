@@ -3,8 +3,9 @@ Two routes to r, confronted in bulk
 ===================================
 
 The exponent r can be computed two independent ways: the oracle route
-(enumerate an imaginary quadratic class group) and the corollary route
-(solve a representation problem, evaluate residue symbols).  If either
+(a certified basis of the 2-Sylow subgroup of an imaginary quadratic
+class group, built by halving, with no form counted) and the corollary
+route (solve a representation problem, evaluate residue symbols).  If either
 the theory or the implementation were off anywhere, running both routes
 over thousands of d would expose it.  This demo does exactly that and
 prints the resulting agreement table.

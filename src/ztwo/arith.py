@@ -210,6 +210,16 @@ def factor_squarefree(n: int) -> OddSquarefree:
     return OddSquarefree._proven(n, tuple(sorted(fac)))
 
 
+def _split_square(n: int) -> tuple:
+    """(f, primes) with n = f**2 * prod(primes), primes those of odd exponent in factorize's order."""
+    f, primes = 1, []
+    for ell, e in factorize(n).items():
+        f *= ell ** (e >> 1)
+        if e & 1:
+            primes.append(ell)
+    return f, primes
+
+
 def _odd_primes_to(n):
     """The odd primes p <= n, ascending (sieve of Eratosthenes on the odd
     numbers: index i stands for 2i + 1)."""

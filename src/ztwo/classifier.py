@@ -23,19 +23,16 @@ no form is counted on this path.
 C7 towers are cyclic and non-trivial but no order formula is available.
 The corollary route recovers r (or a lower bound) from residue symbols
 of small representation witnesses instead of a class-group computation;
-cross_check confronts the two routes over a whole range of d.
+confront meets the two routes for one d, with the one refusal policy
+that scan and cross_check (over a whole range of d) both read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .arith import OddSquarefree, factor_squarefree, odd_squarefree_range
 from .diophantine import solve_kaplan, solve_pell_rep, williams_criterion, williams_witness
-from .errors import (
-    InvalidInput,
-    NoSolutionInBound,
-    PrecondViolated,
-    UnsupportedFamily,
-)
+from .errors import InvalidInput, PrecondViolated, UnsupportedFamily, ZtwoError
 from .qforms import two_sylow
 from .symbols import jacobi, quartic_residue
 
@@ -251,8 +248,10 @@ def exponent_r_corollary(tag: FamilyTag) -> RBound:
 
     No route takes a bound: the A1 representation comes from a gcd in
     Z[sqrt 2] and the A2 and B witnesses from a descent.  The one refusal
-    left is NoSolutionInBound, raised when williams_witness's direction
-    box holds no admissible point; no pair is known to reach it.
+    known is NoSolutionInBound, raised when williams_witness's direction
+    box holds no admissible point; no pair is known to reach it.  confront,
+    which scan and cross_check both read, records any refusal of this
+    route (any ZtwoError) as skipped.
     """
     if tag.tag not in EXACT_FAMILIES:
         raise PrecondViolated(f"no corollary route for family {tag.tag}")
@@ -300,7 +299,8 @@ class Analysis:
 
     Every layer shape and Iwasawa invariant of d is a closed function of
     this pair; build it with analyze, which checks the theorem's
-    preconditions.
+    preconditions, or from the r_oracle >= 0 of a confront entry, which
+    analyze has checked.
     """
 
     tag: FamilyTag
@@ -385,7 +385,7 @@ class CrossCheckEntry:
 @dataclass
 class CrossCheckReport:
     d_max: int
-    entries: list = field(default_factory=list)
+    entries: list
 
     @property
     def checked(self):
@@ -400,35 +400,30 @@ class CrossCheckReport:
         return [e for e in self.entries if e.status == "skipped"]
 
 
-def cross_check(d_max: int) -> CrossCheckReport:
-    """Confront the corollary exponent with the oracle for every classified d <= d_max.
+def confront(tag: FamilyTag) -> CrossCheckEntry:
+    """The oracle r and the corollary bound of one exact-family d, confronted.
 
-    Per entry: the corollary's exact r must equal the oracle r, or its
-    lower bound must be satisfied; a theorem precondition that analyze
-    finds broken is a violation too.  A corollary refusal
-    (NoSolutionInBound) is recorded as skipped.
+    The one refusal policy for both routes: a ZtwoError from the oracle, or
+    a theorem precondition that analyze finds broken, is a violation with
+    r_oracle = -1; a ZtwoError from the corollary is skipped; otherwise the
+    corollary's exact r must equal the oracle r, or its lower bound must
+    be satisfied.
     """
-    report = CrossCheckReport(d_max=d_max)
-    add = report.entries.append
-    for tag in classified(3, d_max):
-        if tag.tag not in EXACT_FAMILIES:
-            continue
-        d = tag.d.value
-        try:
-            r_oracle = analyze(tag).r
-        except PrecondViolated as exc:
-            add(CrossCheckEntry(d, tag.tag, tag.primes, -1, RBound.at_least(1),
-                                "violation", str(exc)))
-            continue
-        try:
-            r_cor = exponent_r_corollary(tag)
-        except NoSolutionInBound as exc:
-            add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, RBound.at_least(1),
-                                "skipped", f"corollary: {exc}"))
-            continue
-        if r_cor.satisfied_by(r_oracle):
-            add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, r_cor, "ok"))
-        else:
-            add(CrossCheckEntry(d, tag.tag, tag.primes, r_oracle, r_cor, "violation",
-                                f"corollary {r_cor} vs oracle {r_oracle}"))
-    return report
+    entry = partial(CrossCheckEntry, tag.d.value, tag.tag, tag.primes)
+    try:
+        r_oracle = analyze(tag).r
+    except ZtwoError as exc:
+        return entry(-1, RBound.at_least(1), "violation", str(exc))
+    try:
+        r_cor = exponent_r_corollary(tag)
+    except ZtwoError as exc:
+        return entry(r_oracle, RBound.at_least(1), "skipped", f"corollary: {exc}")
+    if r_cor.satisfied_by(r_oracle):
+        return entry(r_oracle, r_cor, "ok")
+    return entry(r_oracle, r_cor, "violation", f"corollary {r_cor} vs oracle {r_oracle}")
+
+
+def cross_check(d_max: int) -> CrossCheckReport:
+    """confront for every exact-family d <= d_max, ascending."""
+    return CrossCheckReport(d_max, [confront(tag) for tag in classified(3, d_max)
+                                    if tag.tag in EXACT_FAMILIES])

@@ -119,9 +119,10 @@ def _shape_str(divisors) -> str:
 def scan_rows(dmin, dmax, family=None):
     """One row dict per odd squarefree d in [dmin, dmax], ascending.
 
-    A refusal at a row (a certificate that fails, or the B direction box of
-    classifier.exponent_r_corollary without an admissible point) is
-    written as "skipped".
+    An exact-family row is read off classifier.confront: r_oracle is
+    "skipped" where the oracle refused (a certificate that fails), and
+    r_corollary where the corollary route did (the B direction box of
+    classifier.exponent_r_corollary without an admissible point).
     """
     for tag in classifier.classified(dmin, dmax):
         if family and tag.tag != family:
@@ -136,17 +137,14 @@ def scan_rows(dmin, dmax, family=None):
         if tag.tag not in classifier.EXACT_FAMILIES:
             yield row
             continue
-        try:
-            analysis = classifier.analyze(tag)
-        except ZtwoError:
+        entry = classifier.confront(tag)
+        if entry.r_oracle < 0:
             row["r_oracle"] = "skipped"
             yield row
             continue
-        row["r_oracle"] = analysis.r
-        try:
-            row["r_corollary"] = str(classifier.exponent_r_corollary(tag))
-        except ZtwoError:
-            row["r_corollary"] = "skipped"
+        row["r_oracle"] = entry.r_oracle
+        row["r_corollary"] = "skipped" if entry.status == "skipped" else str(entry.r_corollary)
+        analysis = classifier.Analysis(tag, entry.r_oracle)
         row["shape_L_n1"] = _shape_str(analysis.predict(1, "L").shape.divisors)
         row["shape_K_n1"] = _shape_str(analysis.predict(1, "K").shape.divisors)
         inv_l = analysis.invariants("L")

@@ -23,7 +23,7 @@ independently of the search path.
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import _sqrt_mod_prime, _sqrt_mod_squarefree, factorize, is_prime
+from .arith import _split_square, _sqrt_mod_prime, _sqrt_mod_squarefree, is_prime
 from .errors import (
     BadPrimeClass,
     InvalidInput,
@@ -293,11 +293,7 @@ def _legendre_descent(A, fa, B, fb):
             return None
         X0, W0 = _short_vector(abs(A), root, abs(B))
         Q = (X0 * X0 - B * W0 * W0) // A
-        f, fa = 1, []  # Q = Q0 f**2 with Q0 squarefree, of the primes fa
-        for ell, e in factorize(abs(Q)).items():
-            f *= ell ** (e >> 1)
-            if e & 1:
-                fa.append(ell)
+        f, fa = _split_square(abs(Q))  # Q = Q0 f**2 with Q0 squarefree, of the primes fa
         A = Q // (f * f)
         levels.append((X0, W0, B, A * f, swap))
     X, Y, W = (1, 1, 0) if A == 1 else (1, 0, 1)

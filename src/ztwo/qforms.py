@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .arith import _sqrt_mod_prime_power, factorize, is_prime, is_squarefree
+from .arith import _split_square, _sqrt_mod_prime_power, factorize, is_prime, is_squarefree
 from .diophantine import _legendre_descent
 from .errors import (
     EnumerationBoundExceeded,
@@ -278,7 +278,7 @@ def form_pow(f, e: int) -> FormClass:
 
 def reduced_forms(D) -> list:
     """All reduced primitive forms of discriminant D < 0, D = 0 or 1 (mod 4),
-    sorted, as FormClass; the checked face of _reduced_forms.
+    sorted, as FormClass.
 
     With delta = D mod 2 and b = 2t + delta, (b**2 - D)/4 = t**2 + delta*t + N
     for N = (delta - D)/4, so a form with first coefficient a needs a root t
@@ -292,15 +292,8 @@ def reduced_forms(D) -> list:
         raise IndefiniteForm(f"need D < 0, got {D}")
     if D % 4 > 1:
         raise InvalidInput(f"{D} = {D % 4} (mod 4) is not a discriminant")
-    return [FormClass(*f) for f in _reduced_forms(D)]
-
-
-def _reduced_forms(D: int, table=None) -> list:
-    # reduced_forms as sorted plain (a, b, c) tuples, for D < 0, D = 0, 1 (mod 4),
-    # from table or a table of its own; unchecked
-    if table is None:
-        table = _RootTable(isqrt(-D // 3))
-    return sorted(_forms(D, table, table.counts(D)))
+    table = _RootTable(isqrt(-D // 3))
+    return [FormClass(*f) for f in sorted(_forms(D, table, table.counts(D)))]
 
 
 class _RootTable:
@@ -644,15 +637,23 @@ def _subset_products(elems) -> list:
     return out
 
 
-def _is_square_class(f, odd_primes) -> bool:
-    # Gauss: a class is a square iff it lies in the principal genus, i.e.
-    # every assigned character is +1 on it.  The character of an odd prime
-    # l | D is (m/l) for any m prime to l that the form represents, a or c
-    # (l divides at most one of them, the form being primitive).  A
+def _characters(D: int, primes) -> list:
+    # the odd primes l | D whose characters _is_square_class evaluates.  A
     # fundamental D has at most one 2-adic character, and all characters
-    # multiply to 1 on a class, so the odd ones decide.
+    # multiply to 1 on a class, so any one of them repeats the others: for
+    # even D the odd ones decide, for odd D (no 2-adic character) all but
+    # the last
+    return [ell for ell in primes if ell > 2] if D % 2 == 0 else list(primes[:-1])
+
+
+def _is_square_class(f, chars) -> bool:
+    # Gauss: a class is a square iff it lies in the principal genus, i.e.
+    # every assigned character is +1 on it; the primes chars of
+    # _characters decide that.  The character of an odd prime l | D is
+    # (m/l) for any m prime to l that the form represents, a or c (l
+    # divides at most one of them, the form being primitive).
     a, _, c = f
-    for ell in odd_primes:
+    for ell in chars:
         if jacobi(a if a % ell else c, ell) != 1:
             return False
     return True
@@ -667,11 +668,7 @@ def _sqrt_class(D: int, A: int, fa, s1: int, f) -> tuple:
     # prime to D when D is fundamental.  Moving f to (z**2, B, C), the
     # united form (z, B, zC) squares to it.
     a, b, c = f
-    s2, odd = 1, []  # a = s2**2 times the product of odd
-    for ell, e in factorize(a).items():
-        s2 *= ell ** (e >> 1)
-        if e & 1:
-            odd.append(ell)
+    s2, odd = _split_square(a)  # a = s2**2 times the product of odd
     sol = _legendre_descent(A, fa, a // (s2 * s2), odd)
     if sol is None:
         raise PrecondViolated(f"{f} of discriminant {D} is not a square class")
@@ -708,7 +705,7 @@ def _halving_basis(D: int, primes) -> tuple:
     with the primes of A and s1 = sqrt(D / A), is computed once and serves
     every square root.  Unchecked: two_sylow certifies the result.
     """
-    odd = [ell for ell in primes if ell > 2]
+    chars = _characters(D, primes)
     A = D
     while A % 4 == 0:
         A //= 4
@@ -719,12 +716,12 @@ def _halving_basis(D: int, primes) -> tuple:
         basis.append(_reduce(ell, b, (b * b - D) // (4 * ell)))
     if len(basis) == 1:
         g, e = basis[0], 1
-        while _is_square_class(g, odd):
+        while _is_square_class(g, chars):
             g, e = _sqrt_class(D, A, fa, s1, g), e + 1
         return [g], [e]
     exps = [1] * len(basis)
     while True:
-        w = next(((S, f) for S, f in _subset_products(basis) if _is_square_class(f, odd)), None)
+        w = next(((S, f) for S, f in _subset_products(basis) if _is_square_class(f, chars)), None)
         if w is None:
             return basis, exps
         S, f = w
@@ -744,6 +741,8 @@ def check_two_sylow(D: int, primes, basis, exps):
     product of the g_i is in the principal genus.  Then H = S: otherwise
     some s in S outside H has s**2 in H, and that square of Cl, not a
     square in H as H[2] = S[2], puts such a product in the principal genus.
+    The genus test evaluates every genus character but one that the others
+    determine: the 2-adic one for even D, the largest prime's for odd D.
     No form is counted and nothing the halving builder computed is reused.
     """
     _check_primes(D, primes)
@@ -776,9 +775,9 @@ def _check_basis(D: int, primes, basis, exps):
         if any(f == ident for _, f in _subset_products(socle)):
             raise PrecondViolated(f"Cl({D}) certificate has a dependent socle")
         products = _subset_products(basis)
-    odd = [ell for ell in primes if ell > 2]
+    chars = _characters(D, primes)
     for S, f in products:
-        if _is_square_class(f, odd):
+        if _is_square_class(f, chars):
             raise PrecondViolated(f"Cl({D}) certificate: the product of generators {list(S)} "
                                   "is in the principal genus")
 

@@ -47,14 +47,13 @@ def quartic_residue(a: int, p: int) -> int:
         raise BadPrimeClass(f"quartic symbol needs p = 1 (mod 4), got p = {p}")
     if a % p == 0:
         raise NonCoprime(f"{a} shares a factor with {p}")
-    if jacobi(a, p) != 1:
-        raise NotQuadraticResidue(f"{a} is not a quadratic residue mod {p}")
+    # t**2 = a**((p-1)/2) is Euler's criterion: t = +-1 exactly for a residue
     t = pow(a, (p - 1) // 4, p)
     if t == 1:
         return 1
     if t == p - 1:
         return -1
-    raise AssertionError(f"impossible quartic value {t} for ({a}/{p})_4")
+    raise NotQuadraticResidue(f"{a} is not a quadratic residue mod {p}")
 
 
 def quartic_2_reciprocal(p: int) -> int:

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from ztwo import arith, classifier, diophantine, qforms
+from ztwo import arith, classifier, qforms
 from ztwo.arith import factor_squarefree, factorize, is_squarefree
 from ztwo.classifier import (
     Analysis,
@@ -171,8 +171,7 @@ def test_oracle_factors_no_discriminant(monkeypatch):
     def counting_is_squarefree(n):
         squarefree.append(n)
         return is_squarefree(n)
-    monkeypatch.setattr(qforms, "factorize", counting_factorize)
-    monkeypatch.setattr(diophantine, "factorize", counting_factorize)
+    monkeypatch.setattr(arith, "factorize", counting_factorize)
     monkeypatch.setattr(qforms, "is_squarefree", counting_is_squarefree)
     assert exponent_r_oracle(tag) == exponent_r_oracle(tag) == 3
     assert factored and not {712, 178, 89} & set(factored)

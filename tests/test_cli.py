@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from ztwo import cli, diophantine, qforms
+from ztwo import classifier, cli, diophantine, qforms
 from ztwo.classifier import RBound
-from ztwo.errors import InvalidInput
+from ztwo.errors import InvalidInput, NoRepresentationInBound
 
 
 def run(capsys, *argv):
@@ -241,6 +241,42 @@ def test_verify_williams_suite_checks_the_descent_solution(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines()[0].startswith("  skipped d=95: no admissible point for (5, 19)")
     assert out.splitlines()[-1].endswith("; 0 violations")
+
+
+def test_verify_corollary_output_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "corollary", "--max", "10000")
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == "35075dfc4a47a7c9141ba5acf19c7f586985a575"
+
+
+def test_scan_rows_agree_with_cross_check():
+    # both read classifier.confront: each exact-family row carries its
+    # entry's r_oracle and r_corollary
+    entries = {e.d: e for e in classifier.cross_check(3000).entries}
+    rows = [row for row in cli.scan_rows(3, 3000) if row["tag"] in classifier.EXACT_FAMILIES]
+    assert [row["d"] for row in rows] == list(entries) and len(rows) > 150
+    for row in rows:
+        e = entries[row["d"]]
+        assert (row["tag"], e.status) == (e.tag, "ok"), row
+        assert (row["r_oracle"], row["r_corollary"]) == (e.r_oracle, str(e.r_corollary)), row
+
+
+def test_a_corollary_refusal_is_skipped_by_scan_and_cross_check(monkeypatch):
+    # any refusal of the corollary route is a skip, not only the B
+    # direction box's NoSolutionInBound; the oracle's r still stands
+    pell = classifier.solve_pell_rep
+
+    def refuse_89(p, bound=None):
+        if p == 89:
+            raise NoRepresentationInBound("no representation of 89")
+        return pell(p, bound=bound)
+    monkeypatch.setattr(classifier, "solve_pell_rep", refuse_89)
+    (row,) = cli.scan_rows(89, 89)
+    assert (row["r_oracle"], row["r_corollary"], row["shape_L_n1"]) == (3, "skipped", "2x4")
+    report = classifier.cross_check(89)
+    assert [(e.d, e.r_oracle, e.detail) for e in report.skipped] == \
+        [(89, 3, "corollary: no representation of 89")]
+    assert report.violations == []
 
 
 def test_json_serialization_roundtrips():

@@ -450,7 +450,7 @@ def test_smith_partition_matches_the_power_table():
     for D in range(-3, -5001, -1):
         if not is_fundamental_discriminant(D):
             continue
-        forms = qforms._reduced_forms(D)
+        forms = reduced_forms(D)
         h = len(forms)
         ident = tuple(principal_form(D))
         for p, e in qforms.factorize(h).items():
@@ -477,7 +477,7 @@ def test_forged_form_list_trips_the_last_generator():
     # Cl(-95) = Z/8 cut to h = 4: the first generator y has y**2 != 1, so it
     # would close a Sylow 2-subgroup of order 4, but y**4 != 1
     with pytest.raises(AssertionError):
-        qforms._structure_from_forms(-95, qforms._reduced_forms(-95)[:4])
+        qforms._structure_from_forms(-95, reduced_forms(-95)[:4])
 
 
 def test_last_generator_adds_no_cosets(monkeypatch):
@@ -559,8 +559,8 @@ def test_one_root_table_serves_every_discriminant():
     random.Random(13).shuffle(ds)
     table = qforms._RootTable(isqrt(6000 // 3))
     for D in ds:
-        forms = qforms._reduced_forms(D, table)
-        assert forms == qforms._reduced_forms(D), D
+        forms = sorted(qforms._forms(D, table, table.counts(D)))
+        assert forms == reduced_forms(D), D
         assert forms == divisor_scan_reduced_forms(D), D
 
 
@@ -693,6 +693,25 @@ def test_check_two_sylow_refuses_forged_certificates():
         with pytest.raises(PrecondViolated):
             check_two_sylow(*args)
             pytest.fail(f"accepted {name}")
+
+
+def test_genus_test_drops_the_character_the_others_determine():
+    # the characters of a fundamental D multiply to 1 on every class: for
+    # odd D the last prime's repeats the others, so on every reduced form
+    # of every odd fundamental |D| <= 2*10**4 the reduced set decides as
+    # the full set of primes does; for even D every odd prime is kept
+    assert qforms._characters(-120, (2, 3, 5)) == [3, 5]
+    seen = 0
+    for D in range(-3, -20001, -4):
+        if not is_fundamental_discriminant(D):
+            continue
+        primes = tuple(sorted(factorize(-D)))
+        chars = qforms._characters(D, primes)
+        assert chars == list(primes[:-1]), D
+        for f in reduced_forms(D):
+            assert qforms._is_square_class(f, chars) == qforms._is_square_class(f, primes), (D, f)
+            seen += 1
+    assert seen > 10 ** 5
 
 
 def test_two_sylow_work_is_pinned(monkeypatch):
