@@ -28,7 +28,6 @@ that scan and cross_check (over a whole range of d) both read.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 from .arith import OddSquarefree, factor_squarefree, odd_squarefree_range
 from .diophantine import solve_kaplan, solve_pell_rep, williams_criterion, williams_witness
@@ -299,8 +298,7 @@ class Analysis:
 
     Every layer shape and Iwasawa invariant of d is a closed function of
     this pair; build it with analyze, which checks the theorem's
-    preconditions, or from the r_oracle >= 0 of a confront entry, which
-    analyze has checked.
+    preconditions.
     """
 
     tag: FamilyTag
@@ -376,10 +374,14 @@ class CrossCheckEntry:
     d: int
     tag: str
     primes: tuple
-    r_oracle: int
+    analysis: Analysis | None  # None where the oracle refused
     r_corollary: RBound
     status: str  # "ok" | "violation" | "skipped"
     detail: str = ""
+
+    @property
+    def r_oracle(self) -> int:
+        return -1 if self.analysis is None else self.analysis.r
 
 
 @dataclass
@@ -404,23 +406,26 @@ def confront(tag: FamilyTag) -> CrossCheckEntry:
     """The oracle r and the corollary bound of one exact-family d, confronted.
 
     The one refusal policy for both routes: a ZtwoError from the oracle, or
-    a theorem precondition that analyze finds broken, is a violation with
-    r_oracle = -1; a ZtwoError from the corollary is skipped; otherwise the
-    corollary's exact r must equal the oracle r, or its lower bound must
-    be satisfied.
+    a theorem precondition that analyze finds broken, is a violation
+    without an analysis (r_oracle = -1); a ZtwoError from the corollary is
+    skipped; otherwise the corollary's exact r must equal the oracle r, or
+    its lower bound must be satisfied.  The entry carries the Analysis that
+    analyze returned, so a reader needs no second one.
     """
-    entry = partial(CrossCheckEntry, tag.d.value, tag.tag, tag.primes)
+    d, family, primes = tag.d.value, tag.tag, tag.primes
     try:
-        r_oracle = analyze(tag).r
+        analysis = analyze(tag)
     except ZtwoError as exc:
-        return entry(-1, RBound.at_least(1), "violation", str(exc))
+        return CrossCheckEntry(d, family, primes, None, RBound.at_least(1), "violation", str(exc))
     try:
         r_cor = exponent_r_corollary(tag)
     except ZtwoError as exc:
-        return entry(r_oracle, RBound.at_least(1), "skipped", f"corollary: {exc}")
-    if r_cor.satisfied_by(r_oracle):
-        return entry(r_oracle, r_cor, "ok")
-    return entry(r_oracle, r_cor, "violation", f"corollary {r_cor} vs oracle {r_oracle}")
+        return CrossCheckEntry(d, family, primes, analysis, RBound.at_least(1), "skipped",
+                               f"corollary: {exc}")
+    if r_cor.satisfied_by(analysis.r):
+        return CrossCheckEntry(d, family, primes, analysis, r_cor, "ok")
+    return CrossCheckEntry(d, family, primes, analysis, r_cor, "violation",
+                           f"corollary {r_cor} vs oracle {analysis.r}")
 
 
 def cross_check(d_max: int) -> CrossCheckReport:

@@ -138,13 +138,13 @@ def scan_rows(dmin, dmax, family=None):
             yield row
             continue
         entry = classifier.confront(tag)
-        if entry.r_oracle < 0:
+        analysis = entry.analysis
+        if analysis is None:
             row["r_oracle"] = "skipped"
             yield row
             continue
-        row["r_oracle"] = entry.r_oracle
+        row["r_oracle"] = analysis.r
         row["r_corollary"] = "skipped" if entry.status == "skipped" else str(entry.r_corollary)
-        analysis = classifier.Analysis(tag, entry.r_oracle)
         row["shape_L_n1"] = _shape_str(analysis.predict(1, "L").shape.divisors)
         row["shape_K_n1"] = _shape_str(analysis.predict(1, "K").shape.divisors)
         inv_l = analysis.invariants("L")

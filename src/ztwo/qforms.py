@@ -637,23 +637,20 @@ def _subset_products(elems) -> list:
     return out
 
 
-def _characters(D: int, primes) -> list:
-    # the odd primes l | D whose characters _is_square_class evaluates.  A
-    # fundamental D has at most one 2-adic character, and all characters
-    # multiply to 1 on a class, so any one of them repeats the others: for
-    # even D the odd ones decide, for odd D (no 2-adic character) all but
-    # the last
-    return [ell for ell in primes if ell > 2] if D % 2 == 0 else list(primes[:-1])
+def _characters(primes) -> list:
+    # the odd primes l | D, whose characters _is_square_class evaluates
+    return [ell for ell in primes if ell > 2]
 
 
-def _is_square_class(f, chars) -> bool:
+def _is_square_class(f, odd_primes) -> bool:
     # Gauss: a class is a square iff it lies in the principal genus, i.e.
-    # every assigned character is +1 on it; the primes chars of
-    # _characters decide that.  The character of an odd prime l | D is
-    # (m/l) for any m prime to l that the form represents, a or c (l
-    # divides at most one of them, the form being primitive).
+    # every assigned character is +1 on it.  The character of an odd prime
+    # l | D is (m/l) for any m prime to l that the form represents, a or c
+    # (l divides at most one of them, the form being primitive).  A
+    # fundamental D has at most one 2-adic character, and all characters
+    # multiply to 1 on a class, so the odd ones decide.
     a, _, c = f
-    for ell in chars:
+    for ell in odd_primes:
         if jacobi(a if a % ell else c, ell) != 1:
             return False
     return True
@@ -705,7 +702,7 @@ def _halving_basis(D: int, primes) -> tuple:
     with the primes of A and s1 = sqrt(D / A), is computed once and serves
     every square root.  Unchecked: two_sylow certifies the result.
     """
-    chars = _characters(D, primes)
+    odd = _characters(primes)
     A = D
     while A % 4 == 0:
         A //= 4
@@ -716,12 +713,12 @@ def _halving_basis(D: int, primes) -> tuple:
         basis.append(_reduce(ell, b, (b * b - D) // (4 * ell)))
     if len(basis) == 1:
         g, e = basis[0], 1
-        while _is_square_class(g, chars):
+        while _is_square_class(g, odd):
             g, e = _sqrt_class(D, A, fa, s1, g), e + 1
         return [g], [e]
     exps = [1] * len(basis)
     while True:
-        w = next(((S, f) for S, f in _subset_products(basis) if _is_square_class(f, chars)), None)
+        w = next(((S, f) for S, f in _subset_products(basis) if _is_square_class(f, odd)), None)
         if w is None:
             return basis, exps
         S, f = w
@@ -741,8 +738,6 @@ def check_two_sylow(D: int, primes, basis, exps):
     product of the g_i is in the principal genus.  Then H = S: otherwise
     some s in S outside H has s**2 in H, and that square of Cl, not a
     square in H as H[2] = S[2], puts such a product in the principal genus.
-    The genus test evaluates every genus character but one that the others
-    determine: the 2-adic one for even D, the largest prime's for odd D.
     No form is counted and nothing the halving builder computed is reused.
     """
     _check_primes(D, primes)
@@ -775,9 +770,9 @@ def _check_basis(D: int, primes, basis, exps):
         if any(f == ident for _, f in _subset_products(socle)):
             raise PrecondViolated(f"Cl({D}) certificate has a dependent socle")
         products = _subset_products(basis)
-    chars = _characters(D, primes)
+    odd = _characters(primes)
     for S, f in products:
-        if _is_square_class(f, chars):
+        if _is_square_class(f, odd):
             raise PrecondViolated(f"Cl({D}) certificate: the product of generators {list(S)} "
                                   "is in the principal genus")
 

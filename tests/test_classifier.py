@@ -172,6 +172,7 @@ def test_oracle_factors_no_discriminant(monkeypatch):
         squarefree.append(n)
         return is_squarefree(n)
     monkeypatch.setattr(arith, "factorize", counting_factorize)
+    monkeypatch.setattr(qforms, "factorize", counting_factorize)
     monkeypatch.setattr(qforms, "is_squarefree", counting_is_squarefree)
     assert exponent_r_oracle(tag) == exponent_r_oracle(tag) == 3
     assert factored and not {712, 178, 89} & set(factored)

@@ -695,25 +695,6 @@ def test_check_two_sylow_refuses_forged_certificates():
             pytest.fail(f"accepted {name}")
 
 
-def test_genus_test_drops_the_character_the_others_determine():
-    # the characters of a fundamental D multiply to 1 on every class: for
-    # odd D the last prime's repeats the others, so on every reduced form
-    # of every odd fundamental |D| <= 2*10**4 the reduced set decides as
-    # the full set of primes does; for even D every odd prime is kept
-    assert qforms._characters(-120, (2, 3, 5)) == [3, 5]
-    seen = 0
-    for D in range(-3, -20001, -4):
-        if not is_fundamental_discriminant(D):
-            continue
-        primes = tuple(sorted(factorize(-D)))
-        chars = qforms._characters(D, primes)
-        assert chars == list(primes[:-1]), D
-        for f in reduced_forms(D):
-            assert qforms._is_square_class(f, chars) == qforms._is_square_class(f, primes), (D, f)
-            seen += 1
-    assert seen > 10 ** 5
-
-
 def test_two_sylow_work_is_pinned(monkeypatch):
     # the compositions and square roots of the oracle on the 631 exact rows
     # of classified(3, 10**4), the scan-low window: every halving step and
