@@ -274,6 +274,7 @@ def exponent_r_corollary(tag: FamilyTag) -> RBound:
 
 # (family, tower) -> (nu - r, theorem).  With lambda = 1 and mu = 0,
 # layer n has order 2^(n + nu): [2, 2^(n+nu-1)] for A, [2^(n+nu)] for B.
+LAMBDA, MU = 1, 0
 _THEOREMS = {
     ("A", "L"): (-1, "rank-2 L-tower: Z/2 x Z/2^(n+r-2) with 2^r = h2(-2d)"),
     ("A", "K"): (0, "rank-2 K-tower: Z/2 x Z/2^(n+r-1) with 2^r = h2(-2d)"),
@@ -307,8 +308,18 @@ class Analysis:
     def _theorem(self, tower):
         return _THEOREMS["B" if self.tag.tag == "B" else "A", tower]
 
+    def nu(self, tower: str) -> int:
+        """The one closed formula, unchecked (exact family, tower in TOWERS):
+        layer n >= 1 has order 2^(n + nu).  predict and invariants wrap it."""
+        return self.r + self._theorem(tower)[0]
+
+    def divisors(self, n: int, tower: str) -> tuple:
+        """Layer n's cyclic orders, unchecked: [2^(n+nu)] (B), [2, 2^(n+nu-1)] (A)."""
+        e = n + self.nu(tower)
+        return (2 ** e,) if self.tag.tag == "B" else (2, 2 ** (e - 1))
+
     def predict(self, n: int, tower: str) -> Prediction:
-        """Exact 2-class group of layer n >= 1 of the chosen tower."""
+        """Exact 2-class group of layer n >= 1: divisors(n, tower), checked."""
         check_args(tower, n)
         tag = self.tag
         if tag.tag == "C7":
@@ -319,19 +330,15 @@ class Analysis:
                               theorem="cyclic L-tower of undetermined order")
         if self.r is None:
             raise UnsupportedFamily(f"d = {tag.d} matches no family with a prediction")
-        offset, theorem = self._theorem(tower)
-        e = n + self.r + offset
-        divisors = (2 ** e,) if tag.tag == "B" else (2, 2 ** (e - 1))
-        return Prediction(tag.d, tower, n, GroupShape(divisors), r=self.r,
-                          r_source="oracle", theorem=theorem)
+        return Prediction(tag.d, tower, n, GroupShape(self.divisors(n, tower)), r=self.r,
+                          r_source="oracle", theorem=self._theorem(tower)[1])
 
     def invariants(self, tower: str) -> IwasawaInvariants:
-        """lambda = 1, mu = 0 and the family's nu, valid from layer 1 on."""
+        """LAMBDA = 1, MU = 0 and nu(tower), checked, valid from layer 1 on."""
         if self.r is None:
             raise UnsupportedFamily(f"no invariants for family {self.tag.tag}")
         check_args(tower)
-        offset, _ = self._theorem(tower)
-        return IwasawaInvariants(lam=1, mu=0, nu=self.r + offset, valid_from=1)
+        return IwasawaInvariants(lam=LAMBDA, mu=MU, nu=self.nu(tower), valid_from=1)
 
 
 def analyze(tag: FamilyTag) -> Analysis:

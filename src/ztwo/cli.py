@@ -6,6 +6,7 @@ prediction for the family, 3 verification found violations.
 """
 
 import argparse
+import csv
 import json
 import sys
 
@@ -112,61 +113,50 @@ def cmd_predict(args):
     return EXIT_OK
 
 
-def _shape_str(divisors) -> str:
-    return "x".join(str(x) for x in divisors)
+def scan_cells(dmin, dmax, family=None):
+    """One tuple of cells in SCAN_COLUMNS order per odd squarefree d in
+    [dmin, dmax], ascending; blank cells are "".  An exact-family row is
+    read off classifier.confront: r_oracle is "skipped" where the oracle
+    refused, r_corollary where the corollary did; shapes and nu come from
+    the entry's Analysis, lambda from classifier.LAMBDA.
+    """
+    for tag in classifier.classified(dmin, dmax):
+        fam, d = tag.tag, tag.d.value
+        if family and fam != family:
+            continue
+        p, q = (tag.primes + ("",))[:2]
+        if fam == "UNCLASSIFIED":
+            yield (d, fam) + ("",) * 9
+        elif fam == "C7":
+            yield (d, fam, p, q, "", "", "cyclic-unknown", "", "", "", "")
+        elif (entry := classifier.confront(tag)).analysis is None:
+            yield (d, fam, p, q, "skipped", "", "", "", "", "", "")
+        else:
+            a = entry.analysis
+            yield (d, fam, p, q, a.r,
+                   "skipped" if entry.status == "skipped" else str(entry.r_corollary),
+                   "x".join(map(str, a.divisors(1, "L"))), "x".join(map(str, a.divisors(1, "K"))),
+                   classifier.LAMBDA, a.nu("L"), a.nu("K"))
 
 
 def scan_rows(dmin, dmax, family=None):
-    """One row dict per odd squarefree d in [dmin, dmax], ascending.
-
-    An exact-family row is read off classifier.confront: r_oracle is
-    "skipped" where the oracle refused (a certificate that fails), and
-    r_corollary where the corollary route did (the B direction box of
-    classifier.exponent_r_corollary without an admissible point).
-    """
-    for tag in classifier.classified(dmin, dmax):
-        if family and tag.tag != family:
-            continue
-        row = dict.fromkeys(SCAN_COLUMNS, "")
-        row["d"] = tag.d.value
-        row["tag"] = tag.tag
-        if tag.tag != "UNCLASSIFIED":
-            row.update(zip(("p", "q"), tag.primes))
-        if tag.tag == "C7":
-            row["shape_L_n1"] = "cyclic-unknown"
-        if tag.tag not in classifier.EXACT_FAMILIES:
-            yield row
-            continue
-        entry = classifier.confront(tag)
-        analysis = entry.analysis
-        if analysis is None:
-            row["r_oracle"] = "skipped"
-            yield row
-            continue
-        row["r_oracle"] = analysis.r
-        row["r_corollary"] = "skipped" if entry.status == "skipped" else str(entry.r_corollary)
-        row["shape_L_n1"] = _shape_str(analysis.predict(1, "L").shape.divisors)
-        row["shape_K_n1"] = _shape_str(analysis.predict(1, "K").shape.divisors)
-        inv_l = analysis.invariants("L")
-        row["lambda"] = inv_l.lam
-        row["nu_L"] = inv_l.nu
-        row["nu_K"] = analysis.invariants("K").nu
-        yield row
+    """One row dict per odd squarefree d in [dmin, dmax], ascending: the
+    dict view, keyed by SCAN_COLUMNS, of the cells scan_cells yields."""
+    for cells in scan_cells(dmin, dmax, family):
+        yield dict(zip(SCAN_COLUMNS, cells))
 
 
 def cmd_scan(args):
     if args.min > args.max or args.max > 10 ** 6:
         raise InvalidInput("need min <= max <= 10**6")
-    rows = scan_rows(args.min, args.max, family=args.family)
     if args.format == "csv":
-        print(",".join(SCAN_COLUMNS))
-        for row in rows:
-            print(",".join(str(row[c]) for c in SCAN_COLUMNS))
+        # made per call: the writer keeps the stream, and callers swap sys.stdout
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(SCAN_COLUMNS)
+        out.writerows(scan_cells(args.min, args.max, family=args.family))
     else:
-        for row in rows:
-            out = {"schema": SCHEMA}
-            out.update(row)
-            print(json.dumps(out))
+        for row in scan_rows(args.min, args.max, family=args.family):
+            print(json.dumps({"schema": SCHEMA, **row}))
     return EXIT_OK
 
 

@@ -446,6 +446,41 @@ def test_iwasawa_formula_consistency():
                 assert order.bit_length() - 1 == inv.lam * n + inv.mu * 2 ** n + inv.nu
 
 
+def test_analysis_formula_is_what_predict_and_invariants_wrap():
+    # divisors, nu and LAMBDA, which scan reads unchecked, are the
+    # integers of the checked Prediction and IwasawaInvariants
+    count = 0
+    for tag in classifier.classified(3, 3000):
+        if tag.tag not in classifier.EXACT_FAMILIES:
+            continue
+        count += 1
+        a = analyze(tag)
+        for tower in classifier.TOWERS:
+            inv = a.invariants(tower)
+            assert (a.nu(tower), classifier.LAMBDA) == (inv.nu, inv.lam), (tag, tower)
+            for n in range(1, 5):
+                assert a.divisors(n, tower) == a.predict(n, tower).shape.divisors, (tag, n, tower)
+    assert count == 206
+
+
+def _refusal(call, *args):
+    with pytest.raises(ZtwoError) as exc:
+        call(*args)
+    return type(exc.value), str(exc.value)
+
+
+def test_refusals_keep_their_type_and_text():
+    c7, unclassified = analyze(classify(7)), analyze(classify(21))
+    k_tower = (UnsupportedFamily, "no K-tower formula for a prime d = 7 (mod 16)")
+    assert _refusal(c7.predict, 1, "K") == _refusal(predict, 7, 1, "K") == k_tower
+    no_family = (UnsupportedFamily, "d = 21 matches no family with a prediction")
+    for tower in classifier.TOWERS:
+        assert _refusal(unclassified.predict, 1, tower) == _refusal(predict, 21, 1, tower) == no_family
+        for a, d in ((c7, 7), (unclassified, 21)):
+            expected = (UnsupportedFamily, f"no invariants for family {a.tag.tag}")
+            assert _refusal(a.invariants, tower) == _refusal(iwasawa_invariants, d, tower) == expected
+
+
 # ---------------------------------------------------------------------------
 # cross-check
 # ---------------------------------------------------------------------------

@@ -249,6 +249,34 @@ def test_verify_corollary_output_pinned(capsys):
     assert hashlib.sha1(out.encode()).hexdigest() == "35075dfc4a47a7c9141ba5acf19c7f586985a575"
 
 
+def _three_views_agree(capsys, dmin, dmax):
+    # the CSV cmd_scan writes, the scan_rows dicts and the JSON records
+    # are one set of cells; returns the dicts
+    rows = list(cli.scan_rows(dmin, dmax))
+    code, out, _ = run(capsys, "scan", "--min", str(dmin), "--max", str(dmax))
+    assert code == 0
+    assert out.splitlines() == [",".join(cli.SCAN_COLUMNS)] + [
+        ",".join(str(row[c]) for c in cli.SCAN_COLUMNS) for row in rows]
+    code, out, _ = run(capsys, "scan", "--min", str(dmin), "--max", str(dmax), "--format", "json")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"schema": cli.SCHEMA, **row} for row in rows]
+    assert all(tuple(row) == cli.SCAN_COLUMNS for row in rows)
+    return rows
+
+
+def test_scan_csv_dict_view_and_json_agree_to_3000(capsys):
+    rows = _three_views_agree(capsys, 3, 3000)
+    assert {row["tag"] for row in rows} == set(classifier.FAMILIES)
+    ints = {"d", "p", "q", "r_oracle", "lambda", "nu_L", "nu_K"}
+    for row in rows:
+        # ints where a cell holds a number, strings elsewhere ("" when blank)
+        for c, v in row.items():
+            assert type(v) is (int if c in ints and v != "" else str), (row, c)
+        assert (row["q"] == "") == (row["tag"] in ("A1", "C7", "UNCLASSIFIED"))
+        assert (row["nu_K"] == "") == (row["tag"] not in classifier.EXACT_FAMILIES)
+
+
 def test_scan_rows_agree_with_cross_check():
     # both read classifier.confront: each exact-family row carries its
     # entry's r_oracle and r_corollary
@@ -261,7 +289,7 @@ def test_scan_rows_agree_with_cross_check():
         assert (row["r_oracle"], row["r_corollary"]) == (e.r_oracle, str(e.r_corollary)), row
 
 
-def test_a_corollary_refusal_is_skipped_by_scan_and_cross_check(monkeypatch):
+def test_a_corollary_refusal_is_skipped_by_scan_and_cross_check(capsys, monkeypatch):
     # any refusal of the corollary route is a skip, not only the B
     # direction box's NoSolutionInBound; the oracle's r still stands
     pell = classifier.solve_pell_rep
@@ -271,7 +299,7 @@ def test_a_corollary_refusal_is_skipped_by_scan_and_cross_check(monkeypatch):
             raise NoRepresentationInBound("no representation of 89")
         return pell(p, bound=bound)
     monkeypatch.setattr(classifier, "solve_pell_rep", refuse_89)
-    (row,) = cli.scan_rows(89, 89)
+    (row,) = _three_views_agree(capsys, 89, 89)
     assert (row["r_oracle"], row["r_corollary"], row["shape_L_n1"]) == (3, "skipped", "2x4")
     report = classifier.cross_check(89)
     assert [(e.d, e.r_oracle, e.detail) for e in report.skipped] == \
@@ -311,6 +339,7 @@ def test_forged_two_sylow_basis_is_refused(capsys, monkeypatch):
     assert err.startswith("error: Cl(-1416) certificate: the product of generators")
     code, out, _ = run(capsys, "scan", "--min", "177", "--max", "177")
     assert (code, out.splitlines()[1]) == (0, "177,A2,3,59,skipped,,,,,,")
+    _three_views_agree(capsys, 177, 177)
     monkeypatch.setattr(qforms, "_halving_basis", build)
     code, out, _ = run(capsys, "predict", "177", "--n", "1", "--tower", "K")
     assert code == 0 and "shape=Z/2 x Z/16 r=4 (oracle)" in out
