@@ -239,7 +239,7 @@ def exponent_r_corollary(tag: FamilyTag) -> RBound:
     through it.  Williams' theorem reads r off a solution; that the
     criterion takes one value on every admissible solution is not proved
     here either.  The evidence is verify --suite williams, which lists
-    every admissible solution below its bound for each B pair with
+    every admissible solution with Z <= 20000 for each B pair with
     d <= --max, adds the descent solution and checks that all agree (0
     violations with --max 10**4), test_williams_witness_agrees_with_the_z_scan,
     which confronts the descent solution with solve_legendre's least-Z one
@@ -253,9 +253,9 @@ def exponent_r_corollary(tag: FamilyTag) -> RBound:
     route (any ZtwoError) as skipped.
     """
     if tag.tag not in EXACT_FAMILIES:
-        raise PrecondViolated(f"no corollary route for family {tag.tag}")
+        raise UnsupportedFamily(f"no corollary route for family {tag.tag}")
     if tag.tag == "A1":
-        rep = solve_pell_rep(tag.primes[0], bound=None)
+        rep = solve_pell_rep(tag.primes[0])
         fires = quartic_residue(rep.u, rep.p) == -1
         return RBound.exact(3) if fires else RBound.at_least(4)
     if tag.tag == "A2":

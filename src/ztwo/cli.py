@@ -21,6 +21,9 @@ EXIT_INVALID = 1
 EXIT_NO_PREDICTION = 2
 EXIT_VIOLATIONS = 3
 
+# the largest Z at which verify --suite williams lists solutions
+WILLIAMS_SUITE_Z_CAP = 20000
+
 SCAN_COLUMNS = ("d", "tag", "p", "q", "r_oracle", "r_corollary",
                 "shape_L_n1", "shape_K_n1", "lambda", "nu_L", "nu_K")
 
@@ -190,9 +193,8 @@ def cmd_symbol(args):
 
 
 def cmd_witness(args):
-    diophantine._check_bound(args.bound)
     if args.pell is not None:
-        rep = diophantine.solve_pell_rep(args.pell, bound=args.bound)
+        rep = diophantine.solve_pell_rep(args.pell)
         out = {"schema": SCHEMA, "kind": "pell", "p": rep.p, "u": rep.u, "v": rep.v}
     elif args.kaplan:
         p, q = args.kaplan
@@ -201,7 +203,7 @@ def cmd_witness(args):
                "k": wit.k, "l": wit.l, "m": wit.m, "X": wit.X, "Y": wit.Y}
     else:
         p, q = args.legendre
-        sol = diophantine.solve_legendre(p, q, bound=args.bound)
+        sol = diophantine.solve_legendre(p, q)
         out = {"schema": SCHEMA, "kind": "legendre", "p": sol.p, "q": sol.q,
                "Xp": sol.Xp, "Yp": sol.Yp, "Z": sol.Z,
                "criterion": diophantine.williams_criterion(sol)}
@@ -232,9 +234,10 @@ def _verify_genus(d_max):
     return bad
 
 
-def _verify_williams(d_max, bound):
-    """Criterion invariance across every admissible solution below the bound
-    and the descent solution that scan reads (diophantine.williams_witness)."""
+def _verify_williams(d_max):
+    """Criterion invariance across every admissible solution with
+    Z <= WILLIAMS_SUITE_Z_CAP and the descent solution that scan reads
+    (diophantine.williams_witness)."""
     bad = 0
     pairs = 0
     for tag in classifier.classified(3, d_max):
@@ -243,7 +246,7 @@ def _verify_williams(d_max, bound):
         p, q = tag.primes
         if classifier.b_symbol_r(p, q) is not None:
             continue
-        sols = diophantine.enumerate_legendre_solutions(p, q, bound)
+        sols = diophantine.enumerate_legendre_solutions(p, q, WILLIAMS_SUITE_Z_CAP)
         try:
             descent = [diophantine.williams_witness(p, q)]
         except NoSolutionInBound as exc:
@@ -255,12 +258,12 @@ def _verify_williams(d_max, bound):
             print(f"  VIOLATION d={tag.d}: criterion not solution-invariant over "
                   f"{len(sols)} solutions and {len(descent)} descent solution")
         pairs += 1
-    print(f"williams suite: {pairs} pairs, all admissible solutions with Z <= {bound}; {bad} violations")
+    print(f"williams suite: {pairs} pairs, all admissible solutions with "
+          f"Z <= {WILLIAMS_SUITE_Z_CAP}; {bad} violations")
     return bad
 
 
 def cmd_verify(args):
-    diophantine._check_bound(args.bound)
     if args.max < 1:
         raise InvalidInput(f"need max >= 1, got {args.max}")
     suites = ("corollary", "genus", "williams") if args.suite == "all" else (args.suite,)
@@ -270,7 +273,7 @@ def cmd_verify(args):
     if "genus" in suites:
         violations += _verify_genus(min(args.max * 10, 10 ** 5))
     if "williams" in suites:
-        violations += _verify_williams(args.max, min(args.bound, 20000))
+        violations += _verify_williams(args.max)
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
@@ -330,14 +333,12 @@ def build_parser():
     g.add_argument("--pell", type=int, metavar="P")
     g.add_argument("--kaplan", nargs=2, type=int, metavar=("P", "Q"))
     g.add_argument("--legendre", nargs=2, type=int, metavar=("P", "Q"))
-    p.add_argument("--bound", type=int, default=diophantine.DEFAULT_BOUND)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify", help="run consistency suites; exit 3 on violations")
     p.add_argument("--max", type=int, default=10 ** 4)
     p.add_argument("--suite", choices=("corollary", "genus", "williams", "all"),
                    default="all")
-    p.add_argument("--bound", type=int, default=diophantine.DEFAULT_BOUND)
     p.set_defaults(func=cmd_verify)
 
     return ap

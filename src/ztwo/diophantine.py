@@ -1,18 +1,20 @@
 """Solvers for the three representation problems the criteria use.
 
-Every solver is deterministic, and a witness beyond a bound surfaces as
+Every solver is deterministic, and a witness that is missing surfaces as
 NoRepresentationInBound or NoSolutionInBound, never as a wrong answer.
 solve_pell_rep reads the least-v representation off the prime above p in
-Z[sqrt 2], one gcd and a unit walk of a few steps, with no search; its
-bound only refuses a least v above it.  solve_kaplan and williams_witness
-take no bound: each reads its witness off one Lagrange descent
-(_legendre_descent; Cremona and Rusin, Math. Comp. 72, 2003), the descent
-that also serves the class-group oracle.  solve_kaplan's is a primitive
-solution of s**2 = p Y**2 + 2 q k**2; williams_witness's is the
-descent point of p X'**2 + q Y'**2 = Z**2 or the second point of a line
-through it, from a fixed box of directions.  solve_legendre searches Z
-in increasing order up to its bound, for the least-Z solution that
-witness --legendre prints and the williams suite enumerates.
+Z[sqrt 2], one gcd and a unit walk of a few steps, with no search and no
+bound.  solve_kaplan and williams_witness take no bound either: each
+reads its witness off one Lagrange descent (_legendre_descent; Cremona
+and Rusin, Math. Comp. 72, 2003), the descent that also serves the
+class-group oracle.  solve_kaplan's is a primitive solution of
+s**2 = p Y**2 + 2 q k**2; williams_witness's is the descent point of
+p X'**2 + q Y'**2 = Z**2 or the second point of a line through it, from
+a fixed box of directions.  The one search is the Z scan:
+solve_legendre scans Z in increasing order up to LEGENDRE_Z_CAP, for the
+least-Z solution that witness --legendre prints, and
+enumerate_legendre_solutions lists every solution up to the bound it is
+given, for the williams suite.
 That the Kaplan and Williams criteria take one value on every witness
 is not proved here; the evidence is in the tests and verify suites that
 the exponent_r_corollary docstring names.
@@ -33,7 +35,8 @@ from .errors import (
 )
 from .symbols import jacobi, quartic_residue
 
-DEFAULT_BOUND = 10 ** 6
+# the largest Z that solve_legendre scans
+LEGENDRE_Z_CAP = 10 ** 6
 # the directions williams_witness tries: |a|, |b|, |c| <= WILLIAMS_BOX
 WILLIAMS_BOX = 6
 
@@ -133,11 +136,6 @@ def check_legendre_solution(sol):
 # solvers
 # ---------------------------------------------------------------------------
 
-def _check_bound(bound):
-    if bound < 1:
-        raise InvalidInput(f"bound must be >= 1, got {bound}")
-
-
 def _prime_above(p):
     """(u, v) with u + v sqrt 2 of norm +p and u > 0, for a prime p = 1 (mod 8).
 
@@ -160,9 +158,9 @@ def _prime_above(p):
     return (a, b) if a > 0 else (-a, -b)
 
 
-def solve_pell_rep(p: int, bound: int | None = DEFAULT_BOUND) -> PellRepresentation:
+def solve_pell_rep(p: int) -> PellRepresentation:
     """Least-v representation p = u**2 - 2v**2 with u, v > 0 and
-    u = 1 (mod 8); bound refuses a least v above it unless None.
+    u = 1 (mod 8), read off a gcd in Z[sqrt 2] with no search.
 
     Every element of norm p generates a prime above p, the ideal of
     g = _prime_above(p) or of its conjugate, so it is a unit times g or
@@ -182,10 +180,8 @@ def solve_pell_rep(p: int, bound: int | None = DEFAULT_BOUND) -> PellRepresentat
     -v_{k-2} = 2u_{k-1} - 3v_{k-1} > 2u_{k-1} + 3v_{k-1} = v_k.  If
     u_{k-1} = 1 (mod 8), it is -v_{k-1} in the same way, as
     v_{k+1} = 2u_k + 3v_k > 2u_k - 3v_k = -v_{k-1}.  If neither is,
-    no representation exists.
+    no representation exists, and NoRepresentationInBound says so.
     """
-    if bound is not None:
-        _check_bound(bound)
     if not is_prime(p):
         raise InvalidInput(f"{p} is not prime")
     if p % 8 != 1:
@@ -196,10 +192,8 @@ def solve_pell_rep(p: int, bound: int | None = DEFAULT_BOUND) -> PellRepresentat
     while 2 * u + 3 * v < 0:  # up, to the last member with v < 0
         u, v = 3 * u + 4 * v, 2 * u + 3 * v
     u, v = (u, -v) if u % 8 == 1 else (3 * u + 4 * v, 2 * u + 3 * v)
-    if u % 8 != 1:  # none exists, whatever the bound
+    if u % 8 != 1:
         raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p}")
-    if bound is not None and v > bound:
-        raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p} with v <= {bound}")
     return PellRepresentation(p, u, v)
 
 
@@ -360,18 +354,19 @@ def _legendre_candidates(p, q, z_bound):
             yield LegendreSolution(p, q, X, Y, Z)
 
 
-def solve_legendre(p: int, q: int, bound: int = DEFAULT_BOUND) -> LegendreSolution:
-    """The admissible solution with smallest Z (then smallest X')."""
-    _check_bound(bound)
+def solve_legendre(p: int, q: int) -> LegendreSolution:
+    """The admissible solution with smallest Z (then smallest X'), from a
+    scan of Z <= LEGENDRE_Z_CAP; NoSolutionInBound past the cap."""
     _check_legendre_preconds(p, q)
-    for sol in _legendre_candidates(p, q, bound):
+    for sol in _legendre_candidates(p, q, LEGENDRE_Z_CAP):
         return sol
-    raise NoSolutionInBound(f"no admissible solution for ({p}, {q}) with Z <= {bound}")
+    raise NoSolutionInBound(f"no admissible solution for ({p}, {q}) with Z <= {LEGENDRE_Z_CAP}")
 
 
 def enumerate_legendre_solutions(p: int, q: int, bound: int) -> list:
     """All admissible solutions with Z <= bound, in increasing-Z order."""
-    _check_bound(bound)
+    if bound < 1:
+        raise InvalidInput(f"bound must be >= 1, got {bound}")
     _check_legendre_preconds(p, q)
     return list(_legendre_candidates(p, q, bound))
 
@@ -453,7 +448,7 @@ def williams_criterion(sol: LegendreSolution) -> int:
     Williams' theorem, as the paper uses it, reads r = 4 against r >= 5
     off one admissible solution; that the value is the same on every one
     is not proved here.  verify --suite williams lists every admissible
-    solution with Z up to its bound for each pair, williams_witness's
+    solution with Z up to its cap for each pair, williams_witness's
     among them, and checks that they agree; cross_check confronts the
     value with the class-group oracle.
     """

@@ -46,7 +46,7 @@ class EnumerationBoundExceeded(ZtwoError):
 
 
 class NoRepresentationInBound(ZtwoError):
-    """No representation exists, or its least parameter exceeds the bound."""
+    """No representation of the requested kind exists."""
 
 
 class NoSolutionInBound(ZtwoError):

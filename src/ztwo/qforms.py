@@ -153,10 +153,6 @@ def _field_disc(m: int) -> int:
     return m if m % 4 == 1 else 4 * m
 
 
-def _as_disc(D) -> int:
-    return D.D if isinstance(D, Discriminant) else int(D)
-
-
 def _as_discriminant(D) -> Discriminant:
     return D if isinstance(D, Discriminant) else Discriminant(int(D))
 
@@ -192,7 +188,7 @@ def reduce_form(f) -> FormClass:
 
 def principal_form(D) -> FormClass:
     """Identity class of discriminant D."""
-    D = _as_disc(D)
+    D = int(D)
     if D % 2 == 0:
         return FormClass(1, 0, -D // 4)
     return FormClass(1, 1, (1 - D) // 4)
@@ -287,7 +283,7 @@ def reduced_forms(D) -> list:
     prime power of a, joined by CRT; an a with a root-less prime power
     has none.  Each root is tested for reducedness and primitivity.
     """
-    D = _as_disc(D)
+    D = int(D)
     if D >= 0:
         raise IndefiniteForm(f"need D < 0, got {D}")
     if D % 4 > 1:
@@ -576,7 +572,7 @@ def class_group(D) -> ClassGroupStructure:
     Built anew on every call from the forms of D; the exponent r of the
     classifier reads two_sylow instead and never this function.
     """
-    n = -_as_disc(D)
+    n = -int(D)
     if n > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(f"|D| = {n} exceeds 2**32")
     return _structure_of(_as_discriminant(D))

@@ -281,8 +281,12 @@ def test_analyze_beyond_the_enumeration_bound():
 
 
 def test_exponent_r_rejects_other_families():
-    with pytest.raises(UnsupportedFamily):
-        exponent_r_oracle(classify(7))
+    # C7 and UNCLASSIFIED: both routes refuse with one type, exit 2 in the CLI
+    for d, tag in ((7, "C7"), (21, "UNCLASSIFIED")):
+        assert classify(d).tag == tag
+        for route in (exponent_r_oracle, exponent_r_corollary):
+            with pytest.raises(UnsupportedFamily, match=f"for family {tag}"):
+                route(classify(d))
 
 
 def test_rbound_parse_roundtrip():

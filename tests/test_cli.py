@@ -165,11 +165,10 @@ def test_witness_commands(capsys):
     assert (rec["Xp"], rec["Yp"], rec["Z"]) == (1, 2, 9) and rec["criterion"] == 1
 
 
-@pytest.mark.parametrize("bound", [(), ("--bound", "1"), ("--bound", "10")])
-def test_witness_kaplan_is_the_descent_witness(capsys, bound):
+def test_witness_kaplan_is_the_descent_witness(capsys):
     # the witness from one descent: the least k of (332851, 3) is 1, with a
-    # 68-digit Y; --bound is checked, but caps nothing here
-    code, out, _ = run(capsys, "witness", "--kaplan", "332851", "3", *bound)
+    # 68-digit Y
+    code, out, _ = run(capsys, "witness", "--kaplan", "332851", "3")
     assert (code, out) == (0, '{"schema": "ztwo/1", "kind": "kaplan", "p": 332851, "q": 3, '
                               '"k": 195, "l": 749, "m": 3, "X": 0, "Y": 1}\n')
 
@@ -182,14 +181,20 @@ def test_witness_pell_zero_is_invalid_input(capsys):
 
 
 @pytest.mark.parametrize("argv, err", [
-    (("--pell", "89", "--bound", "9"), "error: no u = 1 (mod 8) representation of 89 with v <= 9\n"),
+    (("--pell", "13"), "error: need p = 1 (mod 8), got p = 13\n"),
     (("--pell", "17"), "error: no u = 1 (mod 8) representation of 17\n"),
-    (("--pell", "17", "--bound", "9"), "error: no u = 1 (mod 8) representation of 17\n"),
 ])
 def test_witness_pell_refusals(capsys, argv, err):
-    # 89's least v is 10; 17 has no representation for any bound, as
-    # (2/17)_4 = -1
+    # 13 is in the wrong class; 17 has no representation, as (2/17)_4 = -1
     assert run(capsys, "witness", *argv) == (1, "", err)
+
+
+def test_witness_pell_has_no_v_cap(capsys):
+    # the least v of this A1 prime near 2**40 is above 10**6; the gcd in
+    # Z[sqrt 2] reads it with no search, as exponent_r_corollary does
+    code, out, _ = run(capsys, "witness", "--pell", "1099511624441")
+    assert (code, out) == (0, '{"schema": "ztwo/1", "kind": "pell", "p": 1099511624441, '
+                              '"u": 2541953, "v": 1637378}\n')
 
 
 @pytest.mark.parametrize("p", ["3", "11"])
@@ -218,16 +223,17 @@ def test_verify_small(capsys):
     assert "0 violations" in out
 
 
-def test_verify_williams_suite(capsys):
-    code, out, _ = run(capsys, "verify", "--max", "120", "--suite", "williams",
-                       "--bound", "3000")
+def test_verify_williams_suite(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "WILLIAMS_SUITE_Z_CAP", 3000)
+    code, out, _ = run(capsys, "verify", "--max", "120", "--suite", "williams")
     assert code == 0
 
 
 def test_verify_williams_suite_checks_the_descent_solution(capsys, monkeypatch):
     # the solution scan reads joins each pair's enumerated ones: one of the
     # other branch is a violation, and an empty direction box a skip
-    argv = ("verify", "--max", "120", "--suite", "williams", "--bound", "3000")
+    monkeypatch.setattr(cli, "WILLIAMS_SUITE_Z_CAP", 3000)
+    argv = ("verify", "--max", "120", "--suite", "williams")
     witness = diophantine.williams_witness
     monkeypatch.setattr(diophantine, "williams_witness",
                         lambda p, q: witness(37, 11) if (p, q) == (5, 19) else witness(p, q))
@@ -294,10 +300,10 @@ def test_a_corollary_refusal_is_skipped_by_scan_and_cross_check(capsys, monkeypa
     # direction box's NoSolutionInBound; the oracle's r still stands
     pell = classifier.solve_pell_rep
 
-    def refuse_89(p, bound=None):
+    def refuse_89(p):
         if p == 89:
             raise NoRepresentationInBound("no representation of 89")
-        return pell(p, bound=bound)
+        return pell(p)
     monkeypatch.setattr(classifier, "solve_pell_rep", refuse_89)
     (row,) = _three_views_agree(capsys, 89, 89)
     assert (row["r_oracle"], row["r_corollary"], row["shape_L_n1"]) == (3, "skipped", "2x4")
@@ -409,17 +415,20 @@ def test_scan_min_above_max_is_invalid_input(capsys):
     ("witness", "--kaplan", "11", "19"),
     ("witness", "--pell", "89"),
     ("witness", "--legendre", "5", "19"),
-    # --max 10 has no B pair: each suite refuses before it runs
     ("verify", "--max", "10", "--suite", "corollary"),
     ("verify", "--max", "10", "--suite", "genus"),
     ("verify", "--max", "10", "--suite", "williams"),
     ("verify", "--max", "10", "--suite", "all"),
 ])
 def test_non_positive_bound_is_invalid_input(capsys, argv, bound):
-    # refused, not reported as a search that found nothing
-    code, out, err = run(capsys, *argv, "--bound", bound)
-    assert (code, out) == (1, "")
-    assert err == f"error: bound must be >= 1, got {bound}\n"
+    # witness and verify take no --bound, as scan does not: no witness
+    # route searches, and the williams suite's Z cap is fixed.  Any bound,
+    # and a non-positive one too, is a usage error before anything runs
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--bound", bound])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert f"ztwo: error: unrecognized arguments: --bound {bound}\n" in err
 
 
 @pytest.mark.parametrize("argv", [

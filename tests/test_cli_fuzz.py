@@ -23,9 +23,9 @@ WELL_FORMED_ARGV = st.one_of(
     st.builds(lambda a, n, j: ["symbol", "--jacobi", a, n, *j], _TEXT, _TEXT, _JSON),
     st.builds(lambda a, p, j: ["symbol", "--quartic", a, p, *j], _TEXT, _SMALL, _JSON),
     st.builds(lambda p, j: ["symbol", "--quartic2", p, *j], _SMALL, _JSON),
-    st.builds(lambda p: ["witness", "--pell", p, "--bound", "2000"], _SMALL),
-    st.builds(lambda p, q: ["witness", "--kaplan", p, q, "--bound", "2000"], _SMALL, _SMALL),
-    st.builds(lambda p, q: ["witness", "--legendre", p, q, "--bound", "2000"], _SMALL, _SMALL),
+    st.builds(lambda p: ["witness", "--pell", p], _SMALL),
+    st.builds(lambda p, q: ["witness", "--kaplan", p, q], _SMALL, _SMALL),
+    st.builds(lambda p, q: ["witness", "--legendre", p, q], _SMALL, _SMALL),
     st.builds(lambda lo, width, fam, fmt: ["scan", "--min", str(lo), "--max", str(lo + width),
                                            *fam, "--format", fmt],
               st.integers(-10, 10 ** 6), st.integers(-3, 30),

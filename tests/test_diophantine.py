@@ -80,7 +80,7 @@ def test_pell_agrees_with_oracle():
             if not is_prime(p):
                 continue
             try:
-                rep = solve_pell_rep(p, bound=None)
+                rep = solve_pell_rep(p)
             except NoRepresentationInBound as exc:
                 assert quartic_residue(2, p) == -1
                 assert str(exc) == f"no u = 1 (mod 8) representation of {p}"
@@ -89,16 +89,6 @@ def test_pell_agrees_with_oracle():
             assert (rep.u, rep.v) == pell_oracle(p)
             found.append(p)
     assert len(found) == 48 + 887 + 29
-
-
-@pytest.mark.parametrize("p, u, v", [(89, 17, 10), (998281, 2409, 1550)])
-def test_pell_bound_refuses_only_a_larger_least_v(p, u, v):
-    from ztwo.errors import NoRepresentationInBound
-
-    assert solve_pell_rep(p, bound=v) == PellRepresentation(p, u, v)
-    with pytest.raises(NoRepresentationInBound) as exc:
-        solve_pell_rep(p, bound=v - 1)
-    assert str(exc.value) == f"no u = 1 (mod 8) representation of {p} with v <= {v - 1}"
 
 
 def test_pell_walk_starts_anywhere_on_the_orbit(monkeypatch):
@@ -320,10 +310,8 @@ def test_corollary_has_no_k_cap(d):
 
 @pytest.mark.parametrize("bound", [0, -1])
 def test_solvers_refuse_non_positive_bound(bound):
-    for solve, args in ((solve_pell_rep, (89,)), (solve_legendre, (5, 19)),
-                        (enumerate_legendre_solutions, (5, 19))):
-        with pytest.raises(InvalidInput, match=f"bound must be >= 1, got {bound}"):
-            solve(*args, bound=bound)
+    with pytest.raises(InvalidInput, match=f"bound must be >= 1, got {bound}"):
+        enumerate_legendre_solutions(5, 19, bound=bound)
 
 
 def test_legendre_worked_example():
