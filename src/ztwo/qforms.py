@@ -24,9 +24,13 @@ is closed under composition up to its last generator: successive p-th
 powers of a new generator y find the least y**(p**i) in the span H of the
 earlier ones, and when that takes the full index of H, y is last and adds
 no cosets.  The shape is the Smith form of the relations the generators
-satisfy (Teske, Math. Comp. 67, 1998), at no further composition, and a
-diagonal relation matrix is read directly.  For odd p the ambiguous forms,
-of order at most 2, are never tried as generators.
+satisfy (Teske, Math. Comp. 67, 1998), at no further composition; a
+diagonal relation matrix is read directly, and two relation rows have
+their Smith form in closed form.  For odd p the ambiguous forms, of order
+at most 2, are never tried as generators; for p = 2 an ambiguous form is
+its own inverse, so its odd power h / 2**e is itself, which one squaring
+confirms.  class_group_sweep takes its discriminants from one segmented
+sieve of the prime squares over |D|, which proves each one fundamental.
 
 two_sylow builds the 2-Sylow subgroup alone, counting no form: from the
 ambiguous classes of the known prime divisors of D it halves square
@@ -46,7 +50,15 @@ from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
-from .arith import _split_square, _sqrt_mod_prime_power, factorize, is_prime, is_squarefree
+from .arith import (
+    FACTOR_BOUND,
+    _odd_primes_to,
+    _split_square,
+    _sqrt_mod_prime_power,
+    factorize,
+    is_prime,
+    is_squarefree,
+)
 from .diophantine import _legendre_descent
 from .errors import (
     EnumerationBoundExceeded,
@@ -59,21 +71,37 @@ from .errors import (
 from .symbols import jacobi
 
 ENUMERATION_BOUND = 1 << 32
+_SWEEP_BLOCK = 1 << 14  # the |D| per block of class_group_sweep's sieve
 
 
 @dataclass(frozen=True)
 class Discriminant:
-    """A fundamental negative discriminant: checked once when built, trusted after."""
+    """A fundamental negative discriminant -2**40 < D < 0: checked once when
+    built, trusted after.
+
+    The constructor raises InvalidInput for D <= -2**40 and for a D that
+    is not a discriminant, NotSquarefree when its radicand has a square
+    factor.  class_group_sweep builds through _proven instead, because its
+    sieve is the proof (_fundamental_discriminants).
+    """
 
     D: int
 
     def __post_init__(self):
+        _check_domain(self.D)
         m = _radicand(self.D)
         if m is None:
             raise InvalidInput(f"{self.D} is not a fundamental negative discriminant")
         if not is_squarefree(-m):
             raise NotSquarefree(f"{self.D} is not a fundamental negative discriminant: "
                                 f"{m} is not squarefree")
+
+    @classmethod
+    def _proven(cls, D):
+        # for a D proved fundamental where it is made; no checks
+        self = object.__new__(cls)
+        object.__setattr__(self, "D", D)
+        return self
 
     def __int__(self):
         return self.D
@@ -135,8 +163,16 @@ def _radicand(D: int):
     return None
 
 
+def _check_domain(D: int):
+    # InvalidInput for D <= -2**40, where is_squarefree's domain ends
+    if D <= -FACTOR_BOUND:
+        raise InvalidInput(f"fundamental discriminants are decided for D > -2**40, got D = {D}")
+
+
 def is_fundamental_discriminant(D: int) -> bool:
-    """True iff D < 0 is the discriminant of an imaginary quadratic field."""
+    """True iff D < 0 is the discriminant of an imaginary quadratic field,
+    for D > -2**40; InvalidInput for D <= -2**40."""
+    _check_domain(D)
     m = _radicand(D)
     return m is not None and is_squarefree(-m)
 
@@ -456,7 +492,7 @@ def _sylow_subgroup(forms, ident, p, size):
     log = {ident: 0}
     rows = []
     for f in _candidates(forms, ident, p):
-        y = _pow(f, cofactor)
+        y = _candidate_power(f, cofactor, ident)
         if y in log:
             continue
         k = size // len(log)
@@ -486,6 +522,19 @@ def _sylow_subgroup(forms, ident, p, size):
     raise AssertionError(f"no Sylow {p}-subgroup of order {size} among {len(forms)} forms")
 
 
+def _candidate_power(f, e: int, ident) -> tuple:
+    # f**e for a form f of _candidates(forms, ident, p) and e = h / p**k,
+    # p**k the full power of p in h; an ambiguous f (b == 0, b == a or
+    # a == c) is a candidate only for p = 2, where e is odd, and is its own
+    # inverse, so f**e = f once one squaring confirms f**2 == ident
+    a, b, c = f
+    if b and b != a and a != c:
+        return _pow(f, e)
+    if _compose(f, f) != ident:
+        raise AssertionError(f"the ambiguous form {f} does not square to {ident}")
+    return f
+
+
 def _smith_partition(rows, p):
     """Exponent partition (descending) of the abelian p-group Z**t / rows.
 
@@ -494,10 +543,16 @@ def _smith_partition(rows, p):
     Smith form may be taken over Z/p**(e+1) (Cohen, GTM 138, 2.4.3): an
     entry of least p-adic valuation v clears its column and leaves Z/p**v.
     With no entry off the diagonal, the group is the sum of the Z/p**v
-    for the diagonal's valuations v > 0, read with no elimination.
+    for the diagonal's valuations v > 0, read with no elimination.  Two
+    rows [[j1], [x, j2]] have the Smith invariants g = gcd(j1, x, j2) and
+    j1*j2 / g in closed form.
     """
     if not any(any(row[:-1]) for row in rows):  # diagonal: Z/p**v per row
         return sorted((v for row in rows if (v := _valuation(row[-1], p))), reverse=True)
+    if len(rows) == 2:
+        (j1,), (x, j2) = rows
+        g = gcd(j1, x, j2)
+        return [v for v in (_valuation(j1 * j2 // g, p), _valuation(g, p)) if v]
     m = p * prod(row[-1] for row in rows)
     a = [[x % m for x in row] + [0] * (len(rows) - len(row)) for row in rows]
     exps = []
@@ -538,7 +593,7 @@ def _structure_from_forms(D, forms) -> tuple:
         if e == 1:
             # a cyclic Sylow p-subgroup: an element of exact order p proves it
             y = next((y for f in _candidates(forms, ident, p)
-                      if (y := _pow(f, h // p)) != ident), ident)
+                      if (y := _candidate_power(f, h // p, ident)) != ident), ident)
             if y == ident or _pow(y, p) != ident:
                 raise AssertionError(f"no element of order {p} among {h} forms")
             partitions[p] = [1]
@@ -586,6 +641,7 @@ def genus_two_rank(D) -> int:
 def class_group_sweep(limit: int):
     """Yield ClassGroupStructure for every fundamental -limit <= D < 0, ordered by |D|.
 
+    The D come from one segmented sieve (_fundamental_discriminants).
     Each structure comes from the builder class_group uses, and every D
     reads its roots from one _RootTable of top isqrt(limit // 3), built
     for this call; it holds at most sum(4q) entries over the prime powers
@@ -594,14 +650,35 @@ def class_group_sweep(limit: int):
     if limit > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(f"sweep limit {limit} exceeds 2**32")
     table = _RootTable(isqrt(max(limit, 0) // 3))
-    for D in range(-3, -limit - 1, -1):
-        if D % 4 > 1:  # never a discriminant: skip Discriminant's refusal
-            continue
-        try:
-            disc = Discriminant(D)
-        except InvalidInput:
-            continue
+    for disc in _fundamental_discriminants(limit):
         yield _structure_of(disc, table)
+
+
+def _fundamental_discriminants(limit: int):
+    """Discriminant for every fundamental -limit <= D < 0, ordered by |D|.
+
+    With n = |D|, D is fundamental iff n = 3 (mod 4) or n = 4, 8 (mod 16),
+    and no odd prime square divides n: for D = 1 (mod 4) the radicand is
+    D itself, odd; otherwise it is D/4, which must not be 1 (mod 4) and
+    has 2-part 1 or 2 when squarefree.  A sieve marks the multiples of p**2
+    for the odd primes p <= isqrt(limit), _SWEEP_BLOCK values of n at a
+    time, so memory stays bounded for any limit.  Each D is built by
+    Discriminant._proven, without the constructor's checks, because the
+    sieve is the proof: every prime square dividing n <= limit is marked.
+    """
+    primes = _odd_primes_to(isqrt(max(limit, 0)))
+    for start in range(0, limit + 1, _SWEEP_BLOCK):
+        size = min(_SWEEP_BLOCK, limit + 1 - start)  # the block is start <= n < start + size
+        square = bytearray(size)
+        for p in primes:
+            pp = p * p
+            if pp >= start + size:
+                break
+            first = -start % pp
+            square[first::pp] = b"\1" * len(range(first, size, pp))
+        for n in range(max(start, 3), start + size):
+            if (n % 4 == 3 or n % 16 in (4, 8)) and not square[n - start]:
+                yield Discriminant._proven(-n)
 
 
 # ---------------------------------------------------------------------------

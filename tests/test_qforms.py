@@ -145,6 +145,17 @@ def test_fundamental_predicate():
     assert not is_fundamental_discriminant(4)
 
 
+def test_fundamental_discriminants_are_decided_above_minus_2_40():
+    # is_squarefree decides radicands below 2**40, so both refuse D <= -2**40
+    # with a message naming D and their domain, not is_squarefree's
+    assert not is_fundamental_discriminant(1 - (1 << 40))   # 5**2 divides 2**40 - 1
+    assert Discriminant(5 - (1 << 40)).D == -1099511627771   # the fundamental D nearest -2**40
+    for D in (-(1 << 40), -2199023255551, -(1 << 42)):
+        for refuse in (is_fundamental_discriminant, Discriminant):
+            with pytest.raises(InvalidInput, match=rf"for D > -2\*\*40, got D = {D}$"):
+                refuse(D)
+
+
 def test_reduce_fixpoints():
     assert reduce_form((1, 0, 1)) == FormClass(1, 0, 1)
     assert reduce_form((4, 4, 15)) == FormClass(4, 4, 15)    # D = -224
@@ -386,9 +397,12 @@ def test_genus_matches_structure_to_3000():
         assert s.two_rank == genus_two_rank(s.D), s
 
 
-def test_sweep_yields_exactly_the_fundamental_discriminants():
-    swept = [s.D.D for s in class_group_sweep(3000)]
-    assert swept == [D for D in range(-3, -3001, -1) if is_fundamental_discriminant(D)]
+@pytest.mark.parametrize("limit", [-1, 0, 2, 3, 4, 7, 8, 3000, qforms._SWEEP_BLOCK + 10])
+def test_sweep_yields_exactly_the_fundamental_discriminants(limit):
+    # the sieve at its edges: no D below |D| = 3, the first of each residue
+    # class (-3, -4, -7, -8), and a limit past the first sieve block
+    swept = [s.D.D for s in class_group_sweep(limit)]
+    assert swept == [D for D in range(-3, -limit - 1, -1) if is_fundamental_discriminant(D)]
 
 
 def test_sweep_agrees_with_single_discriminant_path():
@@ -411,6 +425,12 @@ def test_sweep_neither_reads_nor_writes_the_memo(monkeypatch):
 def test_forged_form_list_trips_the_order_check():
     with pytest.raises(AssertionError):
         qforms._structure_from_forms(-23, [principal_form(-23)] * 3)
+    # (2, 0, 3), of discriminant -24, has the shape of an ambiguous form but
+    # squares to (1, 0, 6): no odd power of it may be read off its shape,
+    # neither for a Sylow 2-subgroup of order 2 (h = 2) nor of order 4 (h = 12)
+    for D, h in ((-15, 2), (-84, 12)):
+        with pytest.raises(AssertionError, match="does not square"):
+            qforms._structure_from_forms(D, [principal_form(D)] + [(2, 0, 3)] * (h - 1))
 
 
 def test_forged_form_list_trips_the_closure():
@@ -509,7 +529,7 @@ def test_sweep_composition_count_is_pinned(monkeypatch):
 
     monkeypatch.setattr(qforms, "_compose", counted)
     assert sum(1 for _ in class_group_sweep(10 ** 4)) == 3043
-    assert len(compositions) == 42168
+    assert len(compositions) == 39671
 
 
 @pytest.mark.parametrize("rows, partition", [
@@ -518,6 +538,8 @@ def test_sweep_composition_count_is_pinned(monkeypatch):
     ([[2], [0, 2], [-1, -1, 4]], [3, 1]),      # Z/2 x Z/8
     ([[4], [0, 1], [0, 0, 2]], [2, 1]),        # diagonal, with a p**0 entry
     ([[1]], []),                               # the trivial group
+    ([[4], [1, 8]], [5]),                      # Z/32: a unit off the diagonal
+    ([[8], [4, 4]], [3, 2]),                   # Z/4 x Z/8: 2 | 4 off the diagonal
 ])
 def test_smith_partition_of_hand_made_relations(rows, partition):
     assert qforms._smith_partition(rows, 2) == partition
