@@ -2,7 +2,7 @@
 
 A form (a, b, c) stands for a*x**2 + b*x*y + c*y**2 of discriminant
 b**2 - 4*a*c < 0.  Reduced forms biject with ideal classes; Gauss
-composition realizes the group law; full enumeration plus order
+composition realizes the group law; a full form count plus order
 computation yields the exact elementary-divisor chain.  No analytic or
 subexponential shortcuts anywhere: every class number class_group
 reports is a form count.
@@ -18,19 +18,25 @@ call, keyed by (q, D mod 4q) and so shared by all the discriminants of a
 sweep; each root yields at most one reduced form (_forms).  class_group
 counts its forms as products of prime-power root counts, on a schedule
 the table lists once (the prime powers, then one product per composite),
-testing only the roots that can fail, and joins by CRT just the root lists
-its generator scans reach (_FormList).  A Sylow subgroup of order p**e > p
-is closed under composition up to its last generator: successive p-th
-powers of a new generator y find the least y**(p**i) in the span H of the
-earlier ones, and when that takes the full index of H, y is last and adds
-no cosets.  The shape is the Smith form of the relations the generators
-satisfy (Teske, Math. Comp. 67, 1998), at no further composition; a
-diagonal relation matrix is read directly, and two relation rows have
-their Smith form in closed form.  For odd p the ambiguous forms, of order
-at most 2, are never tried as generators; for p = 2 an ambiguous form is
-its own inverse, so its odd power h / 2**e is itself, which one squaring
-confirms.  class_group_sweep takes its discriminants from one segmented
-sieve of the prime squares over |D|, which proves each one fundamental.
+testing only the roots that can fail (_FormList).  Its generators are the
+prime forms (q, b, c), one per prime q <= sqrt(|D|/3) with a root, read
+off the table with no CRT join: every reduced form's ideal factors into
+prime ideals of smaller norm, so they generate Cl(D).  A Sylow subgroup
+of order p**e > p is closed under composition up to its last generator:
+successive p-th powers of a new generator y find the least y**(p**i) in
+the span H of the earlier ones, and when that takes the full index of H,
+y is last and adds no cosets.  The shape is the Smith form of the
+relations the generators satisfy (Teske, Math. Comp. 67, 1998), at no
+further composition; one relation row or a diagonal relation matrix is
+read directly, and two relation rows have their Smith form in closed
+form.  A Sylow subgroup of order p is proved by one y = f**(h/p) != 1
+with y**p = f**h = 1, checked once per form f and D, and when every
+Sylow subgroup is cyclic the chain is (h,).  For odd p the ambiguous
+forms, of order at most 2, are never tried as generators; for p = 2 an
+ambiguous form is its own inverse, so its odd power h / 2**e is itself,
+which one squaring confirms, and that squaring is its order check too.
+class_group_sweep takes its discriminants from one segmented sieve of
+the prime squares over |D|, which proves each one fundamental.
 
 two_sylow builds the 2-Sylow subgroup alone, counting no form: from the
 ambiguous classes of the known prime divisors of D it halves square
@@ -366,6 +372,7 @@ class _RootTable:
         # the schedule of counts, each part ascending in a
         self.powers = [(a, 4 * a * a, 4 * a) for a, q in enumerate(part) if q == a > 1]
         self.composites = [(a, a // q, q) for a, q in enumerate(part) if q < a]
+        self.primes = [q for q, _, _ in self.powers if least[q] == q]
         self.lists = {}
 
     def _prime_power_roots(self, q: int, D: int) -> tuple:
@@ -433,9 +440,9 @@ def _forms(D: int, table: _RootTable, count: list, start: int = 1):
 
 
 class _FormList:
-    """The reduced forms of a fundamental discriminant, counted from the
-    root counts of a _RootTable and built anew, ascending in a, on each
-    scan.
+    """The class number h of a fundamental discriminant, counted from the
+    root counts of a _RootTable, and its prime forms, which generate the
+    class group (_sylow_subgroup).
 
     Every root with 4a**2 < |D| gives a reduced form, since then
     c = (b**2 - D)/4a > a, and a primitive one, since every form of a
@@ -446,53 +453,68 @@ class _FormList:
     """
 
     def __init__(self, D: Discriminant, table: _RootTable = None):
-        self.D = D.D
-        self.table = _RootTable(isqrt(-self.D // 3)) if table is None else table
-        self.count = self.table.counts(self.D)
-        split = (isqrt(-self.D - 1) + 2) // 2  # the least a with 4a**2 >= |D|
-        self.h = sum(self.count[:split])
-        self.h += sum(1 for _ in _forms(self.D, self.table, self.count, split))
+        D = self.D = D.D
+        table = self.table = _RootTable(isqrt(-D // 3)) if table is None else table
+        count = self.count = table.counts(D)
+        split = self.split = (isqrt(-D - 1) + 2) // 2  # the least a with 4a**2 >= |D|
+        self.h = sum(count[:split]) + sum(1 for _ in _forms(D, table, count, split))
 
     def __len__(self):
         return self.h
 
-    def __iter__(self):
-        return _forms(self.D, self.table, self.count)
+    def prime_forms(self):
+        """The reduced form of (q, b, c) for each prime q <= sqrt(|D|/3)
+        with a root, built when reached: b in (-q, q] comes from the first
+        root of q (the other root gives the inverse class), and only a form
+        with 4q**2 >= |D| needs reducing."""
+        D, table, count = self.D, self.table, self.count
+        for q in table.primes[:bisect_left(table.primes, len(count))]:
+            if count[q]:
+                b = (2 * table._prime_power_roots(q, D)[0] + D % 2) % (2 * q)
+                if b > q:
+                    b -= 2 * q
+                f = q, b, (b * b - D) // (4 * q)
+                yield _reduce(*f) if q >= self.split else f
 
 
 def _candidates(forms, ident, p):
     # the forms whose images under x -> x**(h / p**e) may be new in the
-    # Sylow p-subgroup: not ident, and not b < 0, as the inverse is listed;
-    # for odd p not an ambiguous form either (b == 0, b == a or a == c),
-    # whose order is at most 2
+    # Sylow p-subgroup: not ident, and for odd p not an ambiguous form
+    # either (b == 0, b == a or a == c), whose order is at most 2
     if p == 2:
-        return (f for f in forms if f[1] >= 0 and f != ident)
-    return (f for f in forms if 0 < f[1] < f[0] < f[2])
+        return (f for f in forms if f != ident)
+    return (f for f in forms if f[1] and f[1] != f[0] != f[2])
 
 
-def _sylow_subgroup(forms, ident, p, size):
+def _sylow_subgroup(forms, h, ident, p, size, confirmed):
     """Discrete logs and generator relations of the Sylow p-subgroup: a
     dict from each element of the subgroup H that the generators before the
     last one span to its log, and the relation rows of all the generators.
 
-    x -> x**(h / p**e) maps the group onto its Sylow p-part, so scanning
-    the full form list is guaranteed to generate it; in practice the first
-    few candidates already do.  A new generator y has an order modulo H
-    that divides k = size / |H|, a power of p, so it is the least j among
-    p, p**2, ..., k with y**j in H; these powers come by raising y to the
-    p-th power again and again, stopping at the first in H.  When j = k,
-    H and y span the whole subgroup and y is the last generator, whose
-    relation is y**k = s with s in H (y**k outside H means y's order
+    forms generate the class group of order h, as the prime forms of
+    _FormList do: every class has a reduced form (a, b, c) with
+    a <= sqrt(|D|/3), the ideal of norm a factors into prime ideals of
+    norms dividing a, and the two prime ideals over a split prime are
+    inverse classes (Cox, Primes of the Form x**2 + ny**2, section 7;
+    Cohen, GTM 138, section 5.2).  x -> x**(h / p**e) maps the group onto
+    its Sylow p-part, so the images of forms generate it; in practice the
+    first few candidates already do.  A new generator y has an order
+    modulo H that divides k = size / |H|, a power of p, so it is the least
+    j among p, p**2, ..., k with y**j in H; these powers come by raising y
+    to the p-th power again and again, stopping at the first in H.  When
+    j = k, H and y span the whole subgroup and y is the last generator,
+    whose relation is y**k = s with s in H (y**k outside H means y's order
     modulo H passes k).  Otherwise y adds s*y**i with log log(s) + i*|H|
     for 0 < i < j, and its relation is y**j = s in H: logs are exponents
     in mixed radix, and the relation is the row (-digits of log(s), j) of
-    a lower-triangular matrix of determinant p**e.
+    a lower-triangular matrix of determinant p**e.  confirmed goes to
+    _candidate_power.
     """
-    cofactor = len(forms) // size
+    cofactor = h // size
     log = {ident: 0}
     rows = []
     for f in _candidates(forms, ident, p):
-        y = _candidate_power(f, cofactor, ident)
+        y = _candidate_power(f, cofactor, ident, confirmed)
         if y in log:
             continue
         k = size // len(log)
@@ -519,19 +541,21 @@ def _sylow_subgroup(forms, ident, p, size):
             return log, rows
         if size % (p * len(log)):  # |H| is no power of p below size
             break
-    raise AssertionError(f"no Sylow {p}-subgroup of order {size} among {len(forms)} forms")
+    raise AssertionError(f"no Sylow {p}-subgroup of order {size} in a group of order {h}")
 
 
-def _candidate_power(f, e: int, ident) -> tuple:
+def _candidate_power(f, e: int, ident, confirmed) -> tuple:
     # f**e for a form f of _candidates(forms, ident, p) and e = h / p**k,
     # p**k the full power of p in h; an ambiguous f (b == 0, b == a or
     # a == c) is a candidate only for p = 2, where e is odd, and is its own
-    # inverse, so f**e = f once one squaring confirms f**2 == ident
+    # inverse, so f**e = f once one squaring confirms f**2 == ident; as h
+    # is even, that confirms f**h == ident too, and f joins confirmed
     a, b, c = f
     if b and b != a and a != c:
         return _pow(f, e)
     if _compose(f, f) != ident:
         raise AssertionError(f"the ambiguous form {f} does not square to {ident}")
+    confirmed.add(f)
     return f
 
 
@@ -542,11 +566,15 @@ def _smith_partition(rows, p):
     diagonal of product p**e, so every Smith invariant divides p**e and the
     Smith form may be taken over Z/p**(e+1) (Cohen, GTM 138, 2.4.3): an
     entry of least p-adic valuation v clears its column and leaves Z/p**v.
-    With no entry off the diagonal, the group is the sum of the Z/p**v
-    for the diagonal's valuations v > 0, read with no elimination.  Two
-    rows [[j1], [x, j2]] have the Smith invariants g = gcd(j1, x, j2) and
+    One row [[p**v]] is the cyclic Z/p**v, [v] (and [] when v = 0).  With
+    no entry off the diagonal, the group is the sum of the Z/p**v for the
+    diagonal's valuations v > 0, read with no elimination.  Two rows
+    [[j1], [x, j2]] have the Smith invariants g = gcd(j1, x, j2) and
     j1*j2 / g in closed form.
     """
+    if len(rows) == 1:
+        v = _valuation(rows[0][0], p)
+        return [v] if v else []
     if not any(any(row[:-1]) for row in rows):  # diagonal: Z/p**v per row
         return sorted((v for row in rows if (v := _valuation(row[-1], p))), reverse=True)
     if len(rows) == 2:
@@ -578,28 +606,40 @@ def _valuation(x: int, p: int) -> int:
     return v
 
 
-def _structure_from_forms(D, forms) -> tuple:
-    """Ascending elementary-divisor chain of the composition group.
+def _structure_from_forms(D, h: int, gens) -> tuple:
+    """Ascending elementary-divisor chain of the class group of order h.
 
-    forms is sized and may be scanned more than once: a list, or the
-    _FormList that the builder passes.
+    gens() yields reduced forms that generate the group, afresh on each
+    call, as _FormList.prime_forms does.  confirmed holds, for this D, the
+    forms f whose f**h == ident a check has shown: a cyclic Sylow
+    p-subgroup's element y = f**(h/p) has y**p = f**h, so each f needs the
+    check once, and for p = 2 the squaring of an ambiguous f in
+    _candidate_power is that check.  When every Sylow subgroup is cyclic
+    the chain is (h,).
     """
-    h = len(forms)
     if h == 1:
         return ()
     ident = principal_form(D)
+    confirmed = set()
     partitions = {}
     for p, e in factorize(h).items():
         if e == 1:
             # a cyclic Sylow p-subgroup: an element of exact order p proves it
-            y = next((y for f in _candidates(forms, ident, p)
-                      if (y := _candidate_power(f, h // p, ident)) != ident), ident)
-            if y == ident or _pow(y, p) != ident:
-                raise AssertionError(f"no element of order {p} among {h} forms")
+            f = y = ident
+            for f in _candidates(gens(), ident, p):
+                y = _candidate_power(f, h // p, ident, confirmed)
+                if y != ident:
+                    break
+            if y == ident or f not in confirmed and _pow(y, p) != ident:
+                raise AssertionError(f"no element of order {p} in a group of order {h}")
+            confirmed.add(f)
             partitions[p] = [1]
             continue
-        partitions[p] = _smith_partition(_sylow_subgroup(forms, ident, p, p ** e)[1], p)
+        _, rows = _sylow_subgroup(gens(), h, ident, p, p ** e, confirmed)
+        partitions[p] = _smith_partition(rows, p)
     width = max(len(v) for v in partitions.values())
+    if width == 1:
+        return (h,)
     chain = []
     for j in range(width):
         d = 1
@@ -614,7 +654,8 @@ def _structure_from_forms(D, forms) -> tuple:
 def _structure_of(D: Discriminant, table: _RootTable = None) -> ClassGroupStructure:
     # the one builder behind class_group and class_group_sweep
     forms = _FormList(D, table)
-    return ClassGroupStructure.from_chain(D, len(forms), _structure_from_forms(D.D, forms))
+    chain = _structure_from_forms(D.D, forms.h, forms.prime_forms)
+    return ClassGroupStructure.from_chain(D, forms.h, chain)
 
 
 # always empty; only the benchmark harness reads it, and its next change deletes it

@@ -4,15 +4,17 @@ The harness imports the program from src/ and wraps its functions by
 name, so a rename or a deletion would otherwise only show when the
 benchmark runs.  The names are read from the harness source: its ztwo
 imports, the module.attribute reads on them, tracing.TARGETS and the
-CLI arguments of child.WORKLOADS.
+CLI arguments of child.WORKLOADS.  The sweep's output is held to the
+pin the harness checks it against.
 """
 
 import ast
+import hashlib
 from functools import reduce
 from pathlib import Path
 
 import ztwo
-from ztwo import cli
+from ztwo import cli, qforms
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -76,3 +78,13 @@ def test_the_benchmark_cli_arguments_parse():
     assert argvs
     for argv in argvs:
         assert cli.build_parser().parse_args(argv).func is cli.cmd_scan
+
+
+def test_the_sweep_matches_the_benchmark_pin():
+    # the "D,h,d1xd2x..." lines of class_group_sweep(30000) hash to the
+    # sweep pin of perfbench/checks.py, so a change to the sweep's output
+    # fails here before the benchmark's check refuses it
+    digest = hashlib.sha1()
+    for s in qforms.class_group_sweep(30000):
+        digest.update(f"{s.D.D},{s.h},{'x'.join(map(str, s.divisors))}\n".encode())
+    assert digest.hexdigest() == _assigned(_tree("checks.py"), "SWEEP_PIN")

@@ -424,19 +424,47 @@ def test_sweep_neither_reads_nor_writes_the_memo(monkeypatch):
 
 def test_forged_form_list_trips_the_order_check():
     with pytest.raises(AssertionError):
-        qforms._structure_from_forms(-23, [principal_form(-23)] * 3)
+        qforms._structure_from_forms(-23, 3, lambda: [principal_form(-23)] * 3)
     # (2, 0, 3), of discriminant -24, has the shape of an ambiguous form but
     # squares to (1, 0, 6): no odd power of it may be read off its shape,
     # neither for a Sylow 2-subgroup of order 2 (h = 2) nor of order 4 (h = 12)
     for D, h in ((-15, 2), (-84, 12)):
         with pytest.raises(AssertionError, match="does not square"):
-            qforms._structure_from_forms(D, [principal_form(D)] + [(2, 0, 3)] * (h - 1))
+            qforms._structure_from_forms(D, h, lambda: [principal_form(D)] + [(2, 0, 3)] * (h - 1))
+
+
+@pytest.mark.parametrize("h", [6, 15, 30])
+def test_forged_class_number_trips_the_order_check(h):
+    # the real generators of Cl(-71) = Z/7 with a forged h: for each prime
+    # p | h the first candidate f gives y = f**(h/p) != 1, but y**p = f**h
+    # is not 1, and no order check may be skipped for it; at h = 30,
+    # y = f**15 = f for p = 2, so the check must not be keyed on y == f
+    gens = qforms._FormList(Discriminant(-71)).prime_forms
+    assert qforms._structure_from_forms(-71, 7, gens) == (7,)
+    with pytest.raises(AssertionError, match="no element of order"):
+        qforms._structure_from_forms(-71, h, gens)
 
 
 def test_forged_form_list_trips_the_closure():
     # h = 4 claims a Sylow 2-subgroup of order 4, but the forms close at 2
     with pytest.raises(AssertionError):
-        qforms._structure_from_forms(-84, [(1, 0, 21)] + [(2, 2, 11)] * 3)
+        qforms._structure_from_forms(-84, 4, lambda: [(1, 0, 21)] + [(2, 2, 11)] * 3)
+
+
+def test_prime_forms_give_the_chain_of_the_full_form_list():
+    # _structure_of draws its candidates from the prime forms (q, b, c),
+    # q <= sqrt(|D|/3); for every fundamental |D| <= 5000 they are reduced
+    # forms of D, and the chain built from them is the chain built from
+    # every reduced form
+    for D in range(-3, -5001, -1):
+        if not is_fundamental_discriminant(D):
+            continue
+        forms = reduced_forms(D)
+        form_list = qforms._FormList(Discriminant(D))
+        assert len(form_list) == len(forms), D
+        assert set(form_list.prime_forms()) <= set(forms), D
+        assert (qforms._structure_from_forms(D, len(forms), form_list.prime_forms)
+                == qforms._structure_from_forms(D, len(forms), lambda: forms)), D
 
 
 def power_table_partition(sylow, p):
@@ -478,7 +506,7 @@ def test_smith_partition_matches_the_power_table():
                 continue
             sylow = {qforms._pow(f, h // p ** e) for f in forms}
             assert len(sylow) == p ** e, (D, p)
-            log, rows = qforms._sylow_subgroup(forms, ident, p, p ** e)
+            log, rows = qforms._sylow_subgroup(forms, h, ident, p, p ** e, set())
             partition = qforms._smith_partition(rows, p)
             assert partition == power_table_partition(sylow, p), (D, p)
             assert prod(row[-1] for row in rows) == p ** e, (D, p)
@@ -497,7 +525,7 @@ def test_forged_form_list_trips_the_last_generator():
     # Cl(-95) = Z/8 cut to h = 4: the first generator y has y**2 != 1, so it
     # would close a Sylow 2-subgroup of order 4, but y**4 != 1
     with pytest.raises(AssertionError):
-        qforms._structure_from_forms(-95, reduced_forms(-95)[:4])
+        qforms._structure_from_forms(-95, 4, lambda: reduced_forms(-95)[:4])
 
 
 def test_last_generator_adds_no_cosets(monkeypatch):
@@ -529,7 +557,22 @@ def test_sweep_composition_count_is_pinned(monkeypatch):
 
     monkeypatch.setattr(qforms, "_compose", counted)
     assert sum(1 for _ in class_group_sweep(10 ** 4)) == 3043
-    assert len(compositions) == 39671
+    assert len(compositions) == 35567
+
+
+def test_an_ambiguous_generator_is_squared_once(monkeypatch):
+    # Cl(-15) = Z/2 is generated by the ambiguous (2, 1, 2): the squaring
+    # that confirms its odd power is itself also confirms its order
+    compositions = []
+    compose_forms = qforms._compose
+
+    def counted(f, g):
+        compositions.append(1)
+        return compose_forms(f, g)
+
+    monkeypatch.setattr(qforms, "_compose", counted)
+    assert qforms._structure_of(Discriminant(-15)).divisors == (2,)
+    assert len(compositions) == 1
 
 
 @pytest.mark.parametrize("rows, partition", [
