@@ -16,13 +16,18 @@ check their input and return FormClass.  Enumeration reads the roots of
 a quadratic congruence modulo every prime power q from one _RootTable per
 call, keyed by (q, D mod 4q) and so shared by all the discriminants of a
 sweep; each root yields at most one reduced form (_forms).  class_group
-counts its forms as products of prime-power root counts, on a schedule
-the table lists once (the prime powers, then one product per composite),
-testing only the roots that can fail (_FormList).  Its generators are the
-prime forms (q, b, c), one per prime q <= sqrt(|D|/3) with a root, read
-off the table with no CRT join: every reduced form's ideal factors into
-prime ideals of smaller norm, so they generate Cl(D).  A Sylow subgroup
-of order p**e > p is closed under composition up to its last generator:
+counts the forms of its one D as products of prime-power root counts,
+testing only the roots that can fail (_FormList).  class_group_sweep
+takes its discriminants from one segmented sieve of the prime squares
+over |D|, which proves each one fundamental, and their class numbers
+from one tally per sieve block: the n = |D| of the reduced forms with a
+given (a, b) run through a progression of step 4a, which one Counter
+update counts (_form_tally), so no D has its roots counted.  The
+generators of both are the prime forms (q, b, c), one per prime
+q <= sqrt(|D|/3) with a root, read off the table with no CRT join
+(_prime_forms): every reduced form's ideal factors into prime ideals of
+smaller norm, so they generate Cl(D).  A Sylow subgroup of order
+p**e > p is closed under composition up to its last generator:
 successive p-th powers of a new generator y find the least y**(p**i) in
 the span H of the earlier ones, and when that takes the full index of H,
 y is last and adds no cosets.  The shape is the Smith form of the
@@ -35,8 +40,6 @@ Sylow subgroup is cyclic the chain is (h,).  For odd p the ambiguous
 forms, of order at most 2, are never tried as generators; for p = 2 an
 ambiguous form is its own inverse, so its odd power h / 2**e is itself,
 which one squaring confirms, and that squaring is its order check too.
-class_group_sweep takes its discriminants from one segmented sieve of
-the prime squares over |D|, which proves each one fundamental.
 
 two_sylow builds the 2-Sylow subgroup alone, counting no form: from the
 ambiguous classes of the known prime divisors of D it halves square
@@ -51,7 +54,7 @@ products; every check still runs.
 """
 
 from array import array
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -77,7 +80,7 @@ from .errors import (
 from .symbols import jacobi
 
 ENUMERATION_BOUND = 1 << 32
-_SWEEP_BLOCK = 1 << 14  # the |D| per block of class_group_sweep's sieve
+_SWEEP_BLOCK = 1 << 12  # the |D| per block of class_group_sweep's sieve and form tally
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ class Discriminant:
     The constructor raises InvalidInput for D <= -2**40 and for a D that
     is not a discriminant, NotSquarefree when its radicand has a square
     factor.  class_group_sweep builds through _proven instead, because its
-    sieve is the proof (_fundamental_discriminants).
+    sieve is the proof (_fundamental_blocks).
     """
 
     D: int
@@ -346,11 +349,9 @@ class _RootTable:
     at p = 2.  The dict holds at most sum(4q) entries over the prime
     powers q <= top.  A sieve splits each a <= top once as
     a = p**k * m, p its least prime: least[a] = p and part[a] = p**k, kept
-    in arrays.  From them the table lists, once, the schedule that counts
-    follows for every D: the prime powers with the key base and modulus
-    of their root lists, then every other a with its CRT factors
-    (a // part[a], part[a]).  The roots of any other a are joined by CRT
-    from its prime powers, and built only when asked for (roots).
+    in arrays, and primes lists the primes q <= top.  The roots of any
+    other a are joined by CRT from its prime powers, and built only when
+    asked for (roots).
     """
 
     def __init__(self, top: int):
@@ -369,10 +370,7 @@ class _RootTable:
                     q *= p
         self.least = least
         self.part = part
-        # the schedule of counts, each part ascending in a
-        self.powers = [(a, 4 * a * a, 4 * a) for a, q in enumerate(part) if q == a > 1]
-        self.composites = [(a, a // q, q) for a, q in enumerate(part) if q < a]
-        self.primes = [q for q, _, _ in self.powers if least[q] == q]
+        self.primes = [q for q in range(2, top + 1) if least[q] == q]
         self.lists = {}
 
     def _prime_power_roots(self, q: int, D: int) -> tuple:
@@ -396,19 +394,14 @@ class _RootTable:
 
         A prime power's count is its root list's length, and every other
         a = p**k * m multiplies the counts of its two CRT factors, so a
-        root-less prime power zeroes all its multiples.  The schedule
-        fills the prime powers first, then the other a in ascending order,
-        so both factors of each are ready when it is reached.
+        root-less prime power zeroes all its multiples.
         """
         top = isqrt(-D // 3)
         count = [0, 1] + [0] * (top - 1)
-        lists, cut = self.lists, (top + 1,)
-        for q, base, mod in self.powers[:bisect_left(self.powers, cut)]:
-            # _prime_power_roots's lookup inlined, as it runs for every D
-            ts = lists.get(base + D % mod)
-            count[q] = len(self._prime_power_roots(q, D) if ts is None else ts)
-        for a, m, q in self.composites[:bisect_left(self.composites, cut)]:
-            count[a] = count[m] * count[q]
+        part = self.part
+        for a in range(2, top + 1):
+            q = part[a]
+            count[a] = count[a // q] * count[q] if q < a else len(self._prime_power_roots(a, D))
         return count
 
     def roots(self, a: int, D: int):
@@ -440,41 +433,44 @@ def _forms(D: int, table: _RootTable, count: list, start: int = 1):
 
 
 class _FormList:
-    """The class number h of a fundamental discriminant, counted from the
-    root counts of a _RootTable, and its prime forms, which generate the
-    class group (_sylow_subgroup).
+    """The class number h of one fundamental discriminant, counted from the
+    root counts of its own _RootTable (table).
 
     Every root with 4a**2 < |D| gives a reduced form, since then
     c = (b**2 - D)/4a > a, and a primitive one, since every form of a
     fundamental discriminant is primitive; so h sums count[a] below that
     split, and only the roots with 4a**2 >= |D| are listed and tested one
-    by one.  table is shared by the caller's discriminants (the sweep);
-    without one the list builds its own.
+    by one.
     """
 
-    def __init__(self, D: Discriminant, table: _RootTable = None):
-        D = self.D = D.D
-        table = self.table = _RootTable(isqrt(-D // 3)) if table is None else table
-        count = self.count = table.counts(D)
-        split = self.split = (isqrt(-D - 1) + 2) // 2  # the least a with 4a**2 >= |D|
+    def __init__(self, D: Discriminant):
+        D = D.D
+        table = self.table = _RootTable(isqrt(-D // 3))
+        count = table.counts(D)
+        split = (isqrt(-D - 1) + 2) // 2  # the least a with 4a**2 >= |D|
         self.h = sum(count[:split]) + sum(1 for _ in _forms(D, table, count, split))
 
     def __len__(self):
         return self.h
 
-    def prime_forms(self):
-        """The reduced form of (q, b, c) for each prime q <= sqrt(|D|/3)
-        with a root, built when reached: b in (-q, q] comes from the first
-        root of q (the other root gives the inverse class), and only a form
-        with 4q**2 >= |D| needs reducing."""
-        D, table, count = self.D, self.table, self.count
-        for q in table.primes[:bisect_left(table.primes, len(count))]:
-            if count[q]:
-                b = (2 * table._prime_power_roots(q, D)[0] + D % 2) % (2 * q)
-                if b > q:
-                    b -= 2 * q
-                f = q, b, (b * b - D) // (4 * q)
-                yield _reduce(*f) if q >= self.split else f
+
+def _prime_forms(table: _RootTable, D: int):
+    """The reduced form of (q, b, c) for each prime q <= sqrt(|D|/3) whose
+    root list in table is not empty, built when reached; they generate the
+    class group (_sylow_subgroup).  b in (-q, q] comes from the first root
+    of q (the other root gives the inverse class), and only a form with
+    4q**2 >= |D| needs reducing."""
+    top, split = isqrt(-D // 3), (isqrt(-D - 1) + 2) // 2
+    for q in table.primes:
+        if q > top:
+            return
+        ts = table._prime_power_roots(q, D)
+        if ts:
+            b = (2 * ts[0] + D % 2) % (2 * q)
+            if b > q:
+                b -= 2 * q
+            f = q, b, (b * b - D) // (4 * q)
+            yield _reduce(*f) if q >= split else f
 
 
 def _candidates(forms, ident, p):
@@ -491,15 +487,15 @@ def _sylow_subgroup(forms, h, ident, p, size, confirmed):
     dict from each element of the subgroup H that the generators before the
     last one span to its log, and the relation rows of all the generators.
 
-    forms generate the class group of order h, as the prime forms of
-    _FormList do: every class has a reduced form (a, b, c) with
-    a <= sqrt(|D|/3), the ideal of norm a factors into prime ideals of
-    norms dividing a, and the two prime ideals over a split prime are
-    inverse classes (Cox, Primes of the Form x**2 + ny**2, section 7;
-    Cohen, GTM 138, section 5.2).  x -> x**(h / p**e) maps the group onto
-    its Sylow p-part, so the images of forms generate it; in practice the
-    first few candidates already do.  A new generator y has an order
-    modulo H that divides k = size / |H|, a power of p, so it is the least
+    forms generate the class group of order h, as _prime_forms do: every
+    class has a reduced form (a, b, c) with a <= sqrt(|D|/3), the ideal
+    of norm a factors into prime ideals of norms dividing a, and the two
+    prime ideals over a split prime are inverse classes (Cox, Primes of
+    the Form x**2 + ny**2, section 7; Cohen, GTM 138, section 5.2).
+    x -> x**(h / p**e) maps the group onto its Sylow p-part, so the
+    images of forms generate it; in practice the first few candidates
+    already do.  A new generator y has an order modulo H that divides
+    k = size / |H|, a power of p, so it is the least
     j among p, p**2, ..., k with y**j in H; these powers come by raising y
     to the p-th power again and again, stopping at the first in H.  When
     j = k, H and y span the whole subgroup and y is the last generator,
@@ -610,12 +606,11 @@ def _structure_from_forms(D, h: int, gens) -> tuple:
     """Ascending elementary-divisor chain of the class group of order h.
 
     gens() yields reduced forms that generate the group, afresh on each
-    call, as _FormList.prime_forms does.  confirmed holds, for this D, the
-    forms f whose f**h == ident a check has shown: a cyclic Sylow
-    p-subgroup's element y = f**(h/p) has y**p = f**h, so each f needs the
-    check once, and for p = 2 the squaring of an ambiguous f in
-    _candidate_power is that check.  When every Sylow subgroup is cyclic
-    the chain is (h,).
+    call, as _prime_forms does.  confirmed holds, for this D, the forms f
+    whose f**h == ident a check has shown: a cyclic Sylow p-subgroup's
+    element y = f**(h/p) has y**p = f**h, so each f needs the check once,
+    and for p = 2 the squaring of an ambiguous f in _candidate_power is
+    that check.  When every Sylow subgroup is cyclic the chain is (h,).
     """
     if h == 1:
         return ()
@@ -651,11 +646,12 @@ def _structure_from_forms(D, h: int, gens) -> tuple:
     return tuple(chain)
 
 
-def _structure_of(D: Discriminant, table: _RootTable = None) -> ClassGroupStructure:
-    # the one builder behind class_group and class_group_sweep
-    forms = _FormList(D, table)
-    chain = _structure_from_forms(D.D, forms.h, forms.prime_forms)
-    return ClassGroupStructure.from_chain(D, forms.h, chain)
+def _structure(disc: Discriminant, h: int, table: _RootTable) -> ClassGroupStructure:
+    # the one builder behind class_group and class_group_sweep: Cl(D) of
+    # order h from the prime forms that table gives for D
+    D = disc.D
+    chain = _structure_from_forms(D, h, lambda: _prime_forms(table, D))
+    return ClassGroupStructure.from_chain(disc, h, chain)
 
 
 # always empty; only the benchmark harness reads it, and its next change deletes it
@@ -671,7 +667,9 @@ def class_group(D) -> ClassGroupStructure:
     n = -int(D)
     if n > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(f"|D| = {n} exceeds 2**32")
-    return _structure_of(_as_discriminant(D))
+    D = _as_discriminant(D)
+    forms = _FormList(D)
+    return _structure(D, forms.h, forms.table)
 
 
 def genus_two_rank(D) -> int:
@@ -682,44 +680,80 @@ def genus_two_rank(D) -> int:
 def class_group_sweep(limit: int):
     """Yield ClassGroupStructure for every fundamental -limit <= D < 0, ordered by |D|.
 
-    The D come from one segmented sieve (_fundamental_discriminants).
-    Each structure comes from the builder class_group uses, and every D
-    reads its roots from one _RootTable of top isqrt(limit // 3), built
-    for this call; it holds at most sum(4q) entries over the prime powers
-    q <= top.
+    The D come from one segmented sieve (_fundamental_blocks), and their
+    class numbers from one form tally per sieve block (_form_tally), so no
+    D has its forms counted one by one.  Each structure comes from the
+    builder class_group uses, and every D reads its prime forms from one
+    _RootTable of top isqrt(limit // 3), built for this call; it holds at
+    most sum(4q) entries over the prime powers q <= top.
     """
     if limit > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(f"sweep limit {limit} exceeds 2**32")
     table = _RootTable(isqrt(max(limit, 0) // 3))
-    for disc in _fundamental_discriminants(limit):
-        yield _structure_of(disc, table)
+    for lo, hi, ns in _fundamental_blocks(limit):
+        once, twice = _form_tally(lo, hi)
+        for n in ns:
+            yield _structure(Discriminant._proven(-n), once[n] + 2 * twice[n], table)
 
 
-def _fundamental_discriminants(limit: int):
-    """Discriminant for every fundamental -limit <= D < 0, ordered by |D|.
+def _fundamental_blocks(limit: int):
+    """(lo, hi, ns) for each block lo <= n < hi of the sieve, ns listing
+    ascending every n = |D| in it with D fundamental, for n <= limit.
 
-    With n = |D|, D is fundamental iff n = 3 (mod 4) or n = 4, 8 (mod 16),
-    and no odd prime square divides n: for D = 1 (mod 4) the radicand is
-    D itself, odd; otherwise it is D/4, which must not be 1 (mod 4) and
-    has 2-part 1 or 2 when squarefree.  A sieve marks the multiples of p**2
-    for the odd primes p <= isqrt(limit), _SWEEP_BLOCK values of n at a
-    time, so memory stays bounded for any limit.  Each D is built by
-    Discriminant._proven, without the constructor's checks, because the
-    sieve is the proof: every prime square dividing n <= limit is marked.
+    D is fundamental iff n = 3 (mod 4) or n = 4, 8 (mod 16), and no odd
+    prime square divides n: for D = 1 (mod 4) the radicand is D itself,
+    odd; otherwise it is D/4, which must not be 1 (mod 4) and has 2-part 1
+    or 2 when squarefree.  A sieve marks the multiples of p**2 for the odd
+    primes p <= isqrt(limit), _SWEEP_BLOCK values of n at a time, so
+    memory stays bounded for any limit.  Each D is proved fundamental by
+    the sieve (every prime square dividing n <= limit is marked), so the
+    sweep builds its Discriminant by Discriminant._proven, without the
+    constructor's checks.
     """
     primes = _odd_primes_to(isqrt(max(limit, 0)))
-    for start in range(0, limit + 1, _SWEEP_BLOCK):
-        size = min(_SWEEP_BLOCK, limit + 1 - start)  # the block is start <= n < start + size
-        square = bytearray(size)
+    for lo in range(0, limit + 1, _SWEEP_BLOCK):
+        hi = min(lo + _SWEEP_BLOCK, limit + 1)
+        square = bytearray(hi - lo)
         for p in primes:
             pp = p * p
-            if pp >= start + size:
+            if pp >= hi:
                 break
-            first = -start % pp
-            square[first::pp] = b"\1" * len(range(first, size, pp))
-        for n in range(max(start, 3), start + size):
-            if (n % 4 == 3 or n % 16 in (4, 8)) and not square[n - start]:
-                yield Discriminant._proven(-n)
+            first = -lo % pp
+            square[first::pp] = b"\1" * len(range(first, hi - lo, pp))
+        yield lo, hi, [n for n in range(max(lo, 3), hi)
+                       if (n % 4 == 3 or n % 16 in (4, 8)) and not square[n - lo]]
+
+
+def _form_tally(lo: int, hi: int) -> tuple:
+    """(once, twice), two Counters with h(-n) = once[n] + 2*twice[n] for
+    every fundamental n = |D| with lo <= n < hi.
+
+    A reduced form (a, b, c) has |b| <= a <= c, b >= 0 when |b| = a or
+    a = c, and 3a**2 <= n = 4ac - b**2, so a <= isqrt((hi - 1) // 3).  For
+    each such a and 0 <= b <= a the n of the forms (a, +-b, c), c >= a,
+    run through an arithmetic progression of step 4a, which one
+    Counter.update of a range counts: (a, 0, c), (a, a, c) and (a, b, a)
+    are one form each, and (a, +-b, c) with 0 < b < a < c are two
+    (Cohen, GTM 138, section 5.3; Buell, Binary Quadratic Forms, ch. 4).
+    Every form of a fundamental discriminant is primitive, so there the
+    tally is the form count; at any other n it also counts imprimitive
+    forms.  No form is kept.
+    """
+    once, twice = Counter(), Counter()
+    for a in range(1, isqrt((hi - 1) // 3) + 1):
+        step = 4 * a
+        for b in range(a + 1):
+            n = step * a - b * b  # c = a
+            if 0 < b < a:
+                if lo <= n < hi:
+                    once[n] += 1
+                n, tally = n + step, twice  # c > a: the two forms (a, +-b, c)
+            else:
+                tally = once
+            if n < lo:
+                n = lo + (n - lo) % step  # the first n >= lo on the progression
+            tally.update(range(n, hi, step))
+    return once, twice
 
 
 # ---------------------------------------------------------------------------

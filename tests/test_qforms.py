@@ -439,7 +439,8 @@ def test_forged_class_number_trips_the_order_check(h):
     # p | h the first candidate f gives y = f**(h/p) != 1, but y**p = f**h
     # is not 1, and no order check may be skipped for it; at h = 30,
     # y = f**15 = f for p = 2, so the check must not be keyed on y == f
-    gens = qforms._FormList(Discriminant(-71)).prime_forms
+    table = qforms._RootTable(isqrt(71 // 3))
+    gens = lambda: qforms._prime_forms(table, -71)  # noqa: E731
     assert qforms._structure_from_forms(-71, 7, gens) == (7,)
     with pytest.raises(AssertionError, match="no element of order"):
         qforms._structure_from_forms(-71, h, gens)
@@ -452,7 +453,7 @@ def test_forged_form_list_trips_the_closure():
 
 
 def test_prime_forms_give_the_chain_of_the_full_form_list():
-    # _structure_of draws its candidates from the prime forms (q, b, c),
+    # _structure draws its candidates from the prime forms (q, b, c),
     # q <= sqrt(|D|/3); for every fundamental |D| <= 5000 they are reduced
     # forms of D, and the chain built from them is the chain built from
     # every reduced form
@@ -462,8 +463,9 @@ def test_prime_forms_give_the_chain_of_the_full_form_list():
         forms = reduced_forms(D)
         form_list = qforms._FormList(Discriminant(D))
         assert len(form_list) == len(forms), D
-        assert set(form_list.prime_forms()) <= set(forms), D
-        assert (qforms._structure_from_forms(D, len(forms), form_list.prime_forms)
+        prime_forms = lambda: qforms._prime_forms(form_list.table, D)  # noqa: E731
+        assert set(prime_forms()) <= set(forms), D
+        assert (qforms._structure_from_forms(D, len(forms), prime_forms)
                 == qforms._structure_from_forms(D, len(forms), lambda: forms)), D
 
 
@@ -540,7 +542,7 @@ def test_last_generator_adds_no_cosets(monkeypatch):
         return compose_forms(f, g)
 
     monkeypatch.setattr(qforms, "_compose", counted)
-    assert qforms._structure_of(Discriminant(-19711)).divisors == (128,)
+    assert class_group(-19711).divisors == (128,)
     assert len(compositions) <= 40
 
 
@@ -571,7 +573,7 @@ def test_an_ambiguous_generator_is_squared_once(monkeypatch):
         return compose_forms(f, g)
 
     monkeypatch.setattr(qforms, "_compose", counted)
-    assert qforms._structure_of(Discriminant(-15)).divisors == (2,)
+    assert class_group(-15).divisors == (2,)
     assert len(compositions) == 1
 
 
@@ -630,7 +632,9 @@ def test_one_root_table_serves_every_discriminant():
 
 
 def test_sweep_table_matches_fresh_class_groups():
-    for swept in class_group_sweep(5000):
+    # past the first two block boundaries, where the sweep's class numbers
+    # come from a new tally
+    for swept in class_group_sweep(2 * qforms._SWEEP_BLOCK + 300):
         single = class_group(swept.D.D)
         assert (swept.h, swept.divisors) == (single.h, single.divisors), swept.D
 
@@ -646,6 +650,58 @@ def test_counted_class_number_matches_the_form_list(top):
         assert class_group(D).h == len(reduced_forms(D)), D
 
 
+def test_form_tally_counts_the_forms_of_a_block_away_from_zero():
+    # a block that starts past 0, so every progression of n = 4ac - b**2
+    # enters it at an offset: the tally counts the forms of every
+    # fundamental n in it and nothing outside it
+    lo, hi = 10 ** 5, 10 ** 5 + 4096
+    once, twice = qforms._form_tally(lo, hi)
+    assert all(lo <= n < hi for n in set(once) | set(twice))
+    checked = 0
+    for n in range(lo, hi):
+        if is_fundamental_discriminant(-n):
+            assert once[n] + 2 * twice[n] == len(qforms._FormList(Discriminant(-n))), n
+            checked += 1
+    assert checked == 1247
+
+
+def test_sweep_reads_no_root_count_and_no_crt_root(monkeypatch):
+    # the sweep's class numbers come from the tally, and its generators
+    # from the prime-power root lists alone
+    def no_call(*args):
+        raise AssertionError("the sweep read a root count or a CRT root list")
+    monkeypatch.setattr(qforms._RootTable, "counts", no_call)
+    monkeypatch.setattr(qforms._RootTable, "roots", no_call)
+    assert sum(1 for _ in class_group_sweep(3000)) == 911
+
+
+def class_number_by_formula(D):
+    """h(D) = sum_{a <= |D|/2} chi_D(a) / (2 - chi_D(2)) for a fundamental
+    D < -4.  chi_D is completely multiplicative, so the Kronecker symbol is
+    taken at the primes alone and multiplied out along a least-prime sieve."""
+    top = -D // 2
+    least = list(range(top + 1))
+    for p in range(isqrt(top), 1, -1):  # the last write is the least prime
+        least[p * p::p] = [p] * (top // p - p + 1)
+    chi = [0, 1] + [0] * (top - 1)
+    for a in range(2, top + 1):
+        p = least[a]
+        chi[a] = kronecker(D, a) if p == a else chi[p] * chi[a // p]
+    h, rem = divmod(sum(chi), 2 - kronecker(D, 2))
+    assert rem == 0, D
+    return h
+
+
+@pytest.mark.parametrize("D", [-100003, -100004, -100007, -1000003])
+def test_class_number_formula_near_1e5_and_1e6(D):
+    # the analytic class number against both form counts: class_group's
+    # root count and the sweep's tally of the block that holds |D|
+    lo = -D // qforms._SWEEP_BLOCK * qforms._SWEEP_BLOCK
+    once, twice = qforms._form_tally(lo, lo + qforms._SWEEP_BLOCK)
+    h = class_number_by_formula(D)
+    assert class_group(D).h == once[-D] + 2 * twice[-D] == h
+
+
 def test_class_group_of_a_large_discriminant():
     s = class_group(-400000136)
     assert s.h == 14788
@@ -653,14 +709,9 @@ def test_class_group_of_a_large_discriminant():
 
 
 def test_class_number_formula():
-    # h(D) = sum_{a <= |D|/2} chi_D(a) / (2 - chi_D(2)) for D < -4, exactly
     for D in range(-5, -4001, -1):
-        if not is_fundamental_discriminant(D):
-            continue
-        total = sum(kronecker(D, a) for a in range(1, -D // 2 + 1))
-        h, rem = divmod(total, 2 - kronecker(D, 2))
-        assert rem == 0, D
-        assert h == class_group(D).h, D
+        if is_fundamental_discriminant(D):
+            assert class_number_by_formula(D) == class_group(D).h, D
 
 
 # ---------------------------------------------------------------------------
