@@ -397,10 +397,11 @@ def test_genus_matches_structure_to_3000():
         assert s.two_rank == genus_two_rank(s.D), s
 
 
-@pytest.mark.parametrize("limit", [-1, 0, 2, 3, 4, 7, 8, 3000, qforms._SWEEP_BLOCK + 10])
+@pytest.mark.parametrize("limit", [-1, 0, 2, 3, 4, 7, 8, 3000, qforms._SWEEP_BLOCK + 10, 16394])
 def test_sweep_yields_exactly_the_fundamental_discriminants(limit):
     # the sieve at its edges: no D below |D| = 3, the first of each residue
-    # class (-3, -4, -7, -8), and a limit past the first sieve block
+    # class (-3, -4, -7, -8), a limit just past the first sieve block, and
+    # one past several blocks
     swept = [s.D.D for s in class_group_sweep(limit)]
     assert swept == [D for D in range(-3, -limit - 1, -1) if is_fundamental_discriminant(D)]
 
