@@ -13,33 +13,32 @@ Algorithm 5.4.8, so squaring has no separate kernel.  It ends in the one
 reduction loop that reduce_form also runs.  The structure builder
 composes plain (a, b, c) tuples (_compose, _pow); the public functions
 check their input and return FormClass.  Enumeration reads the roots of
-a quadratic congruence modulo every prime power q from one _RootTable per
-call, keyed by (q, D mod 4q) and so shared by all the discriminants of a
-sweep; each root yields at most one reduced form (_forms).  class_group
-counts the forms of its one D as products of prime-power root counts,
-testing only the roots that can fail (_FormList).  class_group_sweep
-takes its discriminants from one segmented sieve of the prime squares
-over |D|, which proves each one fundamental, and their class numbers
-from one tally per sieve block: the n = |D| of the reduced forms with a
-given (a, b) run through a progression of step 4a, which one Counter
-update counts (_form_tally), so no D has its roots counted.  The
-generators of both are the prime forms (q, b, c), one per prime
-q <= sqrt(|D|/3) with a root, read off the table with no CRT join
-(_prime_forms): every reduced form's ideal factors into prime ideals of
-smaller norm, so they generate Cl(D).  A Sylow subgroup of order
-p**e > p is closed under composition up to its last generator:
-successive p-th powers of a new generator y find the least y**(p**i) in
-the span H of the earlier ones, and when that takes the full index of H,
-y is last and adds no cosets.  The shape is the Smith form of the
-relations the generators satisfy (Teske, Math. Comp. 67, 1998), at no
-further composition; one relation row or a diagonal relation matrix is
-read directly, and two relation rows have their Smith form in closed
-form.  A Sylow subgroup of order p is proved by one y = f**(h/p) != 1
-with y**p = f**h = 1, checked once per form f and D, and when every
-Sylow subgroup is cyclic the chain is (h,).  For odd p the ambiguous
-forms, of order at most 2, are never tried as generators; for p = 2 an
-ambiguous form is its own inverse, so its odd power h / 2**e is itself,
-which one squaring confirms, and that squaring is its order check too.
+a quadratic congruence modulo every prime power q from one _RootTable
+per D; each root yields at most one reduced form (_forms).  class_group
+counts the forms of its D as products of prime-power root counts,
+testing only the roots that can fail.  class_group_sweep takes its
+discriminants from one segmented sieve of the prime squares over |D|,
+which proves each one fundamental, and their class numbers from one
+tally per sieve block: the n = |D| of the reduced forms with a given
+(a, b) run through a progression of step 4a, which one Counter update
+counts (_form_tally), so no D has its roots counted.  The generators of
+both are the prime forms (q, b, c), one per prime q <= sqrt(|D|/3) with
+a root, each from one square root of D modulo q (_prime_forms): every
+reduced form's ideal factors into prime ideals of smaller norm, so they
+generate Cl(D).  A Sylow subgroup of order p**e > p is closed under
+composition up to its last generator: successive p-th powers of a new
+generator y find the least y**(p**i) in the span H of the earlier ones,
+and when that takes the full index of H, y is last and adds no cosets.
+The shape is the Smith form of the relations the generators satisfy
+(Teske, Math. Comp. 67, 1998), at no further composition; one relation
+row or a diagonal relation matrix is read directly, and two relation
+rows have their Smith form in closed form.  A Sylow subgroup of order p
+is proved by one y = f**(h/p) != 1 with y**p = f**h = 1, checked once
+per form f and D, and when every Sylow subgroup is cyclic the chain is
+(h,).  For odd p the ambiguous forms, of order at most 2, are never
+tried as generators; for p = 2 an ambiguous form is its own inverse, so
+its odd power h / 2**e is itself, which one squaring confirms, and that
+squaring is its order check too.
 
 two_sylow builds the 2-Sylow subgroup alone, counting no form: from the
 ambiguous classes of the known prime divisors of D it halves square
@@ -63,6 +62,7 @@ from .arith import (
     FACTOR_BOUND,
     _odd_primes_to,
     _split_square,
+    _sqrt_mod_prime_or_none,
     _sqrt_mod_prime_power,
     factorize,
     is_prime,
@@ -319,13 +319,13 @@ def form_pow(f, e: int) -> FormClass:
 
 def reduced_forms(D) -> list:
     """All reduced primitive forms of discriminant D < 0, D = 0 or 1 (mod 4),
-    sorted, as FormClass.
+    sorted, as FormClass; EnumerationBoundExceeded for |D| > 2**32.
 
     With delta = D mod 2 and b = 2t + delta, (b**2 - D)/4 = t**2 + delta*t + N
     for N = (delta - D)/4, so a form with first coefficient a needs a root t
     mod a of that quadratic, and each root gives one b in (-a, a].  The
-    roots for a = 1 .. sqrt(|D|/3) come from a _RootTable: those of each
-    prime power of a, joined by CRT; an a with a root-less prime power
+    roots for a = 1 .. sqrt(|D|/3) come from the _RootTable of D: those of
+    each prime power of a, joined by CRT; an a with a root-less prime power
     has none.  Each root is tested for reducedness and primitivity.
     """
     D = int(D)
@@ -333,97 +333,74 @@ def reduced_forms(D) -> list:
         raise IndefiniteForm(f"need D < 0, got {D}")
     if D % 4 > 1:
         raise InvalidInput(f"{D} = {D % 4} (mod 4) is not a discriminant")
-    table = _RootTable(isqrt(-D // 3))
-    return [FormClass(*f) for f in sorted(_forms(D, table, table.counts(D)))]
+    if -D > ENUMERATION_BOUND:
+        raise EnumerationBoundExceeded(f"|D| = {-D} exceeds 2**32")
+    return [FormClass(*f) for f in sorted(_forms(D, _RootTable(D)))]
 
 
 class _RootTable:
-    """The roots t of t*(t + delta) + N = 0 (mod a), for every a <= top,
-    shared by the discriminants D of one call with isqrt(|D| // 3) <= top.
+    """The roots t of t*(t + delta) + N = 0 (mod a) for one D, for every
+    a <= top = isqrt(|D| // 3).
 
     Since 4(t*(t + delta) + N) = (2t + delta)**2 - D, the roots modulo a
-    prime power q depend on D only through D mod 4q.  They are kept in one
-    dict keyed by (q, D mod 4q) and filled on first use from the square
-    roots z of D that arith._sqrt_mod_prime_power lifts: t = (z - delta)/2
-    mod q for the z modulo an odd q, t = z // 2 for the z < 2q modulo 4q
-    at p = 2.  The dict holds at most sum(4q) entries over the prime
-    powers q <= top.  A sieve splits each a <= top once as
-    a = p**k * m, p its least prime: least[a] = p and part[a] = p**k, kept
-    in arrays, and primes lists the primes q <= top.  The roots of any
-    other a are joined by CRT from its prime powers, and built only when
-    asked for (roots).
+    prime power q come from the square roots z of D that
+    arith._sqrt_mod_prime_power lifts: t = (z - delta)/2 mod q for the z
+    modulo an odd q, t = z // 2 for the z < 2q modulo 4q at p = 2; lists
+    maps each prime power q <= top to its roots.  A sieve splits each
+    a <= top once as a = p**k * m, p its least prime, and part[a] = p**k
+    is kept in an array.  count[a] is the number of roots mod a: a prime
+    power's is its root list's length, and every other a multiplies the
+    counts of its two CRT factors, so a root-less prime power zeroes all
+    its multiples.  The roots of any other a are joined by CRT from its
+    prime powers, and built only when asked for (roots).
     """
 
-    def __init__(self, top: int):
-        # slice writes in descending p: the last write to least[m] comes from
-        # the least p with p | m and p*p <= m, the least prime of a composite
-        # m, and the last to part[m] from the highest power of that prime
-        least = array("I", range(top + 1))
-        for p in range(isqrt(top), 1, -1):
-            least[p * p::p] = array("I", [p]) * (top // p - p + 1)
-        part = array("I", least)
-        for p in range(isqrt(top), 1, -1):
-            if least[p] == p:
-                q = p
-                while q <= top:
-                    part[q::q] = array("I", [q]) * (top // q)
-                    q *= p
-        self.least = least
-        self.part = part
-        self.primes = [q for q in range(2, top + 1) if least[q] == q]
-        self.lists = {}
-
-    def _prime_power_roots(self, q: int, D: int) -> tuple:
-        # the roots modulo the prime power q, in the order of the square
-        # roots z of D that give them
-        key = 4 * q * q + D % (4 * q)  # (q, D mod 4q) as one int
-        ts = self.lists.get(key)
-        if ts is not None:
-            return ts
-        p = self.least[q]
-        if p == 2:  # t = (z - delta)/2 for the z < 2q with z**2 = D (mod 4q)
-            ts = tuple(z // 2 for z in _sqrt_mod_prime_power(D, 2, 4 * q) if z < 2 * q)
-        else:  # t = (z - delta)/2 mod q for the z with z**2 = D (mod q)
-            half = (q + 1) // 2  # 1/2 mod q
-            ts = tuple((z - D % 2) * half % q for z in _sqrt_mod_prime_power(D, p, q))
-        self.lists[key] = ts
-        return ts
-
-    def counts(self, D: int) -> list:
-        """count[a], the number of roots mod a, for 0 <= a <= sqrt(|D|/3).
-
-        A prime power's count is its root list's length, and every other
-        a = p**k * m multiplies the counts of its two CRT factors, so a
-        root-less prime power zeroes all its multiples.
-        """
+    def __init__(self, D: int):
         top = isqrt(-D // 3)
+        # slice writes in descending p: the last write to part[m] comes from
+        # the highest power of the least prime of m; a prime p > isqrt(top)
+        # is the least prime of no m but p, which keeps part[p] = p
+        part = array("I", range(top + 1))
         count = [0, 1] + [0] * (top - 1)
-        part = self.part
-        for a in range(2, top + 1):
+        lists = {1: (0,)}
+        for p in reversed([2, *_odd_primes_to(top)]):
+            q = p
+            while q <= top:
+                if p * p <= top:
+                    part[q::q] = array("I", [q]) * (top // q)
+                if p == 2:  # t = (z - delta)/2 for the z < 2q with z**2 = D (mod 4q)
+                    ts = tuple(z // 2 for z in _sqrt_mod_prime_power(D, 2, 4 * q) if z < 2 * q)
+                else:  # t = (z - delta)/2 mod q for the z with z**2 = D (mod q)
+                    half = (q + 1) // 2  # 1/2 mod q
+                    ts = tuple((z - D % 2) * half % q for z in _sqrt_mod_prime_power(D, p, q))
+                lists[q], count[q] = ts, len(ts)
+                q *= p
+        for a in range(2, top + 1):  # a prime power q = a has count[a // q] = 1
             q = part[a]
-            count[a] = count[a // q] * count[q] if q < a else len(self._prime_power_roots(a, D))
-        return count
+            count[a] = count[a // q] * count[q]
+        self.part, self.count, self.lists = part, count, lists
 
-    def roots(self, a: int, D: int):
+    def roots(self, a: int):
         """Every root mod a, for 1 <= a <= top, by CRT over its prime powers."""
         q = self.part[a]
         if q == a:
-            return self._prime_power_roots(a, D) if a > 1 else (0,)
+            return self.lists[a]
         m = a // q
         inv = pow(m, -1, q)
-        zs = self._prime_power_roots(q, D)
-        return [r + m * ((z - r) * inv % q) for r in self.roots(m, D) for z in zs]
+        zs = self.lists[q]
+        return [r + m * ((z - r) * inv % q) for r in self.roots(m) for z in zs]
 
 
-def _forms(D: int, table: _RootTable, count: list, start: int = 1):
+def _forms(D: int, table: _RootTable, start: int = 1):
     # the reduced primitive (a, b, c) with a >= start, ascending in a, one
-    # per root in table that passes the tests; count = table.counts(D)
-    # skips every a without roots
+    # per root in the table of D that passes the tests; table.count skips
+    # every a without roots
     delta = D % 2
+    count = table.count
     for a in range(start, len(count)):
         if not count[a]:
             continue
-        for t in table.roots(a, D):
+        for t in table.roots(a):
             b = (2 * t + delta) % (2 * a)
             if b > a:
                 b -= 2 * a
@@ -432,45 +409,31 @@ def _forms(D: int, table: _RootTable, count: list, start: int = 1):
                 yield a, b, c
 
 
-class _FormList:
-    """The class number h of one fundamental discriminant, counted from the
-    root counts of its own _RootTable (table).
-
-    Every root with 4a**2 < |D| gives a reduced form, since then
-    c = (b**2 - D)/4a > a, and a primitive one, since every form of a
-    fundamental discriminant is primitive; so h sums count[a] below that
-    split, and only the roots with 4a**2 >= |D| are listed and tested one
-    by one.
-    """
-
-    def __init__(self, D: Discriminant):
-        D = D.D
-        table = self.table = _RootTable(isqrt(-D // 3))
-        count = table.counts(D)
-        split = (isqrt(-D - 1) + 2) // 2  # the least a with 4a**2 >= |D|
-        self.h = sum(count[:split]) + sum(1 for _ in _forms(D, table, count, split))
-
-    def __len__(self):
-        return self.h
-
-
-def _prime_forms(table: _RootTable, D: int):
-    """The reduced form of (q, b, c) for each prime q <= sqrt(|D|/3) whose
-    root list in table is not empty, built when reached; they generate the
-    class group (_sylow_subgroup).  b in (-q, q] comes from the first root
-    of q (the other root gives the inverse class), and only a form with
-    4q**2 >= |D| needs reducing."""
+def _prime_forms(D: int, primes):
+    """The reduced form of (q, b, c) for each prime q <= sqrt(|D|/3) in the
+    ascending list primes with b**2 = D (mod 4q) solvable, built when
+    reached; they generate the class group (_sylow_subgroup).  b in
+    (-q, q] has the parity of D: at an odd q it is z or z + q for the
+    square root z of D mod q that arith._sqrt_mod_prime_or_none gives (the
+    other root gives the inverse class), and at q = 2 it follows from
+    D mod 8.  Only a form with 4q**2 >= |D| needs reducing."""
     top, split = isqrt(-D // 3), (isqrt(-D - 1) + 2) // 2
-    for q in table.primes:
+    for q in primes:
         if q > top:
             return
-        ts = table._prime_power_roots(q, D)
-        if ts:
-            b = (2 * ts[0] + D % 2) % (2 * q)
+        if q == 2:  # b = 1, 0, 2 has b**2 = D (mod 8) at D = 1, 0, 4 (mod 8)
+            if D % 8 == 5:  # and no b has at D = 5 (mod 8)
+                continue
+            b = 1 if D % 2 else D % 8 // 2
+        else:
+            z = _sqrt_mod_prime_or_none(D, q)
+            if z is None:
+                continue
+            b = z if (z - D) % 2 == 0 else z + q
             if b > q:
                 b -= 2 * q
-            f = q, b, (b * b - D) // (4 * q)
-            yield _reduce(*f) if q >= split else f
+        f = q, b, (b * b - D) // (4 * q)
+        yield _reduce(*f) if q >= split else f
 
 
 def _candidates(forms, ident, p):
@@ -646,11 +609,12 @@ def _structure_from_forms(D, h: int, gens) -> tuple:
     return tuple(chain)
 
 
-def _structure(disc: Discriminant, h: int, table: _RootTable) -> ClassGroupStructure:
+def _structure(disc: Discriminant, h: int, primes) -> ClassGroupStructure:
     # the one builder behind class_group and class_group_sweep: Cl(D) of
-    # order h from the prime forms that table gives for D
+    # order h from the prime forms of D at the ascending primes, which run
+    # at least to sqrt(|D|/3)
     D = disc.D
-    chain = _structure_from_forms(D, h, lambda: _prime_forms(table, D))
+    chain = _structure_from_forms(D, h, lambda: _prime_forms(D, primes))
     return ClassGroupStructure.from_chain(disc, h, chain)
 
 
@@ -667,9 +631,13 @@ def class_group(D) -> ClassGroupStructure:
     n = -int(D)
     if n > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(f"|D| = {n} exceeds 2**32")
-    D = _as_discriminant(D)
-    forms = _FormList(D)
-    return _structure(D, forms.h, forms.table)
+    disc = _as_discriminant(D)
+    table = _RootTable(disc.D)
+    # a root with 4a**2 < |D| is a reduced form, as c = (b**2 - D)/4a > a,
+    # and a primitive one, as D is fundamental: only the rest are tested
+    split = (isqrt(n - 1) + 2) // 2  # the least a with 4a**2 >= |D|
+    h = sum(table.count[:split]) + sum(1 for _ in _forms(disc.D, table, split))
+    return _structure(disc, h, [2, *_odd_primes_to(isqrt(n // 3))])
 
 
 def genus_two_rank(D) -> int:
@@ -683,17 +651,16 @@ def class_group_sweep(limit: int):
     The D come from one segmented sieve (_fundamental_blocks), and their
     class numbers from one form tally per sieve block (_form_tally), so no
     D has its forms counted one by one.  Each structure comes from the
-    builder class_group uses, and every D reads its prime forms from one
-    _RootTable of top isqrt(limit // 3), built for this call; it holds at
-    most sum(4q) entries over the prime powers q <= top.
+    builder class_group uses, with the prime forms of every D drawn from
+    one list of the primes up to isqrt(limit // 3), made for this call.
     """
     if limit > ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(f"sweep limit {limit} exceeds 2**32")
-    table = _RootTable(isqrt(max(limit, 0) // 3))
+    primes = [2, *_odd_primes_to(isqrt(max(limit, 0) // 3))]
     for lo, hi, ns in _fundamental_blocks(limit):
         once, twice = _form_tally(lo, hi)
         for n in ns:
-            yield _structure(Discriminant._proven(-n), once[n] + 2 * twice[n], table)
+            yield _structure(Discriminant._proven(-n), once[n] + 2 * twice[n], primes)
 
 
 def _fundamental_blocks(limit: int):

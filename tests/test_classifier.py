@@ -232,7 +232,7 @@ def test_sieve_block_grows_with_the_window(hi, block):
 def test_oracle_never_counts_forms(monkeypatch):
     def no_count(*args):
         raise AssertionError("the oracle counted forms")
-    for name in ("class_group", "_FormList", "_RootTable", "_structure", "_form_tally"):
+    for name in ("class_group", "_RootTable", "_structure", "_form_tally"):
         monkeypatch.setattr(qforms, name, no_count)
     rs = {tag.d.value: exponent_r_oracle(tag) for tag in classifier.classified(3, 3000)
           if tag.tag in classifier.EXACT_FAMILIES}

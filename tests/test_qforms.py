@@ -5,7 +5,7 @@ from math import gcd, isqrt, prod
 import pytest
 
 from ztwo import qforms
-from ztwo.arith import factorize
+from ztwo.arith import _odd_primes_to, factorize
 from ztwo.classifier import EXACT_FAMILIES, classified
 from ztwo.errors import (
     EnumerationBoundExceeded,
@@ -440,8 +440,7 @@ def test_forged_class_number_trips_the_order_check(h):
     # p | h the first candidate f gives y = f**(h/p) != 1, but y**p = f**h
     # is not 1, and no order check may be skipped for it; at h = 30,
     # y = f**15 = f for p = 2, so the check must not be keyed on y == f
-    table = qforms._RootTable(isqrt(71 // 3))
-    gens = lambda: qforms._prime_forms(table, -71)  # noqa: E731
+    gens = lambda: qforms._prime_forms(-71, [2, 3])  # noqa: E731
     assert qforms._structure_from_forms(-71, 7, gens) == (7,)
     with pytest.raises(AssertionError, match="no element of order"):
         qforms._structure_from_forms(-71, h, gens)
@@ -462,9 +461,9 @@ def test_prime_forms_give_the_chain_of_the_full_form_list():
         if not is_fundamental_discriminant(D):
             continue
         forms = reduced_forms(D)
-        form_list = qforms._FormList(Discriminant(D))
-        assert len(form_list) == len(forms), D
-        prime_forms = lambda: qforms._prime_forms(form_list.table, D)  # noqa: E731
+        assert class_group(D).h == len(forms), D
+        primes = [2, *_odd_primes_to(isqrt(-D // 3))]
+        prime_forms = lambda: qforms._prime_forms(D, primes)  # noqa: E731
         assert set(prime_forms()) <= set(forms), D
         assert (qforms._structure_from_forms(D, len(forms), prime_forms)
                 == qforms._structure_from_forms(D, len(forms), lambda: forms)), D
@@ -619,17 +618,14 @@ def test_reduced_forms_matches_divisor_scan():
         assert reduced_forms(D) == divisor_scan_reduced_forms(D), D
 
 
-def test_one_root_table_serves_every_discriminant():
-    # the table keys prime-power roots by D mod 4q; walked over every
-    # D = 0, 1 (mod 4) down to -6000 in a shuffled order, fundamental or
-    # not, it must give what a fresh table and the divisor scan give
-    ds = [D for D in range(-3, -6001, -1) if D % 4 < 2]
-    random.Random(13).shuffle(ds)
-    table = qforms._RootTable(isqrt(6000 // 3))
-    for D in ds:
-        forms = sorted(qforms._forms(D, table, table.counts(D)))
-        assert forms == reduced_forms(D), D
-        assert forms == divisor_scan_reduced_forms(D), D
+def test_reduced_forms_refuses_past_the_enumeration_bound():
+    # refused before any root table is built; |D| = 2**32 is still listed,
+    # with h(-4 * f**2) = h(-4) * f / 2 = 2**14 forms for the conductor
+    # f = 2**15 (Cox, Theorem 7.24)
+    for D in (-(2 ** 32) - 3, -(2 ** 32) - 4, -(10 ** 20)):
+        with pytest.raises(EnumerationBoundExceeded):
+            reduced_forms(D)
+    assert len(reduced_forms(-(2 ** 32))) == 2 ** 14
 
 
 def test_sweep_table_matches_fresh_class_groups():
@@ -661,19 +657,52 @@ def test_form_tally_counts_the_forms_of_a_block_away_from_zero():
     checked = 0
     for n in range(lo, hi):
         if is_fundamental_discriminant(-n):
-            assert once[n] + 2 * twice[n] == len(qforms._FormList(Discriminant(-n))), n
+            assert once[n] + 2 * twice[n] == class_group(-n).h, n
             checked += 1
     assert checked == 1247
 
 
-def test_sweep_reads_no_root_count_and_no_crt_root(monkeypatch):
+def test_sweep_builds_no_root_table(monkeypatch):
     # the sweep's class numbers come from the tally, and its generators
-    # from the prime-power root lists alone
+    # from one square root of D per prime
     def no_call(*args):
-        raise AssertionError("the sweep read a root count or a CRT root list")
-    monkeypatch.setattr(qforms._RootTable, "counts", no_call)
-    monkeypatch.setattr(qforms._RootTable, "roots", no_call)
+        raise AssertionError("the sweep built a root table")
+    monkeypatch.setattr(qforms, "_RootTable", no_call)
     assert sum(1 for _ in class_group_sweep(3000)) == 911
+
+
+def brute_prime_classes(D, primes):
+    """(q, classes) for each q of the ascending primes up to sqrt(|D|/3)
+    with some b in [0, q], found by trying each, such that
+    b**2 = D (mod 4q); classes holds the reduced forms of (q, b, c) and
+    (q, -b, c), one of which is the prime form of q."""
+    for q in primes:
+        if q * q > -D // 3:
+            return
+        b = next((b for b in range(q + 1) if (b * b - D) % (4 * q) == 0), None)
+        if b is not None:
+            c = (b * b - D) // (4 * q)
+            yield q, {reduce_form((q, b, c)), reduce_form((q, -b, c))}
+
+
+def test_prime_forms_are_the_primes_with_a_root():
+    # one reduced form of discriminant D per prime q <= sqrt(|D|/3) at
+    # which b**2 = D (mod 4q) has a solution, in the class of (q, b, c):
+    # every fundamental |D| <= 3000 and some near 1e6 at all such q, and
+    # some near 2**32 at the q below 2000, where the search over b stays
+    # cheap
+    small = [D for D in range(-3, -3001, -1) if is_fundamental_discriminant(D)]
+    near_1e6 = [D for D in range(-10 ** 6, -10 ** 6 - 40, -1) if is_fundamental_discriminant(D)]
+    near_2_32 = [D for D in range(-2 ** 32, -2 ** 32 - 40, -1) if is_fundamental_discriminant(D)]
+    for Ds, top in ((small + near_1e6, None), (near_2_32, 2000)):
+        for D in Ds:
+            primes = [2, *_odd_primes_to(top or isqrt(-D // 3))]
+            forms = list(qforms._prime_forms(D, primes))
+            expected = list(brute_prime_classes(D, primes))
+            assert len(forms) == len(expected), D
+            for f, (q, classes) in zip(forms, expected):
+                assert f in classes, (D, q, f)
+                assert reduce_form(f) == f and FormClass(*f).discriminant == D, (D, q, f)
 
 
 def class_number_by_formula(D):
@@ -730,7 +759,7 @@ def test_two_sylow_matches_the_form_count_to_30000():
             continue
         primes = sorted(factorize(-D))
         basis, exps = two_sylow(D, primes)
-        h = len(qforms._FormList(Discriminant(D)))
+        h = class_group(D).h
         assert 2 ** sum(exps) == h & -h, D
         if exps and max(exps) >= 2:
             i = exps.index(max(exps))
@@ -752,7 +781,7 @@ def test_two_sylow_matches_the_form_count_at_scan_high_sizes():
         d = tag.d
         D, primes = (-d.value, d.factors) if tag.tag == "B" else (-8 * d.value, (2,) + d.factors)
         _, exps = two_sylow(D, primes)
-        h = len(qforms._FormList(Discriminant(D)))
+        h = class_group(D).h
         assert 2 ** sum(exps) == h & -h, D
         rows += 1
     assert rows == 86
