@@ -20,21 +20,26 @@ testing only the roots that can fail.  class_group_sweep takes its
 discriminants from one segmented sieve of the prime squares over |D|,
 which proves each one fundamental, and their class numbers from one
 tally per sieve block: the n = |D| of the reduced forms with a given
-(a, b) run through a progression of step 4a, which one Counter update
-counts (_form_tally), so no D has its roots counted.  The generators of
+(a, b) run through a progression of step 4a, and one Counter counts
+all of a block's progressions (_form_tally), so no D has its roots
+counted.  The generators of
 both are the prime forms (q, b, c), one per prime q <= sqrt(|D|/3) with
 a root, each from one square root of D modulo q (_prime_forms): every
 reduced form's ideal factors into prime ideals of smaller norm, so they
-generate Cl(D).  A Sylow subgroup of order p**e > p is closed under
-composition up to its last generator: successive p-th powers of a new
-generator y find the least y**(p**i) in the span H of the earlier ones,
-and when that takes the full index of H, y is last and adds no cosets.
-The shape is the Smith form of the relations the generators satisfy
-(Teske, Math. Comp. 67, 1998), at no further composition; one relation
-row or a diagonal relation matrix is read directly, and two relation
-rows have their Smith form in closed form.  A Sylow subgroup of order p
-is proved by one y = f**(h/p) != 1 with y**p = f**h = 1, checked once
-per form f and D, and when every Sylow subgroup is cyclic the chain is
+generate Cl(D).  One pass over them builds every Sylow subgroup: each
+form f is raised once, to f**(h/m) with m the product of the orders of
+the subgroups still open, and each of these takes its own power of that
+image.  A Sylow subgroup of order p**e > p is closed under composition
+up to its last generator: successive p-th powers of a new generator y
+find the least y**(p**i) in the span H of the earlier ones, and when
+that takes the full index of H, y is last and adds no cosets.  The shape
+is the Smith form of the relations the generators satisfy (Teske, Math.
+Comp. 67, 1998), at no further composition; one relation row or a
+diagonal relation matrix is read directly, and two relation rows have
+their Smith form in closed form.  A Sylow subgroup of order p is proved
+by one y = f**(h/p) != 1 with y**p = f**h = 1, and f**h = 1 is checked
+at most once per form: not at all when a closure step of the same f
+already proved it, and when every Sylow subgroup is cyclic the chain is
 (h,).  For odd p the ambiguous forms, of order at most 2, are never
 tried as generators; for p = 2 an ambiguous form is its own inverse, so
 its odd power h / 2**e is itself, which one squaring confirms, and that
@@ -55,6 +60,7 @@ products; every check still runs.
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -83,7 +89,7 @@ ENUMERATION_BOUND = 1 << 32
 _SWEEP_BLOCK = 1 << 12  # the |D| per block of class_group_sweep's sieve and form tally
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Discriminant:
     """A fundamental negative discriminant -2**40 < D < 0: checked once when
     built, trusted after.
@@ -128,7 +134,7 @@ class FormClass(NamedTuple):
         return self.b * self.b - 4 * self.a * self.c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassGroupStructure:
     """Order and cyclic decomposition of Cl(D).
 
@@ -352,7 +358,8 @@ class _RootTable:
     power's is its root list's length, and every other a multiplies the
     counts of its two CRT factors, so a root-less prime power zeroes all
     its multiples.  The roots of any other a are joined by CRT from its
-    prime powers, and built only when asked for (roots).
+    prime powers, and built only when asked for (roots).  primes lists
+    the primes up to top, ascending, for class_group's prime forms.
     """
 
     def __init__(self, D: int):
@@ -363,7 +370,8 @@ class _RootTable:
         part = array("I", range(top + 1))
         count = [0, 1] + [0] * (top - 1)
         lists = {1: (0,)}
-        for p in reversed([2, *_odd_primes_to(top)]):
+        primes = [2, *_odd_primes_to(top)]
+        for p in reversed(primes):
             q = p
             while q <= top:
                 if p * p <= top:
@@ -378,7 +386,7 @@ class _RootTable:
         for a in range(2, top + 1):  # a prime power q = a has count[a // q] = 1
             q = part[a]
             count[a] = count[a // q] * count[q]
-        self.part, self.count, self.lists = part, count, lists
+        self.part, self.count, self.lists, self.primes = part, count, lists, primes
 
     def roots(self, a: int):
         """Every root mod a, for 1 <= a <= top, by CRT over its prime powers."""
@@ -412,7 +420,7 @@ def _forms(D: int, table: _RootTable, start: int = 1):
 def _prime_forms(D: int, primes):
     """The reduced form of (q, b, c) for each prime q <= sqrt(|D|/3) in the
     ascending list primes with b**2 = D (mod 4q) solvable, built when
-    reached; they generate the class group (_sylow_subgroup).  b in
+    reached; they generate the class group (_sylow_step).  b in
     (-q, q] has the parity of D: at an odd q it is z or z + q for the
     square root z of D mod q that arith._sqrt_mod_prime_or_none gives (the
     other root gives the inverse class), and at q = 2 it follows from
@@ -436,86 +444,57 @@ def _prime_forms(D: int, primes):
         yield _reduce(*f) if q >= split else f
 
 
-def _candidates(forms, ident, p):
-    # the forms whose images under x -> x**(h / p**e) may be new in the
-    # Sylow p-subgroup: not ident, and for odd p not an ambiguous form
-    # either (b == 0, b == a or a == c), whose order is at most 2
-    if p == 2:
-        return (f for f in forms if f != ident)
-    return (f for f in forms if f[1] and f[1] != f[0] != f[2])
+def _sylow_step(y, p, q, log, rows) -> bool:
+    """One closure step of the Sylow p-subgroup of order q: y is the image
+    f**(h / q) of a generating form f, log maps each element of the
+    subgroup H that the generators so far span to its discrete log, and
+    rows holds their relations.  True when y is the last generator.
 
-
-def _sylow_subgroup(forms, h, ident, p, size, confirmed):
-    """Discrete logs and generator relations of the Sylow p-subgroup: a
-    dict from each element of the subgroup H that the generators before the
-    last one span to its log, and the relation rows of all the generators.
-
-    forms generate the class group of order h, as _prime_forms do: every
-    class has a reduced form (a, b, c) with a <= sqrt(|D|/3), the ideal
-    of norm a factors into prime ideals of norms dividing a, and the two
-    prime ideals over a split prime are inverse classes (Cox, Primes of
+    The forms generate the class group of order h, as _prime_forms do:
+    every class has a reduced form (a, b, c) with a <= sqrt(|D|/3), the
+    ideal of norm a factors into prime ideals of norms dividing a, and the
+    two prime ideals over a split prime are inverse classes (Cox, Primes of
     the Form x**2 + ny**2, section 7; Cohen, GTM 138, section 5.2).
-    x -> x**(h / p**e) maps the group onto its Sylow p-part, so the
-    images of forms generate it; in practice the first few candidates
-    already do.  A new generator y has an order modulo H that divides
-    k = size / |H|, a power of p, so it is the least
-    j among p, p**2, ..., k with y**j in H; these powers come by raising y
-    to the p-th power again and again, stopping at the first in H.  When
-    j = k, H and y span the whole subgroup and y is the last generator,
-    whose relation is y**k = s with s in H (y**k outside H means y's order
-    modulo H passes k).  Otherwise y adds s*y**i with log log(s) + i*|H|
-    for 0 < i < j, and its relation is y**j = s in H: logs are exponents
-    in mixed radix, and the relation is the row (-digits of log(s), j) of
-    a lower-triangular matrix of determinant p**e.  confirmed goes to
-    _candidate_power.
+    x -> x**(h / q) maps the group onto its Sylow p-part, so the images of
+    the forms generate it; in practice the first few already do.  A y in
+    H adds nothing.  A new y has an order modulo H that divides
+    k = q / |H|, a power of p, so it is the least j among p, p**2, ..., k
+    with y**j in H; these powers come by raising y to the p-th power again
+    and again (by one squaring for p = 2), stopping at the first in H.
+    When j = k, H and y span the whole subgroup and y is the last
+    generator, whose relation is y**k = s with s in H (y**k outside H
+    means y's order modulo H passes k).  Otherwise y adds s*y**i with log
+    log(s) + i*|H| for 0 < i < j, and its relation is y**j = s in H: logs
+    are exponents in mixed radix, and the relation is the row
+    (-digits of log(s), j) of a lower-triangular matrix of determinant q.
+    Either way H is a group of order dividing q that holds a power y**j
+    with j | q / |H|, so a step that returns proves y**q = 1.
     """
-    cofactor = h // size
-    log = {ident: 0}
-    rows = []
-    for f in _candidates(forms, ident, p):
-        y = _candidate_power(f, cofactor, ident, confirmed)
-        if y in log:
-            continue
-        k = size // len(log)
-        step, j = y, 1
-        while j < k and step not in log:  # y**j for j = p, p**2, ... up to k
-            step, j = _pow(step, p), j * p
-        last = j == k
-        if last and step not in log:  # y's order modulo H passes k
-            break
-        if not last:  # the cosets H * y**i for 0 < i < j, y**j being in H
-            rest = list(log)[1:]
-            g = y
-            while g != step:
-                log[g] = len(log)
-                for s in rest:
-                    log[_compose(s, g)] = len(log)
-                g = _compose(g, y)
-        i, row = log[step], []
-        for old in rows:
-            i, digit = divmod(i, old[-1])
-            row.append(-digit)
-        rows.append(row + [j])
-        if last:
-            return log, rows
-        if size % (p * len(log)):  # |H| is no power of p below size
-            break
-    raise AssertionError(f"no Sylow {p}-subgroup of order {size} in a group of order {h}")
-
-
-def _candidate_power(f, e: int, ident, confirmed) -> tuple:
-    # f**e for a form f of _candidates(forms, ident, p) and e = h / p**k,
-    # p**k the full power of p in h; an ambiguous f (b == 0, b == a or
-    # a == c) is a candidate only for p = 2, where e is odd, and is its own
-    # inverse, so f**e = f once one squaring confirms f**2 == ident; as h
-    # is even, that confirms f**h == ident too, and f joins confirmed
-    a, b, c = f
-    if b and b != a and a != c:
-        return _pow(f, e)
-    if _compose(f, f) != ident:
-        raise AssertionError(f"the ambiguous form {f} does not square to {ident}")
-    confirmed.add(f)
-    return f
+    if y in log:
+        return False
+    k = q // len(log)
+    step, j = y, 1
+    while j < k and step not in log:  # y**j for j = p, p**2, ... up to k
+        step, j = _compose(step, step) if p == 2 else _pow(step, p), j * p
+    last = j == k
+    if last and step not in log:  # y's order modulo H passes k
+        raise AssertionError(f"no Sylow {p}-subgroup of order {q}: a generator's order passes it")
+    if not last:  # the cosets H * y**i for 0 < i < j, y**j being in H
+        rest = list(log)[1:]
+        g = y
+        while g != step:
+            log[g] = len(log)
+            for s in rest:
+                log[_compose(s, g)] = len(log)
+            g = _compose(g, y)
+        if q % (p * len(log)):  # |H| is no power of p below q
+            raise AssertionError(f"no Sylow {p}-subgroup of order {q}: the cosets collide")
+    i, row = log[step], []
+    for old in rows:
+        i, digit = divmod(i, old[-1])
+        row.append(-digit)
+    rows.append(row + [j])
+    return last
 
 
 def _smith_partition(rows, p):
@@ -568,34 +547,71 @@ def _valuation(x: int, p: int) -> int:
 def _structure_from_forms(D, h: int, gens) -> tuple:
     """Ascending elementary-divisor chain of the class group of order h.
 
-    gens() yields reduced forms that generate the group, afresh on each
-    call, as _prime_forms does.  confirmed holds, for this D, the forms f
-    whose f**h == ident a check has shown: a cyclic Sylow p-subgroup's
-    element y = f**(h/p) has y**p = f**h, so each f needs the check once,
-    and for p = 2 the squaring of an ambiguous f in _candidate_power is
-    that check.  When every Sylow subgroup is cyclic the chain is (h,).
+    gens() yields reduced forms that generate the group, as _prime_forms
+    does, and one pass over them builds every Sylow subgroup.  orders maps
+    each prime p of a subgroup still open to its order q = p**e, those with
+    e >= 2 first.  A form f is raised once, to x = f**(h/m) with m the
+    product of those q, and each open subgroup takes its image
+    y = x**(m/q) = f**(h/q): one of order p**e > p passes it through
+    _sylow_step, and one of order p closes at the first y != 1, which has
+    order p once y**p = f**h = 1 is shown.  That needs no check when a
+    step of this f returned (it proves y**q = f**h = 1), and at most one
+    otherwise, as y**p = f**h for every such p.  For odd p the ambiguous
+    forms (b == 0, b == a or a == c), of order at most 2, are no
+    generators; for p = 2 an ambiguous f is its own inverse, so its odd
+    power f**(h / 2**e) is f itself once one squaring shows f**2 = 1, and
+    that squaring shows f**h = 1 too.  When every Sylow subgroup is cyclic
+    the chain is (h,).
     """
     if h == 1:
         return ()
-    ident = principal_form(D)
-    confirmed = set()
-    partitions = {}
+    ident = (1, D % 2, (D % 2 - D) // 4)  # principal_form(D) as a plain tuple
+    orders, spans, cyclic = {}, {}, []
     for p, e in factorize(h).items():
-        if e == 1:
-            # a cyclic Sylow p-subgroup: an element of exact order p proves it
-            f = y = ident
-            for f in _candidates(gens(), ident, p):
-                y = _candidate_power(f, h // p, ident, confirmed)
-                if y != ident:
-                    break
-            if y == ident or f not in confirmed and _pow(y, p) != ident:
-                raise AssertionError(f"no element of order {p} in a group of order {h}")
-            confirmed.add(f)
-            partitions[p] = [1]
+        if e > 1:  # log and relation rows of the closure
+            orders[p], spans[p] = p ** e, ({ident: 0}, [])
+        else:
+            cyclic.append(p)
+    orders.update(zip(cyclic, cyclic))
+    m = h  # the product of the open orders
+    partitions = {}
+    width = 1  # the most parts of any partition
+    for f in gens():
+        a, b, c = f
+        if b and b != a != c:
+            x = f if m == h else _pow(f, h // m)
+            mx, images, shown = m, list(orders.items()), False
+        elif 2 in orders and f != ident:
+            if _compose(f, f) != ident:
+                raise AssertionError(f"the ambiguous form {f} does not square to {ident}")
+            x = f  # = f**(h / 2**e), its only image
+            mx, images, shown = orders[2], [(2, orders[2])], True
+        else:
             continue
-        _, rows = _sylow_subgroup(gens(), h, ident, p, p ** e, confirmed)
-        partitions[p] = _smith_partition(rows, p)
-    width = max(len(v) for v in partitions.values())
+        for p, q in images:
+            y = x if q == mx else _pow(x, mx // q)
+            if q > p:
+                log, rows = spans[p]
+                if _sylow_step(y, p, q, log, rows):
+                    partitions[p] = part = _smith_partition(rows, p)
+                    width = max(width, len(part))
+                    del orders[p]
+                    m //= q
+                shown = True
+            elif y != ident:
+                if not shown and _pow(y, p) != ident:
+                    raise AssertionError(f"no element of order {p} in a group of order {h}")
+                shown = True
+                partitions[p] = [1]
+                del orders[p]
+                m //= q
+        if not orders:
+            break
+    if orders:
+        p = min(orders)
+        if orders[p] == p:
+            raise AssertionError(f"no element of order {p} in a group of order {h}")
+        raise AssertionError(f"no Sylow {p}-subgroup of order {orders[p]} in a group of order {h}")
     if width == 1:
         return (h,)
     chain = []
@@ -637,7 +653,7 @@ def class_group(D) -> ClassGroupStructure:
     # and a primitive one, as D is fundamental: only the rest are tested
     split = (isqrt(n - 1) + 2) // 2  # the least a with 4a**2 >= |D|
     h = sum(table.count[:split]) + sum(1 for _ in _forms(disc.D, table, split))
-    return _structure(disc, h, [2, *_odd_primes_to(isqrt(n // 3))])
+    return _structure(disc, h, table.primes)
 
 
 def genus_two_rank(D) -> int:
@@ -698,29 +714,30 @@ def _form_tally(lo: int, hi: int) -> tuple:
     A reduced form (a, b, c) has |b| <= a <= c, b >= 0 when |b| = a or
     a = c, and 3a**2 <= n = 4ac - b**2, so a <= isqrt((hi - 1) // 3).  For
     each such a and 0 <= b <= a the n of the forms (a, +-b, c), c >= a,
-    run through an arithmetic progression of step 4a, which one
-    Counter.update of a range counts: (a, 0, c), (a, a, c) and (a, b, a)
-    are one form each, and (a, +-b, c) with 0 < b < a < c are two
-    (Cohen, GTM 138, section 5.3; Buell, Binary Quadratic Forms, ch. 4).
+    run through an arithmetic progression of step 4a, kept as a range:
+    (a, 0, c), (a, a, c) and (a, b, a) are one form each, and (a, +-b, c)
+    with 0 < b < a < c are two (Cohen, GTM 138, section 5.3; Buell,
+    Binary Quadratic Forms, ch. 4).  One Counter over each list of
+    progressions counts them all.
     Every form of a fundamental discriminant is primitive, so there the
     tally is the form count; at any other n it also counts imprimitive
     forms.  No form is kept.
     """
-    once, twice = Counter(), Counter()
+    once, twice = [], []
     for a in range(1, isqrt((hi - 1) // 3) + 1):
         step = 4 * a
         for b in range(a + 1):
             n = step * a - b * b  # c = a
             if 0 < b < a:
                 if lo <= n < hi:
-                    once[n] += 1
-                n, tally = n + step, twice  # c > a: the two forms (a, +-b, c)
+                    once.append((n,))
+                n, runs = n + step, twice  # c > a: the two forms (a, +-b, c)
             else:
-                tally = once
+                runs = once
             if n < lo:
                 n = lo + (n - lo) % step  # the first n >= lo on the progression
-            tally.update(range(n, hi, step))
-    return once, twice
+            runs.append(range(n, hi, step))
+    return Counter(chain.from_iterable(once)), Counter(chain.from_iterable(twice))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
+import pickle
 import random
+from collections import Counter
 from math import gcd, isqrt, prod
 
 import pytest
@@ -434,15 +437,30 @@ def test_forged_form_list_trips_the_order_check():
             qforms._structure_from_forms(D, h, lambda: [principal_form(D)] + [(2, 0, 3)] * (h - 1))
 
 
-@pytest.mark.parametrize("h", [6, 15, 30])
+FORGED_CLASS_NUMBER_ERRORS = {
+    6: "no element of order",
+    15: "no element of order",
+    30: "no element of order",
+    12: "no Sylow 2-subgroup of order 4",
+    28: "no Sylow 2-subgroup of order 4",
+    56: "no Sylow 2-subgroup of order 8",
+    63: "no Sylow 3-subgroup of order 9",
+}
+
+
+@pytest.mark.parametrize("h", [6, 15, 30, 12, 28, 56, 63])
 def test_forged_class_number_trips_the_order_check(h):
     # the real generators of Cl(-71) = Z/7 with a forged h: for each prime
     # p | h the first candidate f gives y = f**(h/p) != 1, but y**p = f**h
     # is not 1, and no order check may be skipped for it; at h = 30,
-    # y = f**15 = f for p = 2, so the check must not be keyed on y == f
+    # y = f**15 = f for p = 2, so the check must not be keyed on y == f.
+    # h = 12, 28, 56 and 63 put a Sylow subgroup of order p**e >= p**2
+    # beside one of order p: at 28, 56 and 63 the closure step of f proves
+    # f**h = 1 (f**7 = 1 lies in the span), which lets the order-7 check be
+    # skipped, but the larger subgroup never closes; at 12 its step fails
     gens = lambda: qforms._prime_forms(-71, [2, 3])  # noqa: E731
     assert qforms._structure_from_forms(-71, 7, gens) == (7,)
-    with pytest.raises(AssertionError, match="no element of order"):
+    with pytest.raises(AssertionError, match=FORGED_CLASS_NUMBER_ERRORS[h]):
         qforms._structure_from_forms(-71, h, gens)
 
 
@@ -508,7 +526,9 @@ def test_smith_partition_matches_the_power_table():
                 continue
             sylow = {qforms._pow(f, h // p ** e) for f in forms}
             assert len(sylow) == p ** e, (D, p)
-            log, rows = qforms._sylow_subgroup(forms, h, ident, p, p ** e, set())
+            log, rows = {ident: 0}, []
+            assert any(qforms._sylow_step(qforms._pow(f, h // p ** e), p, p ** e, log, rows)
+                       for f in forms), (D, p)
             partition = qforms._smith_partition(rows, p)
             assert partition == power_table_partition(sylow, p), (D, p)
             assert prod(row[-1] for row in rows) == p ** e, (D, p)
@@ -559,7 +579,7 @@ def test_sweep_composition_count_is_pinned(monkeypatch):
 
     monkeypatch.setattr(qforms, "_compose", counted)
     assert sum(1 for _ in class_group_sweep(10 ** 4)) == 3043
-    assert len(compositions) == 35567
+    assert len(compositions) == 32532
 
 
 def test_an_ambiguous_generator_is_squared_once(monkeypatch):
@@ -575,6 +595,53 @@ def test_an_ambiguous_generator_is_squared_once(monkeypatch):
     monkeypatch.setattr(qforms, "_compose", counted)
     assert class_group(-15).divisors == (2,)
     assert len(compositions) == 1
+
+
+def test_the_builder_walks_the_prime_forms_once_per_discriminant(monkeypatch):
+    # one pass over the generators builds every Sylow subgroup of a D;
+    # a D with h = 1 needs none
+    walks = Counter()
+    prime_forms = qforms._prime_forms
+
+    def counted(D, primes):
+        walks[D] += 1
+        return prime_forms(D, primes)
+
+    monkeypatch.setattr(qforms, "_prime_forms", counted)
+    swept = list(class_group_sweep(3000))
+    assert len(swept) == 911
+    assert walks == Counter(s.D.D for s in swept if s.h > 1)
+    assert sum(1 for s in swept if len(factorize(s.h)) > 1) > 400
+
+
+def test_class_group_sieves_its_primes_once(monkeypatch):
+    # the root table's primes also serve the prime forms
+    sieves = []
+    odd_primes_to = qforms._odd_primes_to
+
+    def counted(top):
+        sieves.append(top)
+        return odd_primes_to(top)
+
+    monkeypatch.setattr(qforms, "_odd_primes_to", counted)
+    D = -4294967291
+    structure = class_group(D)
+    assert sieves == [isqrt(-D // 3)]
+    assert structure.h == len(reduced_forms(D))
+
+
+def test_records_are_slotted_frozen_and_picklable():
+    # the sweep keeps one Discriminant and one ClassGroupStructure per D
+    records = [Discriminant(-23), Discriminant._proven(-23), class_group(-84)]
+    for record in records:
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+        assert not hasattr(record, "__dict__")
+        for name in record.__slots__:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 1)
+    assert records[0] == records[1] != Discriminant(-20)
+    assert {records[2], class_group(-84)} == {ClassGroupStructure.from_chain(-84, 4, [2, 2])}
 
 
 @pytest.mark.parametrize("rows, partition", [
