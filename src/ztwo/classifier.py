@@ -235,22 +235,23 @@ def exponent_r_corollary(tag: FamilyTag) -> RBound:
     oracle over any range of d.
 
     The B solution is read off one Lagrange descent too
-    (williams_witness): the descent point, or the second point of a line
-    through it.  Williams' theorem reads r off a solution; that the
-    criterion takes one value on every admissible solution is not proved
-    here either.  The evidence is verify --suite williams, which lists
-    every admissible solution with Z <= 20000 for each B pair with
-    d <= --max, adds the descent solution and checks that all agree (0
-    violations with --max 10**4), test_williams_witness_agrees_with_the_z_scan,
+    (williams_witness): the descent point, or the second point of at most
+    two chords through it, a rule proved to give an admissible solution.
+    Williams' theorem reads r off a solution; that the criterion takes
+    one value on every admissible solution is not proved here either.
+    The evidence is verify --suite williams, which lists every admissible
+    solution with Z <= 20000 for each B pair with d <= --max, adds the
+    descent solution and checks that all agree (0 violations with
+    --max 10**4), test_williams_witness_agrees_with_the_z_scan,
     which confronts the descent solution with solve_legendre's least-Z one
     on every pair that needs one with d <= 2*10**5, and cross_check.
 
     No route takes a bound: the A1 representation comes from a gcd in
     Z[sqrt 2] and the A2 and B witnesses from a descent.  The one refusal
-    known is NoSolutionInBound, raised when williams_witness's direction
-    box holds no admissible point; no pair is known to reach it.  confront,
-    which scan and cross_check both read, records any refusal of this
-    route (any ZtwoError) as skipped.
+    left is solve_pell_rep's NoRepresentationInBound, for a p = 1 (mod 8)
+    with no u = 1 (mod 8) representation; no A1 prime is known to reach
+    it.  confront, which scan and cross_check both read, records any
+    refusal of this route (any ZtwoError) as skipped.
     """
     if tag.tag not in EXACT_FAMILIES:
         raise UnsupportedFamily(f"no corollary route for family {tag.tag}")

@@ -12,7 +12,7 @@ import sys
 
 from . import classifier, diophantine, qforms, symbols
 from .arith import factor_squarefree
-from .errors import InvalidInput, NoSolutionInBound, UnsupportedFamily, ZtwoError
+from .errors import InvalidInput, UnsupportedFamily, ZtwoError
 
 SCHEMA = "ztwo/1"
 
@@ -247,16 +247,12 @@ def _verify_williams(d_max):
         if classifier.b_symbol_r(p, q) is not None:
             continue
         sols = diophantine.enumerate_legendre_solutions(p, q, WILLIAMS_SUITE_Z_CAP)
-        try:
-            descent = [diophantine.williams_witness(p, q)]
-        except NoSolutionInBound as exc:
-            descent = []
-            print(f"  skipped d={tag.d}: {exc}")
-        values = {diophantine.williams_criterion(s) for s in sols + descent}
+        values = {diophantine.williams_criterion(s)
+                  for s in sols + [diophantine.williams_witness(p, q)]}
         if len(values) > 1:
             bad += 1
             print(f"  VIOLATION d={tag.d}: criterion not solution-invariant over "
-                  f"{len(sols)} solutions and {len(descent)} descent solution")
+                  f"{len(sols)} solutions and 1 descent solution")
         pairs += 1
     print(f"williams suite: {pairs} pairs, all admissible solutions with "
           f"Z <= {WILLIAMS_SUITE_Z_CAP}; {bad} violations")

@@ -1,7 +1,8 @@
 """Solvers for the three representation problems the criteria use.
 
 Every solver is deterministic, and a witness that is missing surfaces as
-NoRepresentationInBound or NoSolutionInBound, never as a wrong answer.
+NoRepresentationInBound (solve_pell_rep) or NoSolutionInBound (the Z
+scan's cap), never as a wrong answer.
 solve_pell_rep reads the least-v representation off the prime above p in
 Z[sqrt 2], one gcd and a unit walk of a few steps, with no search and no
 bound.  solve_kaplan and williams_witness take no bound either: each
@@ -9,8 +10,8 @@ reads its witness off one Lagrange descent (_legendre_descent; Cremona
 and Rusin, Math. Comp. 72, 2003), the descent that also serves the
 class-group oracle.  solve_kaplan's is a primitive solution of
 s**2 = p Y**2 + 2 q k**2; williams_witness's is the descent point of
-p X'**2 + q Y'**2 = Z**2 or the second point of a line through it, from
-a fixed box of directions.  The one search is the Z scan:
+p X'**2 + q Y'**2 = Z**2 or the second point of a chord through it, by a
+rule proved to give an admissible point.  The one search is the Z scan:
 solve_legendre scans Z in increasing order up to LEGENDRE_Z_CAP, for the
 least-Z solution that witness --legendre prints, and
 enumerate_legendre_solutions lists every solution up to the bound it is
@@ -37,8 +38,6 @@ from .symbols import jacobi, quartic_residue
 
 # the largest Z that solve_legendre scans
 LEGENDRE_Z_CAP = 10 ** 6
-# the directions williams_witness tries: |a|, |b|, |c| <= WILLIAMS_BOX
-WILLIAMS_BOX = 6
 
 
 @dataclass(frozen=True)
@@ -371,46 +370,28 @@ def enumerate_legendre_solutions(p: int, q: int, bound: int) -> list:
     return list(_legendre_candidates(p, q, bound))
 
 
-def _directions(box):
-    """Each primitive (a, b, c) with |a|, |b|, |c| <= box and its first nonzero
-    coordinate positive, by increasing |a| + |b| + |c| >= 2 (generator).
-
-    w and -w, or any multiple of w, give the same line through a point,
-    and a coordinate axis (|a| + |b| + |c| = 1) gives that point again with
-    two of its signs changed.
-    """
-    for n in range(2, 3 * box + 1):
-        for a in range(min(n, box) + 1):
-            for b in range(max(0, n - a - box), min(n - a, box) + 1):
-                c = n - a - b
-                if gcd(a, b, c) != 1:
-                    continue
-                for sb in ((1, -1) if a and b else (1,)):
-                    for sc in ((1, -1) if (a or b) and c else (1,)):
-                        yield a, sb * b, sc * c
-
-
-def _points_through(p, q, X0, Y0, Z0):
-    # (X0, Y0, Z0), then the second point of each line through it in
-    # _directions(WILLIAMS_BOX)
-    yield X0, Y0, Z0
-    for a, b, c in _directions(WILLIAMS_BOX):
-        f = p * a * a + q * b * b - c * c
-        t = 2 * (p * X0 * a + q * Y0 * b - Z0 * c)
-        yield f * X0 - t * a, f * Y0 - t * b, f * Z0 - t * c
+def _chord(q, X, Y, Z, c):
+    # the second point of the line through (X, Y, Z) with direction
+    # (0, 1, c), c = +-1, divided by its gcd:
+    # Z' + Y' sqrt q = (1 + c sqrt q)**2 (Z - Y sqrt q)
+    X, Y, Z = (q - 1) * X, 2 * c * Z - (q + 1) * Y, (q + 1) * Z - 2 * c * q * Y
+    g = gcd(X, Y, Z)
+    return X // g, Y // g, Z // g
 
 
 def williams_witness(p: int, q: int) -> LegendreSolution:
     """An admissible solution of p X'**2 + q Y'**2 = Z**2 from one Legendre
-    descent, with no search over Z and no bound.
+    descent and at most two chords, with no search and no bound.
 
-    _legendre_descent(p, [p], q, [q]) gives a point v0 = (X0, Y0, Z0),
-    divided by its gcd.  Each line through v0 with direction w = (a, b, c)
-    meets the conic again at Q(w) v0 - B(v0, w) w, with
-    Q(w) = p a**2 + q b**2 - c**2 and B(v0, w) = 2 (p X0 a + q Y0 b - Z0 c).
-    v0 is tried first, then those points for the w of _directions(
-    WILLIAMS_BOX); each is divided by its gcd and taken positive, and the
-    first admissible one is returned.
+    _legendre_descent(p, [p], q, [q]) gives a point v = (X, Y, Z), divided
+    by its gcd.  The line through v with direction w = (0, 1, c), c = +-1,
+    meets the conic again at F(w) v - B(v, w) w, with F(w) = q - 1 and
+    B(v, w) = 2 (q Y - c Z); that is the point P with
+    Z' + Y' sqrt q = (1 + c sqrt q)**2 (Z - Y sqrt q) and X' = (q - 1) X.
+    The rule: v itself if Y is even and |Z| = 1 (mod 4); else, if Y is
+    even, v is replaced by the chord point for c = 1, which has Y odd; and
+    with Y odd, the chord point for the c = +-1 with c = Y sign(Z) (mod 4),
+    divided by its gcd and taken positive, is returned.
 
     A primitive point is pairwise coprime: a prime dividing two of X', Y',
     Z has its square dividing the third term, and p, q are squarefree, so
@@ -418,28 +399,34 @@ def williams_witness(p: int, q: int) -> LegendreSolution:
     p | X', and p | Z would make p | Y'; so p does not divide Y' Z, and q
     does not divide X' Z in the same way.  Mod 8, p = 5 and q = 3: an even
     X' makes Y' odd and Z**2 = 3 or 7, not a square, so X' is odd.  So
-    only the 2-adic conditions select, Y' even and Z = 1 (mod 4), and
-    each fails on some primitive points: an odd Y' makes Z**2 = 5 + 3 = 0
-    (mod 8), and some points have Z = 3 (mod 4).  Nothing here proves
-    that the box holds a point meeting both; a box that holds none raises
-    NoSolutionInBound naming it, never a silent skip.  The evidence is
-    test_williams_witness_agrees_with_the_z_scan (tests/test_diophantine.py),
-    over every pair that needs a solution with d <= 2*10**5, and the
-    scan_rows window just below 2**40 in tests/test_cli.py.  The point
-    need not be solve_legendre's.
+    only the 2-adic conditions select, Y' even and Z = 1 (mod 4).  That
+    the rule meets both uses only p = 5 and q = 3 (mod 8):
+    - the odd part of gcd(P) is 1 (mod 4).  An odd prime l dividing
+      gcd(P) divides F(w) = q - 1, as otherwise v = mu w (mod l) and
+      0 = F(v) = mu**2 F(w) would force l | F(w).  Such an l splits in
+      Q(sqrt q), and 1 + c sqrt q and Z - Y sqrt q are both prime to l,
+      so v_l(gcd(P)) = min(2k, n, k + x), with k = v_l(q - 1),
+      x = v_l(X) and n = v_l(p X**2).  That is even unless l = p, and
+      p = 1 (mod 4).
+    - Y odd: then Z**2 = 0 (mod 8), so Z = 0 (mod 4), and v_2 of P's
+      coordinates is (1, 2, 1): the gcd's 2-part is 2, Y' is even and
+      Z' = -c q Y = c Y (mod 4).  As Z**2 > q Y**2 and (q + 1) / 2 >
+      sqrt q, (q + 1) |Z| / 2 > q |Y|, so sign(Z') = sign(Z) and
+      |Z'| = c Y sign(Z) (mod 4): 1 for the c chosen, 3 for the other.
+    - Y even: then Z**2 = 1 (mod 8) forces Y = 2 (mod 4) and Z odd, so
+      v_2 of P's coordinates is (1, 1, >= 3), and P's Y is odd.
+    LegendreSolution checks every condition again.  The point need not
+    be solve_legendre's least-Z one.
     """
     _check_legendre_preconds(p, q)
-    Z0, X0, Y0 = _legendre_descent(p, [p], q, [q])
-    g = gcd(X0, Y0, Z0)
-    for X, Y, Z in _points_through(p, q, X0 // g, Y0 // g, Z0 // g):
-        g = gcd(X, Y, Z)
-        if not g:  # w along v0 itself
-            continue
-        Y, Z = abs(Y) // g, abs(Z) // g
-        if Y % 2 == 0 and Z % 4 == 1:
-            return LegendreSolution(p, q, abs(X) // g, Y, Z)
-    raise NoSolutionInBound(f"no admissible point for ({p}, {q}) on the lines through "
-                            f"the descent point with |a|, |b|, |c| <= {WILLIAMS_BOX}")
+    Z, X, Y = _legendre_descent(p, [p], q, [q])
+    g = gcd(X, Y, Z)
+    X, Y, Z = X // g, Y // g, Z // g
+    if Y % 2 == 0 and abs(Z) % 4 != 1:
+        X, Y, Z = _chord(q, X, Y, Z, 1)
+    if Y % 2:
+        X, Y, Z = _chord(q, X, Y, Z, 1 if (Y if Z > 0 else -Y) % 4 == 1 else -1)
+    return LegendreSolution(p, q, abs(X), abs(Y), abs(Z))
 
 
 def williams_criterion(sol: LegendreSolution) -> int:

@@ -50,7 +50,7 @@ class NoRepresentationInBound(ZtwoError):
 
 
 class NoSolutionInBound(ZtwoError):
-    """Bounded search for a Diophantine solution exhausted without a hit."""
+    """solve_legendre's Z scan reached LEGENDRE_Z_CAP without a solution."""
 
 
 class PrecondViolated(ZtwoError):

@@ -544,13 +544,13 @@ def _valuation(x: int, p: int) -> int:
     return v
 
 
-def _structure_from_forms(D, h: int, gens) -> tuple:
+def _structure_from_forms(D, h: int, forms) -> tuple:
     """Ascending elementary-divisor chain of the class group of order h.
 
-    gens() yields reduced forms that generate the group, as _prime_forms
-    does, and one pass over them builds every Sylow subgroup.  orders maps
-    each prime p of a subgroup still open to its order q = p**e, those with
-    e >= 2 first.  A form f is raised once, to x = f**(h/m) with m the
+    forms is an iterable of reduced forms that generate the group, such as
+    the generator _prime_forms, and one pass over it builds every Sylow
+    subgroup.  orders maps each prime p of a subgroup still open to its
+    order q = p**e, those with e >= 2 first.  A form f is raised once, to x = f**(h/m) with m the
     product of those q, and each open subgroup takes its image
     y = x**(m/q) = f**(h/q): one of order p**e > p passes it through
     _sylow_step, and one of order p closes at the first y != 1, which has
@@ -576,7 +576,7 @@ def _structure_from_forms(D, h: int, gens) -> tuple:
     m = h  # the product of the open orders
     partitions = {}
     width = 1  # the most parts of any partition
-    for f in gens():
+    for f in forms:
         a, b, c = f
         if b and b != a != c:
             x = f if m == h else _pow(f, h // m)
@@ -630,7 +630,7 @@ def _structure(disc: Discriminant, h: int, primes) -> ClassGroupStructure:
     # order h from the prime forms of D at the ascending primes, which run
     # at least to sqrt(|D|/3)
     D = disc.D
-    chain = _structure_from_forms(D, h, lambda: _prime_forms(D, primes))
+    chain = _structure_from_forms(D, h, _prime_forms(D, primes))
     return ClassGroupStructure.from_chain(disc, h, chain)
 
 

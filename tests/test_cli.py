@@ -231,7 +231,7 @@ def test_verify_williams_suite(capsys, monkeypatch):
 
 def test_verify_williams_suite_checks_the_descent_solution(capsys, monkeypatch):
     # the solution scan reads joins each pair's enumerated ones: one of the
-    # other branch is a violation, and an empty direction box a skip
+    # other branch is a violation
     monkeypatch.setattr(cli, "WILLIAMS_SUITE_Z_CAP", 3000)
     argv = ("verify", "--max", "120", "--suite", "williams")
     witness = diophantine.williams_witness
@@ -241,12 +241,6 @@ def test_verify_williams_suite_checks_the_descent_solution(capsys, monkeypatch):
     assert code == 3
     assert out.splitlines()[0] == ("  VIOLATION d=95: criterion not solution-invariant over "
                                    "77 solutions and 1 descent solution")
-    monkeypatch.setattr(diophantine, "williams_witness", witness)
-    monkeypatch.setattr(diophantine, "WILLIAMS_BOX", 0)
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out.splitlines()[0].startswith("  skipped d=95: no admissible point for (5, 19)")
-    assert out.splitlines()[-1].endswith("; 0 violations")
 
 
 def test_verify_corollary_output_pinned(capsys):
@@ -296,8 +290,8 @@ def test_scan_rows_agree_with_cross_check():
 
 
 def test_a_corollary_refusal_is_skipped_by_scan_and_cross_check(capsys, monkeypatch):
-    # any refusal of the corollary route is a skip, not only the B
-    # direction box's NoSolutionInBound; the oracle's r still stands
+    # any refusal of the corollary route is a skip, such as an A1
+    # prime's NoRepresentationInBound; the oracle's r still stands
     pell = classifier.solve_pell_rep
 
     def refuse_89(p):

@@ -30,7 +30,6 @@ from ztwo.diophantine import (
 from ztwo.errors import (
     BadPrimeClass,
     InvalidInput,
-    NoSolutionInBound,
     NotQuadraticResidue,
     NotSquarefree,
     PrecondViolated,
@@ -89,6 +88,18 @@ def test_pell_agrees_with_oracle():
             assert (rep.u, rep.v) == pell_oracle(p)
             found.append(p)
     assert len(found) == 48 + 887 + 29
+
+
+def test_pell_answers_every_a1_prime_below_3e5():
+    # the A1 route of the corollary never refuses in range: each prime
+    # p = 9 (mod 16) with (2/p)_4 = +1 has a u = 1 (mod 8) representation
+    from ztwo.symbols import quartic_residue
+
+    primes = [p for p in range(9, 3 * 10 ** 5, 16) if is_prime(p) and quartic_residue(2, p) == 1]
+    assert len(primes) == 1621
+    for p in primes:
+        assert classify(p).tag == "A1", p
+        assert solve_pell_rep(p).p == p
 
 
 def test_pell_walk_starts_anywhere_on_the_orbit(monkeypatch):
@@ -379,25 +390,74 @@ def test_williams_criterion_invariant_across_solutions():
         assert {williams_criterion(s) for s in sols} == {value}
 
 
+def _b_pairs_needing_a_solution(dmin, dmax):
+    return [t.primes for t in classifier.classified(dmin, dmax)
+            if t.tag == "B" and classifier.b_symbol_r(*t.primes) is None]
+
+
 def test_williams_witness_agrees_with_the_z_scan():
     # the descent solution and the least-Z one give the same branch on every
     # B pair that needs a solution with d <= 2*10**5
-    pairs = [t.primes for t in classifier.classified(3, 2 * 10 ** 5)
-             if t.tag == "B" and classifier.b_symbol_r(*t.primes) is None]
+    pairs = _b_pairs_needing_a_solution(3, 2 * 10 ** 5)
     assert len(pairs) == 1469
     for p, q in pairs:
         assert williams_criterion(williams_witness(p, q)) == williams_criterion(solve_legendre(p, q)), (p, q)
-    assert williams_witness(5, 19) == LegendreSolution(5, 19, 1, 2, 9)
+    assert williams_witness(5, 19) == LegendreSolution(5, 19, 243, 458, 2069)
 
 
-def test_williams_witness_refuses_an_empty_box(monkeypatch):
-    # (5, 19) descends to (3, 2, 11), with Z = 3 (mod 4): with no line to
-    # try, the refusal names the box, and the scan row reads skipped
-    monkeypatch.setattr(diophantine, "WILLIAMS_BOX", 0)
-    with pytest.raises(NoSolutionInBound, match=r"\(5, 19\) .* \|a\|, \|b\|, \|c\| <= 0"):
-        williams_witness(5, 19)
-    row, = scan_rows(95, 95)
-    assert (row["tag"], row["r_oracle"], row["r_corollary"]) == ("B", 4, "skipped")
+@pytest.mark.parametrize("p, q, descent, witness", [
+    (157, 3, (1, -2, -13), (1, 2, 13)),      # admissible as it stands
+    (61, 3, (1, -1, 8), (1, 6, 13)),         # Y odd: one chord
+    (5, 19, (3, 2, -11), (243, 458, 2069)),  # Z = 3 (mod 4): two chords
+])
+def test_williams_witness_one_pair_per_descent_class(p, q, descent, witness):
+    Z, X, Y = _legendre_descent(p, [p], q, [q])
+    assert (X, Y, Z) == descent and gcd(X, Y, Z) == 1
+    assert williams_witness(p, q) == LegendreSolution(p, q, *witness)
+
+
+def test_williams_chords_follow_the_proof():
+    # the 2-adic steps of williams_witness's proof on every B pair that
+    # needs a solution with d <= 10**5: the chord with c = 1 from a point
+    # with Y even and |Z| = 3 (mod 4) has Y odd; from a point with Y odd,
+    # both chords have Y even, the sign of Z, and |Z| = c Y sign(Z)
+    # (mod 4), so 1 for one c and 3 for the other.  Each chord point is
+    # the line's F(w) v - B(v, w) w, w = (0, 1, c), divided by its gcd
+    def line(p, q, X, Y, Z, c):
+        f, t = q - 1, 2 * (q * Y - c * Z)
+        P = (f * X, f * Y - t, f * Z - t * c)
+        return tuple(x // gcd(*P) for x in P)
+
+    seen = {"admissible": 0, "Y odd": 0, "Z = 3 (mod 4)": 0}
+    for p, q in _b_pairs_needing_a_solution(3, 10 ** 5):
+        Z, X, Y = _legendre_descent(p, [p], q, [q])
+        g = gcd(X, Y, Z)
+        X, Y, Z = X // g, Y // g, Z // g
+        if Y % 2 == 0 and abs(Z) % 4 == 1:
+            seen["admissible"] += 1
+            continue
+        seen["Y odd" if Y % 2 else "Z = 3 (mod 4)"] += 1
+        if Y % 2 == 0:
+            assert abs(Z) % 4 == 3
+            X, Y, Z = diophantine._chord(q, X, Y, Z, 1)
+            assert Y % 2 == 1, (p, q)
+        sign = 1 if Z > 0 else -1
+        for c in (1, -1):
+            Xc, Yc, Zc = chord = diophantine._chord(q, X, Y, Z, c)
+            assert chord == line(p, q, X, Y, Z, c), (p, q, c)
+            assert p * Xc * Xc + q * Yc * Yc == Zc * Zc, (p, q, c)
+            assert Yc % 2 == 0 and Zc * sign > 0, (p, q, c)
+            assert abs(Zc) % 4 == c * Y * sign % 4, (p, q, c)
+    assert all(seen.values()), seen
+
+
+def test_williams_witness_below_2_40():
+    # every B pair that needs a solution among the 2*10**5 d from
+    # 1,099,511,000,001 gets one; LegendreSolution checks each
+    pairs = _b_pairs_needing_a_solution(1099511000001, 1099511200000)
+    assert len(pairs) == 804
+    for p, q in pairs:
+        assert williams_witness(p, q).p == p
 
 
 def test_legendre_validator():

@@ -428,13 +428,13 @@ def test_sweep_neither_reads_nor_writes_the_memo(monkeypatch):
 
 def test_forged_form_list_trips_the_order_check():
     with pytest.raises(AssertionError):
-        qforms._structure_from_forms(-23, 3, lambda: [principal_form(-23)] * 3)
+        qforms._structure_from_forms(-23, 3, [principal_form(-23)] * 3)
     # (2, 0, 3), of discriminant -24, has the shape of an ambiguous form but
     # squares to (1, 0, 6): no odd power of it may be read off its shape,
     # neither for a Sylow 2-subgroup of order 2 (h = 2) nor of order 4 (h = 12)
     for D, h in ((-15, 2), (-84, 12)):
         with pytest.raises(AssertionError, match="does not square"):
-            qforms._structure_from_forms(D, h, lambda: [principal_form(D)] + [(2, 0, 3)] * (h - 1))
+            qforms._structure_from_forms(D, h, [principal_form(D)] + [(2, 0, 3)] * (h - 1))
 
 
 FORGED_CLASS_NUMBER_ERRORS = {
@@ -458,7 +458,7 @@ def test_forged_class_number_trips_the_order_check(h):
     # beside one of order p: at 28, 56 and 63 the closure step of f proves
     # f**h = 1 (f**7 = 1 lies in the span), which lets the order-7 check be
     # skipped, but the larger subgroup never closes; at 12 its step fails
-    gens = lambda: qforms._prime_forms(-71, [2, 3])  # noqa: E731
+    gens = list(qforms._prime_forms(-71, [2, 3]))
     assert qforms._structure_from_forms(-71, 7, gens) == (7,)
     with pytest.raises(AssertionError, match=FORGED_CLASS_NUMBER_ERRORS[h]):
         qforms._structure_from_forms(-71, h, gens)
@@ -467,7 +467,7 @@ def test_forged_class_number_trips_the_order_check(h):
 def test_forged_form_list_trips_the_closure():
     # h = 4 claims a Sylow 2-subgroup of order 4, but the forms close at 2
     with pytest.raises(AssertionError):
-        qforms._structure_from_forms(-84, 4, lambda: [(1, 0, 21)] + [(2, 2, 11)] * 3)
+        qforms._structure_from_forms(-84, 4, [(1, 0, 21)] + [(2, 2, 11)] * 3)
 
 
 def test_prime_forms_give_the_chain_of_the_full_form_list():
@@ -481,10 +481,10 @@ def test_prime_forms_give_the_chain_of_the_full_form_list():
         forms = reduced_forms(D)
         assert class_group(D).h == len(forms), D
         primes = [2, *_odd_primes_to(isqrt(-D // 3))]
-        prime_forms = lambda: qforms._prime_forms(D, primes)  # noqa: E731
-        assert set(prime_forms()) <= set(forms), D
+        prime_forms = list(qforms._prime_forms(D, primes))
+        assert set(prime_forms) <= set(forms), D
         assert (qforms._structure_from_forms(D, len(forms), prime_forms)
-                == qforms._structure_from_forms(D, len(forms), lambda: forms)), D
+                == qforms._structure_from_forms(D, len(forms), forms)), D
 
 
 def power_table_partition(sylow, p):
@@ -547,7 +547,7 @@ def test_forged_form_list_trips_the_last_generator():
     # Cl(-95) = Z/8 cut to h = 4: the first generator y has y**2 != 1, so it
     # would close a Sylow 2-subgroup of order 4, but y**4 != 1
     with pytest.raises(AssertionError):
-        qforms._structure_from_forms(-95, 4, lambda: reduced_forms(-95)[:4])
+        qforms._structure_from_forms(-95, 4, reduced_forms(-95)[:4])
 
 
 def test_last_generator_adds_no_cosets(monkeypatch):
@@ -599,13 +599,14 @@ def test_an_ambiguous_generator_is_squared_once(monkeypatch):
 
 def test_the_builder_walks_the_prime_forms_once_per_discriminant(monkeypatch):
     # one pass over the generators builds every Sylow subgroup of a D;
-    # a D with h = 1 needs none
+    # a D with h = 1 needs none.  _prime_forms is a lazy generator, so the
+    # spy counts a walk when the builder draws its first form
     walks = Counter()
     prime_forms = qforms._prime_forms
 
     def counted(D, primes):
         walks[D] += 1
-        return prime_forms(D, primes)
+        yield from prime_forms(D, primes)
 
     monkeypatch.setattr(qforms, "_prime_forms", counted)
     swept = list(class_group_sweep(3000))
