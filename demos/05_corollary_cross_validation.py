@@ -19,7 +19,6 @@ report = cross_check(5000)
 
 print(f"classified d <= 5000: {report.checked}")
 print(f"violations: {len(report.violations)}")
-print(f"skipped (corollary refused): {len(report.skipped)}")
 
 # ---------------------------------------------------------------------------
 # How the corollary answers distribute per family.

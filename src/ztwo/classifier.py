@@ -246,12 +246,11 @@ def exponent_r_corollary(tag: FamilyTag) -> RBound:
     which confronts the descent solution with solve_legendre's least-Z one
     on every pair that needs one with d <= 2*10**5, and cross_check.
 
-    No route takes a bound: the A1 representation comes from a gcd in
-    Z[sqrt 2] and the A2 and B witnesses from a descent.  The one refusal
-    left is solve_pell_rep's NoRepresentationInBound, for a p = 1 (mod 8)
-    with no u = 1 (mod 8) representation; no A1 prime is known to reach
-    it.  confront, which scan and cross_check both read, records any
-    refusal of this route (any ZtwoError) as skipped.
+    No route takes a bound or refuses a classified d: the A1
+    representation, from a gcd in Z[sqrt 2], exists as (2/p)_4 = +1
+    (solve_pell_rep), the A2 and B witnesses come from a descent, and the
+    B solution has (Z/p) = +1 (williams_criterion).  confront, which scan
+    and cross_check both read, records any ZtwoError here as a violation.
     """
     if tag.tag not in EXACT_FAMILIES:
         raise UnsupportedFamily(f"no corollary route for family {tag.tag}")
@@ -382,9 +381,9 @@ class CrossCheckEntry:
     d: int
     tag: str
     primes: tuple
-    analysis: Analysis | None  # None where the oracle refused
+    analysis: Analysis | None  # None where a route refused
     r_corollary: RBound
-    status: str  # "ok" | "violation" | "skipped"
+    status: str  # "ok" | "violation"
     detail: str = ""
 
     @property
@@ -405,31 +404,23 @@ class CrossCheckReport:
     def violations(self):
         return [e for e in self.entries if e.status == "violation"]
 
-    @property
-    def skipped(self):
-        return [e for e in self.entries if e.status == "skipped"]
-
 
 def confront(tag: FamilyTag) -> CrossCheckEntry:
     """The oracle r and the corollary bound of one exact-family d, confronted.
 
-    The one refusal policy for both routes: a ZtwoError from the oracle, or
-    a theorem precondition that analyze finds broken, is a violation
-    without an analysis (r_oracle = -1); a ZtwoError from the corollary is
-    skipped; otherwise the corollary's exact r must equal the oracle r, or
-    its lower bound must be satisfied.  The entry carries the Analysis that
-    analyze returned, so a reader needs no second one.
+    The one refusal policy for both routes: a ZtwoError from either, or a
+    theorem precondition that analyze finds broken, is a violation without
+    an analysis (r_oracle = -1); otherwise the corollary's exact r must
+    equal the oracle r, or its lower bound must be satisfied.  The entry
+    carries the Analysis that analyze returned, so a reader needs no
+    second one.
     """
     d, family, primes = tag.d.value, tag.tag, tag.primes
     try:
         analysis = analyze(tag)
-    except ZtwoError as exc:
-        return CrossCheckEntry(d, family, primes, None, RBound.at_least(1), "violation", str(exc))
-    try:
         r_cor = exponent_r_corollary(tag)
     except ZtwoError as exc:
-        return CrossCheckEntry(d, family, primes, analysis, RBound.at_least(1), "skipped",
-                               f"corollary: {exc}")
+        return CrossCheckEntry(d, family, primes, None, RBound.at_least(1), "violation", str(exc))
     if r_cor.satisfied_by(analysis.r):
         return CrossCheckEntry(d, family, primes, analysis, r_cor, "ok")
     return CrossCheckEntry(d, family, primes, analysis, r_cor, "violation",

@@ -119,9 +119,9 @@ def cmd_predict(args):
 def scan_cells(dmin, dmax, family=None):
     """One tuple of cells in SCAN_COLUMNS order per odd squarefree d in
     [dmin, dmax], ascending; blank cells are "".  An exact-family row is
-    read off classifier.confront: r_oracle is "skipped" where the oracle
-    refused, r_corollary where the corollary did; shapes and nu come from
-    the entry's Analysis, lambda from classifier.LAMBDA.
+    read off classifier.confront: r_oracle is "skipped", and the other
+    cells blank, where either route refused; shapes and nu come from the
+    entry's Analysis, lambda from classifier.LAMBDA.
     """
     for tag in classifier.classified(dmin, dmax):
         fam, d = tag.tag, tag.d.value
@@ -136,8 +136,7 @@ def scan_cells(dmin, dmax, family=None):
             yield (d, fam, p, q, "skipped", "", "", "", "", "", "")
         else:
             a = entry.analysis
-            yield (d, fam, p, q, a.r,
-                   "skipped" if entry.status == "skipped" else str(entry.r_corollary),
+            yield (d, fam, p, q, a.r, str(entry.r_corollary),
                    "x".join(map(str, a.divisors(1, "L"))), "x".join(map(str, a.divisors(1, "K"))),
                    classifier.LAMBDA, a.nu("L"), a.nu("K"))
 
@@ -150,8 +149,8 @@ def scan_rows(dmin, dmax, family=None):
 
 
 def cmd_scan(args):
-    if args.min > args.max or args.max > 10 ** 6:
-        raise InvalidInput("need min <= max <= 10**6")
+    if args.min > args.max or args.max >= 2 ** 40:
+        raise InvalidInput("need min <= max <= 2**40 - 1")
     if args.format == "csv":
         # made per call: the writer keeps the stream, and callers swap sys.stdout
         out = csv.writer(sys.stdout, lineterminator="\n")
@@ -214,11 +213,9 @@ def cmd_witness(args):
 def _verify_corollary(d_max):
     report = classifier.cross_check(d_max)
     print(f"corollary suite: {report.checked} classified d <= {d_max}; "
-          f"{len(report.violations)} violations, {len(report.skipped)} skipped")
+          f"{len(report.violations)} violations")
     for v in report.violations:
         print(f"  VIOLATION d={v.d} [{v.tag}] {v.detail}")
-    for s in report.skipped:
-        print(f"  skipped d={s.d} [{s.tag}] {s.detail}")
     return len(report.violations)
 
 

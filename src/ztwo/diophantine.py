@@ -1,11 +1,12 @@
 """Solvers for the three representation problems the criteria use.
 
 Every solver is deterministic, and a witness that is missing surfaces as
-NoRepresentationInBound (solve_pell_rep) or NoSolutionInBound (the Z
-scan's cap), never as a wrong answer.
+PrecondViolated (solve_pell_rep) or NoSolutionInBound (the Z scan's
+cap), never as a wrong answer.
 solve_pell_rep reads the least-v representation off the prime above p in
 Z[sqrt 2], one gcd and a unit walk of a few steps, with no search and no
-bound.  solve_kaplan and williams_witness take no bound either: each
+bound; it refuses exactly the p with (2/p)_4 = -1, so no A1 prime.
+solve_kaplan and williams_witness take no bound either: each
 reads its witness off one Lagrange descent (_legendre_descent; Cremona
 and Rusin, Math. Comp. 72, 2003), the descent that also serves the
 class-group oracle.  solve_kaplan's is a primitive solution of
@@ -30,7 +31,6 @@ from .arith import _split_square, _sqrt_mod_prime, _sqrt_mod_squarefree, is_prim
 from .errors import (
     BadPrimeClass,
     InvalidInput,
-    NoRepresentationInBound,
     NoSolutionInBound,
     PrecondViolated,
 )
@@ -179,7 +179,15 @@ def solve_pell_rep(p: int) -> PellRepresentation:
     -v_{k-2} = 2u_{k-1} - 3v_{k-1} > 2u_{k-1} + 3v_{k-1} = v_k.  If
     u_{k-1} = 1 (mod 8), it is -v_{k-1} in the same way, as
     v_{k+1} = 2u_k + 3v_k > 2u_k - 3v_k = -v_{k-1}.  If neither is,
-    no representation exists, and NoRepresentationInBound says so.
+    no representation exists, and PrecondViolated says so.
+
+    That is exactly when (2/p)_4 = -1, so no A1 prime is refused.  For
+    p = u**2 - 2v**2 with u > 0, u is odd, v even and gcd(u, v) = 1, and
+    2 = (u/v)**2 (mod p) gives (2/p)_4 = (u/p)(v/p).  As p = 1 (mod 8),
+    Jacobi reciprocity gives (u/p) = (p/u) = (-2v**2/u) = (-2/u) and, for
+    the odd part w of |v|, (v/p) = (w/p) = (p/w) = (u**2/w) = 1.  So
+    (2/p)_4 = (-2/u), +1 exactly for u = 1 or 3 (mod 8), the two values
+    of u on one orbit (cf. Lemmermeyer, Reciprocity Laws, 2000, ch. 5).
     """
     if not is_prime(p):
         raise InvalidInput(f"{p} is not prime")
@@ -192,7 +200,7 @@ def solve_pell_rep(p: int) -> PellRepresentation:
         u, v = 3 * u + 4 * v, 2 * u + 3 * v
     u, v = (u, -v) if u % 8 == 1 else (3 * u + 4 * v, 2 * u + 3 * v)
     if u % 8 != 1:
-        raise NoRepresentationInBound(f"no u = 1 (mod 8) representation of {p}")
+        raise PrecondViolated(f"no u = 1 (mod 8) representation of {p}: (2/{p})_4 = -1")
     return PellRepresentation(p, u, v)
 
 
@@ -438,6 +446,13 @@ def williams_criterion(sol: LegendreSolution) -> int:
     solution with Z up to its cap for each pair, williams_witness's
     among them, and checks that they agree; cross_check confronts the
     value with the class-group oracle.
+
+    quartic_residue never refuses: on an admissible solution for a pair
+    with (q/p)_4 = -1, the pairs the corollary reads, Z**2 = q Y'**2
+    (mod p) gives (Z/p) = (q/p)_4 (Y'/p) = -(Y'/p).  Mod 8, X' and Z odd
+    give 3 Y'**2 = 4, so Y' = 2y with y odd, and (Y'/p) = (2/p)(y/p) =
+    -(p/y) by Jacobi reciprocity; p X'**2 = Z**2 (mod y), with
+    gcd(X', y) = 1, makes (p/y) = 1.  So (Z/p) = +1.
     """
     quartic = quartic_residue(sol.Z % sol.p, sol.p)
     jac = jacobi(2 * sol.Xp, sol.Z)

@@ -45,10 +45,6 @@ class EnumerationBoundExceeded(ZtwoError):
     """|D| too large for exact class-group enumeration."""
 
 
-class NoRepresentationInBound(ZtwoError):
-    """No representation of the requested kind exists."""
-
-
 class NoSolutionInBound(ZtwoError):
     """solve_legendre's Z scan reached LEGENDRE_Z_CAP without a solution."""
 

@@ -10,7 +10,7 @@ import pytest
 
 from ztwo import classifier, cli, diophantine, qforms
 from ztwo.classifier import RBound
-from ztwo.errors import InvalidInput, NoRepresentationInBound
+from ztwo.errors import InvalidInput, PrecondViolated
 
 
 def run(capsys, *argv):
@@ -182,11 +182,21 @@ def test_witness_pell_zero_is_invalid_input(capsys):
 
 @pytest.mark.parametrize("argv, err", [
     (("--pell", "13"), "error: need p = 1 (mod 8), got p = 13\n"),
-    (("--pell", "17"), "error: no u = 1 (mod 8) representation of 17\n"),
 ])
 def test_witness_pell_refusals(capsys, argv, err):
-    # 13 is in the wrong class; 17 has no representation, as (2/17)_4 = -1
+    # 13 is in the wrong class
     assert run(capsys, "witness", *argv) == (1, "", err)
+
+
+def test_witness_pell_17_refusal_names_the_symbol():
+    # 17 has no u = 1 (mod 8) representation, as (2/17)_4 = -1 and
+    # (2/p)_4 = (-2/u) for every u of p = u**2 - 2v**2; run end to end
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "ztwo", "witness", "--pell", "17"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: no u = 1 (mod 8) representation of 17: (2/17)_4 = -1\n")
 
 
 def test_witness_pell_has_no_v_cap(capsys):
@@ -246,7 +256,7 @@ def test_verify_williams_suite_checks_the_descent_solution(capsys, monkeypatch):
 def test_verify_corollary_output_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "corollary", "--max", "10000")
     assert code == 0
-    assert hashlib.sha1(out.encode()).hexdigest() == "35075dfc4a47a7c9141ba5acf19c7f586985a575"
+    assert hashlib.sha1(out.encode()).hexdigest() == "cdad751a90a99f8515580a9d399c567b358a935d"
 
 
 def _three_views_agree(capsys, dmin, dmax):
@@ -289,22 +299,26 @@ def test_scan_rows_agree_with_cross_check():
         assert (row["r_oracle"], row["r_corollary"]) == (e.r_oracle, str(e.r_corollary)), row
 
 
-def test_a_corollary_refusal_is_skipped_by_scan_and_cross_check(capsys, monkeypatch):
-    # any refusal of the corollary route is a skip, such as an A1
-    # prime's NoRepresentationInBound; the oracle's r still stands
+def test_a_corollary_refusal_is_a_violation(capsys, monkeypatch):
+    # no classified d reaches a corollary refusal, so a forged one for the
+    # A1 prime 89 is a violation without an analysis, as an oracle
+    # refusal is: scan writes the row with r_oracle skipped, and verify
+    # exits 3
     pell = classifier.solve_pell_rep
 
     def refuse_89(p):
         if p == 89:
-            raise NoRepresentationInBound("no representation of 89")
+            raise PrecondViolated("no representation of 89")
         return pell(p)
     monkeypatch.setattr(classifier, "solve_pell_rep", refuse_89)
-    (row,) = _three_views_agree(capsys, 89, 89)
-    assert (row["r_oracle"], row["r_corollary"], row["shape_L_n1"]) == (3, "skipped", "2x4")
     report = classifier.cross_check(89)
-    assert [(e.d, e.r_oracle, e.detail) for e in report.skipped] == \
-        [(89, 3, "corollary: no representation of 89")]
-    assert report.violations == []
+    assert [(e.d, e.r_oracle, e.detail) for e in report.violations] == \
+        [(89, -1, "no representation of 89")]
+    code, out, _ = run(capsys, "verify", "--suite", "corollary", "--max", "89")
+    assert code == 3
+    assert "  VIOLATION d=89 [A1] no representation of 89\n" in out
+    (row,) = _three_views_agree(capsys, 89, 89)
+    assert ",".join(str(row[c]) for c in cli.SCAN_COLUMNS) == "89,A1,89,,skipped,,,,,,"
 
 
 def test_json_serialization_roundtrips():
@@ -395,7 +409,7 @@ def test_empty_verify_range_is_invalid_input(capsys, argv):
 def test_scan_min_above_max_is_invalid_input(capsys):
     code, out, err = run(capsys, "scan", "--min", "10", "--max", "5")
     assert (code, out) == (1, "")
-    assert err.strip() == "error: need min <= max <= 10**6"
+    assert err.strip() == "error: need min <= max <= 2**40 - 1"
     args = argparse.Namespace(min=10, max=5, family=None, format="csv")
     with pytest.raises(InvalidInput):
         cli.cmd_scan(args)
@@ -466,14 +480,14 @@ def test_scan_output_pinned(capsys, dmin, dmax, fmt, sha1):
     (9999001, 813, "15422bf2560a5cae2326ed2c52f0cf5599e3976e"),
     (99999001, 809, "4ab581a8d52e7a80a3c43153e9c9af2e8f7f02ab"),
     (999999001, 805, "c86ab3cd06fa741e4069205107aa3c2654460caf"),
+    (1099511620001, 807, "62f3b11e960002250115122f7f31c9b67eb3178f"),
 ])
-def test_scan_rows_past_the_cli_cap_pinned(dmin, rows, sha1):
-    # the CSV that cmd_scan would print for the 2,000 d from dmin, which
-    # only the library reaches: scan --max stops at 10**6
-    found = list(cli.scan_rows(dmin, dmin + 1999))
-    lines = [cli.SCAN_COLUMNS] + [[str(row[c]) for c in cli.SCAN_COLUMNS] for row in found]
-    out = "".join(",".join(line) + "\n" for line in lines)
-    assert len(found) == rows
+def test_scan_rows_past_the_cli_cap_pinned(capsys, dmin, rows, sha1):
+    # the CSV of the 2,000 d from dmin, past scan's former cap of 10**6;
+    # the last window ends 5,775 below the cap 2**40 - 1
+    code, out, _ = run(capsys, "scan", "--min", str(dmin), "--max", str(dmin + 1999))
+    assert code == 0
+    assert len(out.splitlines()) == rows + 1
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 

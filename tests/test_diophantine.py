@@ -66,11 +66,11 @@ def test_pell_errors():
 
 
 def test_pell_agrees_with_oracle():
-    # a u = 1 (mod 8) representation exists exactly when (2/p)_4 = +1;
-    # where it does, the solver must return the minimal-v one.  Near 10**10
-    # the oracle's scan is long (v up to 163,142), so that window takes
-    # only the A1 class p = 9 (mod 16)
-    from ztwo.errors import NoRepresentationInBound
+    # a u = 1 (mod 8) representation exists exactly when (2/p)_4 = +1, as
+    # (2/p)_4 = (-2/u) for every u of p = u**2 - 2v**2 (solve_pell_rep's
+    # lemma); where it does, the solver must return the minimal-v one.
+    # Near 10**10 the oracle's scan is long (v up to 163,142), so that
+    # window takes only the A1 class p = 9 (mod 16)
     from ztwo.symbols import quartic_residue
 
     found = []
@@ -78,11 +78,12 @@ def test_pell_agrees_with_oracle():
         for p in range(lo, hi, step):
             if not is_prime(p):
                 continue
+            assert jacobi(-2, diophantine._prime_above(p)[0]) == quartic_residue(2, p), p
             try:
                 rep = solve_pell_rep(p)
-            except NoRepresentationInBound as exc:
+            except PrecondViolated as exc:
                 assert quartic_residue(2, p) == -1
-                assert str(exc) == f"no u = 1 (mod 8) representation of {p}"
+                assert str(exc) == f"no u = 1 (mod 8) representation of {p}: (2/{p})_4 = -1"
                 continue
             assert quartic_residue(2, p) == 1
             assert (rep.u, rep.v) == pell_oracle(p)
@@ -401,7 +402,11 @@ def test_williams_witness_agrees_with_the_z_scan():
     pairs = _b_pairs_needing_a_solution(3, 2 * 10 ** 5)
     assert len(pairs) == 1469
     for p, q in pairs:
-        assert williams_criterion(williams_witness(p, q)) == williams_criterion(solve_legendre(p, q)), (p, q)
+        descent, least = williams_witness(p, q), solve_legendre(p, q)
+        assert williams_criterion(descent) == williams_criterion(least), (p, q)
+        # the two steps of williams_criterion's proof that (Z/p) = +1
+        for s in (descent, least):
+            assert (jacobi(s.Z, p), s.Yp % 4) == (1, 2), (p, q, s)
     assert williams_witness(5, 19) == LegendreSolution(5, 19, 243, 458, 2069)
 
 
