@@ -225,20 +225,19 @@ def exponent_r_corollary(tag: FamilyTag) -> RBound:
 
     The A2 witness is a primitive s**2 = p Y**2 + 2 q k**2 from one
     Lagrange descent (solve_kaplan), and its norm_value is s.  Kaplan's
-    theorem, as the paper uses it, reads r off a witness; that (-2/s)
-    takes one value on every witness is not proved here.  The evidence
-    is test_kaplan_criterion_takes_one_value_per_pair
-    (tests/test_diophantine.py), which lists by isqrt every primitive
-    solution with k < 120 and Y < 400 for each A2 pair with d <= 10**4
-    and finds one value per pair, -1 exactly where the oracle reads
-    r = 3, and cross_check, which confronts the descent witness with the
-    oracle over any range of d.
+    theorem, as the paper uses it, reads r off a witness; solve_kaplan's
+    docstring proves that (-2/s) takes one value on every witness, as a
+    genus character of -8pq that is +1 on Cl[2].
+    test_kaplan_criterion_proof_steps (tests/test_diophantine.py) checks
+    each step of that proof on every A2 pair with d <= 2*10**4, and
+    cross_check confronts the descent witness with the oracle over any
+    range of d.
 
     The B solution is read off one Lagrange descent too
     (williams_witness): the descent point, or the second point of at most
     two chords through it, a rule proved to give an admissible solution.
     Williams' theorem reads r off a solution; that the criterion takes
-    one value on every admissible solution is not proved here either.
+    one value on every admissible solution is not proved here.
     The evidence is verify --suite williams, which lists every admissible
     solution with Z <= 20000 for each B pair with d <= --max, adds the
     descent solution and checks that all agree (0 violations with

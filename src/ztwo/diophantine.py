@@ -1,8 +1,7 @@
 """Solvers for the three representation problems the criteria use.
 
 Every solver is deterministic, and a witness that is missing surfaces as
-PrecondViolated (solve_pell_rep) or NoSolutionInBound (the Z scan's
-cap), never as a wrong answer.
+PrecondViolated (solve_pell_rep), never as a wrong answer.
 solve_pell_rep reads the least-v representation off the prime above p in
 Z[sqrt 2], one gcd and a unit walk of a few steps, with no search and no
 bound; it refuses exactly the p with (2/p)_4 = -1, so no A1 prime.
@@ -13,13 +12,15 @@ class-group oracle.  solve_kaplan's is a primitive solution of
 s**2 = p Y**2 + 2 q k**2; williams_witness's is the descent point of
 p X'**2 + q Y'**2 = Z**2 or the second point of a chord through it, by a
 rule proved to give an admissible point.  The one search is the Z scan:
-solve_legendre scans Z in increasing order up to LEGENDRE_Z_CAP, for the
-least-Z solution that witness --legendre prints, and
+solve_legendre scans Z in increasing order up to the Z of
+williams_witness's point, so it always finds the least-Z solution that
+witness --legendre prints, for p*q < 2**40; and
 enumerate_legendre_solutions lists every solution up to the bound it is
 given, for the williams suite.
-That the Kaplan and Williams criteria take one value on every witness
-is not proved here; the evidence is in the tests and verify suites that
-the exponent_r_corollary docstring names.
+That (-2/s) takes one value on every Kaplan witness is proved in
+solve_kaplan's docstring.  That the Williams criterion takes one value on
+every admissible solution is not proved here; the evidence is in the
+tests and verify suites that the exponent_r_corollary docstring names.
 Returned objects re-validate their defining identities on construction,
 independently of the search path.
 """
@@ -27,17 +28,9 @@ independently of the search path.
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import _split_square, _sqrt_mod_prime, _sqrt_mod_squarefree, is_prime
-from .errors import (
-    BadPrimeClass,
-    InvalidInput,
-    NoSolutionInBound,
-    PrecondViolated,
-)
+from .arith import FACTOR_BOUND, _split_square, _sqrt_mod_prime, _sqrt_mod_squarefree, is_prime
+from .errors import BadPrimeClass, InvalidInput, PrecondViolated
 from .symbols import jacobi, quartic_residue
-
-# the largest Z that solve_legendre scans
-LEGENDRE_Z_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -225,6 +218,28 @@ def solve_kaplan(p: int, q: int) -> KaplanParams:
     equation always has a point (Legendre: p is a square mod q, 2q one
     mod p), and the descent, each level of which shrinks |A| + |B|,
     finds it with no bound.
+
+    Kaplan's criterion (-2/s) takes one value on every primitive
+    solution, so it does not depend on the witness:
+    - s is prime to 2pq: it is odd, q | s would force q | Y and then
+      q | k, and p | s would force p | k and then p | Y.
+    - -8pq is a fundamental discriminant (pq = 1 (mod 8)), of the order
+      Z[w], w = sqrt(-2pq).  gamma = p Y + k w has norm p s**2 and
+      coprime coordinates, so (gamma) = P A with P = (p, w), of class
+      [(p, 0, 2q)], and A primitive of norm s**2.  Every prime of s
+      splits, and a primitive A holds only one prime above each, so
+      A = B**2 with N(B) = s, and [B]**2 = [P]**-1 = [(p, 0, 2q)].  Up to
+      conjugation, which inverts [B] and fixes its square, B is the form
+      (s, 2t, (t**2 + 2pq) / s) with t = p Y k**-1 (mod s).
+    - B represents s, so (-2/s) = chi_{-8}(N(B)) is the value on [B] of
+      the genus character chi_{-8} of -8pq (Cox, Primes of the Form
+      x^2 + ny^2, 2nd ed., 2013, section 3).
+    - Another solution gives a B' with [B']**2 = [B]**2, so [B'] = [B] a
+      with a in Cl[2].  Of the three prime discriminants -8, -p and -q of
+      -8pq, Cl[2] has 2**(3 - 1) = 4 classes, the ambiguous (1, 0, 2pq),
+      (2, 0, pq), (p, 0, 2q) and (2p, 0, q).  They represent 1, pq + 2,
+      p and q, all 1 or 3 (mod 8), so chi_{-8} = +1 on Cl[2], and
+      chi_{-8}([B']) = chi_{-8}([B]).
     """
     if not (is_prime(p) and is_prime(q)):
         raise InvalidInput(f"{p}, {q} must both be prime")
@@ -362,12 +377,14 @@ def _legendre_candidates(p, q, z_bound):
 
 
 def solve_legendre(p: int, q: int) -> LegendreSolution:
-    """The admissible solution with smallest Z (then smallest X'), from a
-    scan of Z <= LEGENDRE_Z_CAP; NoSolutionInBound past the cap."""
-    _check_legendre_preconds(p, q)
-    for sol in _legendre_candidates(p, q, LEGENDRE_Z_CAP):
-        return sol
-    raise NoSolutionInBound(f"no admissible solution for ({p}, {q}) with Z <= {LEGENDRE_Z_CAP}")
+    """The admissible solution with smallest Z (then smallest X'), for
+    p*q < 2**40, the domain of d at every other entry point; InvalidInput
+    past it.  The scan runs in increasing (Z, X') order up to the Z of
+    williams_witness's solution, which is admissible, so it always
+    returns, at that solution or before it."""
+    if p * q >= FACTOR_BOUND:
+        raise InvalidInput(f"need p*q < 2**40, got {p}*{q} = {p * q}")
+    return next(_legendre_candidates(p, q, williams_witness(p, q).Z))
 
 
 def enumerate_legendre_solutions(p: int, q: int, bound: int) -> list:

@@ -45,10 +45,6 @@ class EnumerationBoundExceeded(ZtwoError):
     """|D| too large for exact class-group enumeration."""
 
 
-class NoSolutionInBound(ZtwoError):
-    """solve_legendre's Z scan reached LEGENDRE_Z_CAP without a solution."""
-
-
 class PrecondViolated(ZtwoError):
     """Solver or criterion called outside its congruence/symbol hypotheses."""
 

@@ -188,6 +188,30 @@ def test_witness_pell_refusals(capsys, argv, err):
     assert run(capsys, "witness", *argv) == (1, "", err)
 
 
+def test_witness_legendre_past_the_old_z_cap():
+    # the least Z of (1845373, 5419), d = 10,000,076,287, is 1,229,753,
+    # past 10**6: the scan up to the descent solution's Z reaches it, run
+    # end to end, and the enumeration below it finds nothing
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "ztwo", "witness", "--legendre", "1845373", "5419"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, '{"schema": "ztwo/1", "kind": "legendre", "p": 1845373, "q": 5419, '
+           '"Xp": 899, "Yp": 1962, "Z": 1229753, "criterion": 1}\n', "")
+    assert diophantine.enumerate_legendre_solutions(1845373, 5419, 1229752) == []
+
+
+def test_witness_legendre_refuses_pq_from_2_40(capsys):
+    # 5 * 219902325739 >= 2**40, the domain of d at every other entry
+    # point: the pair meets the preconditions, and is refused before any scan
+    code, out, err = run(capsys, "witness", "--legendre", "5", "219902325739")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "2**40" in err
+    with pytest.raises(InvalidInput, match=r"2\*\*40"):
+        diophantine.solve_legendre(5, 219902325739)
+
+
 def test_witness_pell_17_refusal_names_the_symbol():
     # 17 has no u = 1 (mod 8) representation, as (2/17)_4 = -1 and
     # (2/p)_4 = (-2/u) for every u of p = u**2 - 2v**2; run end to end

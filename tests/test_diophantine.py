@@ -34,7 +34,7 @@ from ztwo.errors import (
     NotSquarefree,
     PrecondViolated,
 )
-from ztwo.qforms import compose, is_fundamental_discriminant, reduced_forms
+from ztwo.qforms import _compose, _reduce, compose, is_fundamental_discriminant, reduced_forms
 from ztwo.symbols import jacobi
 
 
@@ -213,6 +213,28 @@ def test_kaplan_criterion_takes_one_value_per_pair():
         assert (value == -1) == (exponent_r_oracle(classify(p * q)) == 3), (p, q)
         pairs += 1
     assert (pairs, solutions) == (205, 4471)
+
+
+def test_kaplan_criterion_proof_steps():
+    # each step of solve_kaplan's proof that (-2/s) takes one value, on
+    # every A2 pair with d <= 2*10**4: the witness's s is the first
+    # coefficient of a square root of the class of (p, 0, 2q), and -8pq
+    # has exactly four ambiguous reduced forms, each with chi_{-8} = +1 on
+    # an odd value it represents (chi_{-8}(n) = +1 for n = 1, 3 (mod 8))
+    pairs = 0
+    for p, q in a2_pairs(2 * 10 ** 4):
+        w = solve_kaplan(p, q)
+        s = w.norm_value
+        t = p * w.Y * pow(w.k, -1, s) % s
+        B = _reduce(s, 2 * t, (t * t + 2 * p * q) // s)
+        assert _compose(B, B) == _reduce(p, 0, 2 * q), (p, q)
+        ambiguous = [f for f in reduced_forms(-8 * p * q) if f.b in (0, f.a) or f.a == f.c]
+        assert len(ambiguous) == 4, (p, q)
+        for f in ambiguous:
+            odd = next(n for n in (f.a, f.c, f.a + f.b + f.c) if n % 2)
+            assert odd % 8 in (1, 3), (p, q, f)
+        pairs += 1
+    assert pairs == 382
 
 
 def test_sqrt_mod_matches_brute_force():
